@@ -24,12 +24,13 @@ import numpy as np
 
 from .autograd import LossSpec, finite_diff_check
 from .config import SCHEMA_VERSION, config_hash, render_value, resolve
-from .encoder import EncoderParams, ViewBatch, encoder_forward, init_params
+from .encoder import EncoderParams, ViewBatch, init_params
 from .errors import ConfigError, ContrastLabError, NegativeDenominator
 from .evaluation import lemma4_chain_check
+from .experiments import direction_probe_accuracy
 from .geometry import unit_rows
 from .rng import substream
-from .training import TrainConfig, load_checkpoint, save_checkpoint, train
+from .training import TrainConfig, load_checkpoint, run_tau_plus, save_checkpoint, train
 from .verification import (
     BoundCertificate,
     SweepSpec,
@@ -137,15 +138,8 @@ def _build_world(cfg: dict):
     raise ConfigError(f"unknown world {cfg['world']!r}; expected sphere | discrete")
 
 
-def _representations(params: EncoderParams, features: np.ndarray) -> np.ndarray:
-    z, _ = encoder_forward(params, features)
-    return unit_rows(z)
-
-
 def _eval_accuracy(params: EncoderParams, train_cfg, world, cfg: dict) -> float:
     """Linear-probe accuracy of the frozen encoder, per the config's protocol."""
-    from .experiments import direction_probe_accuracy
-
     return direction_probe_accuracy(
         params, train_cfg, world,
         probe_fit="dataset" if cfg["probe_on_dataset"] else "fresh",
@@ -158,7 +152,8 @@ def cmd_train(cfg: dict, report: RunReport) -> int:
     seeds = cfg["seeds"] or (cfg["seed"],)
     probe_rows = []
     for kind in cfg["loss_kinds"]:
-        for tau in cfg["tau_plus"]:
+        # dict.fromkeys: each distinct tau+ once, in sweep order.
+        for tau in dict.fromkeys(run_tau_plus(kind, tau) for tau in cfg["tau_plus"]):
             for run_seed in seeds:
                 train_cfg = TrainConfig(
                     loss_kind=kind, tau_plus=tau, temperature=cfg["temperature"],

@@ -15,14 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundPreconditionViolated, SingleClassData
-from .losses import mean_classifier_loss, mean_classifier_loss_data
+from .losses import (
+    asymptotic_debiased_exact,
+    mean_classifier_loss,
+    mean_classifier_loss_data,
+    mean_classifier_weights,
+    softmax_cross_entropy,
+)
+from .rng import substream
 from .verification import BoundCertificate, make_certificate, mixture_tag
 from .worldmodel import DiscreteClassMixture, marginal
 
 PROBE_GRAD_TOL = 1e-8
 PROBE_MAX_ITER = 200
 
-# Single source of truth for the mean-classifier loss lives in the losses
+# Single source of truth for the mean classifier lives in the losses
 # module; re-exported here because evaluation is its natural call site.
 __all__ = [
     "ProbeResult",
@@ -46,32 +53,10 @@ class ProbeResult:
     iterations: int
 
 
-def mean_classifier_weights(representations: np.ndarray, labels: np.ndarray,
-                            n_classes: int,
-                            sample_weights: np.ndarray | None = None) -> np.ndarray:
-    """K x d matrix whose row c is the (weighted) mean representation of class c."""
-    reps = np.asarray(representations, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    if sample_weights is None:
-        sample_weights = np.ones(labels.shape[0])
-    w = np.zeros((n_classes, reps.shape[1]))
-    for c in range(n_classes):
-        mask = labels == c
-        total = sample_weights[mask].sum()
-        if total > 0.0:
-            w[c] = (sample_weights[mask, None] * reps[mask]).sum(axis=0) / total
-    return w
-
-
 def _softmax_objective(w: np.ndarray, reps: np.ndarray, labels: np.ndarray,
                        weights: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Weighted softmax CE loss, gradient, and class probabilities at w."""
-    logits = reps @ w.T
-    shift = logits.max(axis=1, keepdims=True)
-    expl = np.exp(logits - shift)
-    probs = expl / expl.sum(axis=1, keepdims=True)
-    lse = np.log(expl.sum(axis=1)) + shift[:, 0]
-    ce = lse - logits[np.arange(labels.shape[0]), labels]
+    ce, probs = softmax_cross_entropy(reps @ w.T, labels)
     loss = float(weights @ ce)
     resid = probs.copy()
     resid[np.arange(labels.shape[0]), labels] -= 1.0
@@ -96,11 +81,8 @@ def linear_probe(representations: np.ndarray, labels: np.ndarray,
         raise SingleClassData("probe needs at least two classes present")
     k = int(labels.max()) + 1
     n, d = reps.shape
-    if sample_weights is None:
-        weights = np.full(n, 1.0 / n)
-    else:
-        weights = np.asarray(sample_weights, dtype=np.float64)
-        weights = weights / weights.sum()
+    weights = np.ones(n) if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
+    weights = weights / weights.sum()
 
     w = mean_classifier_weights(reps, labels, k, weights)
     loss, grad, probs = _softmax_objective(w, reps, labels, weights)
@@ -150,11 +132,9 @@ def _subtask_mean_classifier_loss(embeddings: np.ndarray, mix: DiscreteClassMixt
     member = np.isin(mix.labels, classes)
     weights = marginal(mix)[member]
     weights = weights / weights.sum()
-    logits = emb[member] @ mu.T
-    shift = logits.max(axis=1)
-    lse = np.log(np.exp(logits - shift[:, None]).sum(axis=1)) + shift
     own = np.array([classes.index(int(c)) for c in mix.labels[member]])
-    return float(weights @ (lse - logits[np.arange(own.size), own]))
+    ce, _ = softmax_cross_entropy(emb[member] @ mu.T, own)
+    return float(weights @ ce)
 
 
 def lemma4_chain_check(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,
@@ -177,9 +157,6 @@ def lemma4_chain_check(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
         raise BoundPreconditionViolated(
             f"chain needs N >= K-1 = {mix.n_classes - 1}, got {n_neg}"
         )
-    from .losses import asymptotic_debiased_exact  # local import avoids a cycle
-    from .rng import substream
-
     lhs = mean_classifier_loss(embeddings, mix).value
     rhs = asymptotic_debiased_exact(embeddings, mix, q=float(n_neg)).value
     meta = mixture_tag(mix) | {"n_neg": n_neg, "mean_classifier_loss": lhs,

@@ -17,7 +17,7 @@ from .encoder import EncoderParams, encoder_forward
 from .evaluation import linear_probe, probe_accuracy
 from .geometry import unit_rows
 from .rng import substream
-from .training import TrainConfig, build_dataset, train
+from .training import TrainConfig, build_dataset, run_tau_plus, train
 from .worldmodel import preset_sphere, sample_classes, sample_views
 
 DIRECTION_KINDS = ("unbiased", "debiased", "biased")
@@ -101,8 +101,7 @@ def figure2_direction_run(seeds=(1, 2, 3, 4, 5), world=None,
     for kind in kinds:
         for seed in seeds:
             run_cfg = replace(config, loss_kind=kind,
-                              tau_plus=config.tau_plus if kind == "debiased" else 0.0,
-                              seed=seed)
+                              tau_plus=run_tau_plus(kind, config.tau_plus), seed=seed)
             params, _ = train(run_cfg, world)
             results[kind].append(direction_probe_accuracy(params, run_cfg, world,
                                                           probe_fit=probe_fit))

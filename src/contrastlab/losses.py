@@ -111,9 +111,15 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def _check_floor_mode(floor_mode: str) -> None:
-    if floor_mode not in FLOOR_MODES:
+def _check_params(tau_plus: float | None = None, t: float | None = None,
+                  floor_mode: str | None = None) -> None:
+    """Validate the family's shared hyperparameters; ``None`` skips a check."""
+    if floor_mode is not None and floor_mode not in FLOOR_MODES:
         raise ValueError(f"floor_mode must be one of {FLOOR_MODES}, got {floor_mode!r}")
+    if tau_plus is not None and not (0.0 <= tau_plus < 1.0):
+        raise ValueError("tau_plus must lie in [0, 1)")
+    if t is not None and t <= 0.0:
+        raise ValueError("temperature must be positive")
 
 
 def _neumaier_sum(values: np.ndarray) -> float:
@@ -153,6 +159,25 @@ def biased_loss_point(sim_pos: float, sims_neg, q: float | None = None) -> LossV
     return LossValue(value, KIND_BIASED)
 
 
+def estimator_floor(floor_mode: str, t: float, shift=0.0):
+    """Floor of the clamped estimator, in units shifted by exp(-shift).
+
+    exp(-1/t - shift) for normalized embeddings (exp_floor), 0 for
+    unnormalized features (zero_floor).  ``shift`` may be an array.
+    """
+    return np.exp(-1.0 / t - shift) if floor_mode == EXP_FLOOR else 0.0
+
+
+def clamped_estimate(mean_u, mean_v, tau_plus: float, floor):
+    """The clamped estimator g = max{ (mean_u - tau+ mean_v) / tau-, floor }.
+
+    Vectorized over anchors.  Returns (g, raw), raw being the reweighted
+    estimate before the clamp, so callers can tell where the floor binds.
+    """
+    raw = (mean_u - tau_plus * mean_v) / (1.0 - tau_plus)
+    return np.maximum(raw, floor), raw
+
+
 def g_estimator(sims_u, sims_v, tau_plus: float, t: float = 1.0,
                 floor_mode: str = EXP_FLOOR) -> GEstimate:
     """Clamped estimator of the mean true-negative exponential.
@@ -161,27 +186,19 @@ def g_estimator(sims_u, sims_v, tau_plus: float, t: float = 1.0,
     with floor = exp(-1/t) (exp_floor) or 0 (zero_floor, for unnormalized
     features).  Inputs are similarity scores, i.e. already scaled by 1/t.
     """
-    _check_floor_mode(floor_mode)
-    if not (0.0 <= tau_plus < 1.0):
-        raise ValueError("tau_plus must lie in [0, 1)")
-    if t <= 0.0:
-        raise ValueError("temperature must be positive")
+    _check_params(tau_plus, t, floor_mode)
     sims_u = _as_float_array(sims_u, "sims_u")
     sims_v = _as_float_array(sims_v, "sims_v")
     if sims_u.shape[0] < 1 or sims_v.shape[0] < 1:
         raise EmptyNegatives("g estimator needs N >= 1 and M >= 1 samples")
 
     c = max(float(sims_u.max()), float(sims_v.max()))
-    mean_u = float(np.exp(sims_u - c).mean())
-    mean_v = float(np.exp(sims_v - c).mean())
-    raw_scaled = (mean_u - tau_plus * mean_v) / (1.0 - tau_plus)
-    floor_used = math.exp(-1.0 / t) if floor_mode == EXP_FLOOR else 0.0
-    floor_scaled = floor_used * math.exp(-c)
-    floored = raw_scaled < floor_scaled
-    if floored or raw_scaled <= 0.0:
-        value = floor_used
-    else:
-        value = math.exp(math.log(raw_scaled) + c)
+    g_scaled, raw_scaled = clamped_estimate(float(np.exp(sims_u - c).mean()),
+                                            float(np.exp(sims_v - c).mean()),
+                                            tau_plus, estimator_floor(floor_mode, t, c))
+    floor_used = float(estimator_floor(floor_mode, t))
+    floored = bool(raw_scaled < g_scaled)
+    value = floor_used if floored or g_scaled <= 0.0 else math.exp(math.log(g_scaled) + c)
     return GEstimate(value=max(value, floor_used), floored=floored, floor_used=floor_used)
 
 
@@ -192,11 +209,7 @@ def debiased_loss_point(sim_pos: float, sims_u, sims_v, tau_plus: float,
     With tau_plus = 0 and the floor not binding this reduces exactly to
     :func:`biased_loss_point` with Q = N.
     """
-    _check_floor_mode(floor_mode)
-    if not (0.0 <= tau_plus < 1.0):
-        raise ValueError("tau_plus must lie in [0, 1)")
-    if t <= 0.0:
-        raise ValueError("temperature must be positive")
+    _check_params(tau_plus, t, floor_mode)
     sims_u = _as_float_array(sims_u, "sims_u")
     sims_v = _as_float_array(sims_v, "sims_v")
     if sims_u.shape[0] < 1:
@@ -205,11 +218,9 @@ def debiased_loss_point(sim_pos: float, sims_u, sims_v, tau_plus: float,
         raise EmptyNegatives("debiased loss needs at least one positive similarity")
     n = sims_u.shape[0]
     c = max(float(sim_pos), float(sims_u.max()), float(sims_v.max()))
-    mean_u = float(np.exp(sims_u - c).mean())
-    mean_v = float(np.exp(sims_v - c).mean())
-    raw_scaled = (mean_u - tau_plus * mean_v) / (1.0 - tau_plus)
-    floor_scaled = math.exp(-1.0 / t - c) if floor_mode == EXP_FLOOR else 0.0
-    g_scaled = max(raw_scaled, floor_scaled)
+    g_scaled, _ = clamped_estimate(float(np.exp(sims_u - c).mean()),
+                                   float(np.exp(sims_v - c).mean()),
+                                   tau_plus, estimator_floor(floor_mode, t, c))
     if g_scaled <= 0.0:
         return LossValue(0.0, KIND_DEBIASED_FIN)
     value = math.log(math.exp(sim_pos - c) + n * g_scaled) + c - sim_pos
@@ -263,7 +274,7 @@ def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
     either way the sum is reweighted by N / N_available so the denominator
     still estimates N times the mean true-negative exponential.
     """
-    _check_floor_mode(floor_mode)
+    _check_params(floor_mode=floor_mode)
     f = np.asarray(f, dtype=np.float64)
     b = int(batch_size)
     m = int(m_positives)
@@ -281,10 +292,7 @@ def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
         raise ValueError("a negative pool is only meaningful for the unbiased loss")
     if kind == KIND_BIASED:
         tau_plus, floor_mode = 0.0, ZERO_FLOOR
-    if not (0.0 <= tau_plus < 1.0):
-        raise ValueError("tau_plus must lie in [0, 1)")
-    if t <= 0.0:
-        raise ValueError("temperature must be positive")
+    _check_params(tau_plus, t)
 
     twob = 2 * b
     n_views = f.shape[0]
@@ -343,15 +351,13 @@ def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
         mean_v = (h_pos + ext_vals.sum(axis=1)) / m
     else:
         mean_v = h_pos
-    tau_minus = 1.0 - tau_plus
-    raw = (mean_u - tau_plus * mean_v) / tau_minus
-    floor = np.exp(-1.0 / t - shift) if floor_mode == EXP_FLOOR else np.zeros(twob)
-    g_scaled = np.maximum(raw, floor)
+    floor = estimator_floor(floor_mode, t, shift)
+    g_scaled, raw = clamped_estimate(mean_u, mean_v, tau_plus, floor)
     floored = raw < floor
     grad_active = raw > floor
     denom = h_pos + n_neg * g_scaled
     losses = np.log(denom) + shift - s_pos
-    neg_scale = np.full(twob, 1.0 / tau_minus)
+    neg_scale = np.full(twob, 1.0 / (1.0 - tau_plus))
     return BatchTerms(losses, floored, grad_active, sims, shift, h_pos, denom,
                       exp_shift, neg_mask, neg_scale, partner, extra_cols,
                       n_neg, kind, tau_plus, t, m)
@@ -427,6 +433,17 @@ def _loss_grid(expvec: np.ndarray, sims_row: np.ndarray, tails: np.ndarray,
     return np.log(expvec[None, :] + tails[:, None]) + shift - sims_row[None, :]
 
 
+def _anchor_rows(embeddings: np.ndarray, marg: np.ndarray, t: float):
+    """Per anchor of positive mass: (index, sims row, shift, exp(row - shift))."""
+    f = np.asarray(embeddings, dtype=np.float64)
+    sims = (f @ f.T) / t
+    for a in range(marg.shape[0]):
+        if marg[a] == 0.0:
+            continue
+        shift = float(sims[a].max())
+        yield a, sims[a], shift, np.exp(sims[a] - shift)
+
+
 def unbiased_loss_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
                         n_neg: int, q: float | None = None,
                         t: float = 1.0, budget: float = DEFAULT_ENUM_BUDGET) -> LossValue:
@@ -443,17 +460,11 @@ def unbiased_loss_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
     _check_budget(mix.n_points, n_neg, budget)
     if q is None:
         q = float(n_neg)
-    f = np.asarray(embeddings, dtype=np.float64)
-    sims = (f @ f.T) / t
     marg = marginal(mix)
     total = 0.0
-    for a in range(mix.n_points):
-        if marg[a] == 0.0:
-            continue
-        shift = float(sims[a].max())
-        expvec = np.exp(sims[a] - shift)
+    for a, sims_row, shift, expvec in _anchor_rows(embeddings, marg, t):
         probs, sums = _multiset_sums(negative_dist(mix, a), expvec, n_neg)
-        grid = _loss_grid(expvec, sims[a], (q / n_neg) * sums, shift)
+        grid = _loss_grid(expvec, sims_row, (q / n_neg) * sums, shift)
         total += marg[a] * float(probs @ grid @ positive_dist(mix, a))
     return LossValue(total, KIND_UNBIASED)
 
@@ -473,26 +484,19 @@ def asymptotic_debiased_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
         raise DegenerateClass("asymptotic debiased loss needs K >= 2")
     if tau_plus is None:
         tau_plus = mix.tau_plus
-    if not (0.0 <= tau_plus < 1.0):
-        raise ValueError("tau_plus must lie in [0, 1)")
+    _check_params(tau_plus)
     if q <= 0.0:
         raise ValueError("q must be positive")
-    f = np.asarray(embeddings, dtype=np.float64)
-    sims = (f @ f.T) / t
     marg = marginal(mix)
     total = 0.0
-    for a in range(mix.n_points):
-        if marg[a] == 0.0:
-            continue
-        shift = float(sims[a].max())
-        expvec = np.exp(sims[a] - shift)
+    for a, sims_row, shift, expvec in _anchor_rows(embeddings, marg, t):
         pos = positive_dist(mix, a)
         inner = (float(marg @ expvec) - tau_plus * float(pos @ expvec)) / (1.0 - tau_plus)
         if inner <= 0.0:
             raise NegativeDenominator(
                 f"inner expectation nonpositive at anchor {a} (tau_plus={tau_plus!r})"
             )
-        losses = np.log(expvec + q * inner) + shift - sims[a]
+        losses = np.log(expvec + q * inner) + shift - sims_row
         total += marg[a] * float(losses @ pos)
     return LossValue(total, KIND_DEBIASED_ASYM)
 
@@ -513,25 +517,19 @@ def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: in
     if mix.n_classes < 2:
         raise DegenerateClass("oracle needs K >= 2")
     _check_budget(mix.n_points, n_neg, budget)
-    f = np.asarray(embeddings, dtype=np.float64)
-    sims = (f @ f.T) / t
     marg = marginal(mix)
     tau_plus = mix.tau_plus
     tau_minus = mix.tau_minus
 
     inner = np.zeros(n_neg + 1)
-    for a in range(mix.n_points):
-        if marg[a] == 0.0:
-            continue
-        shift = float(sims[a].max())
-        expvec = np.exp(sims[a] - shift)
+    for a, sims_row, shift, expvec in _anchor_rows(embeddings, marg, t):
         pos = positive_dist(mix, a)
         for k in range(n_neg + 1):
             probs_pos, sums_pos = _multiset_sums(pos, expvec, k)
             probs_marg, sums_marg = _multiset_sums(marg, expvec, n_neg - k)
             probs = np.outer(probs_pos, probs_marg).ravel()
             sums = (sums_pos[:, None] + sums_marg[None, :]).ravel()
-            grid = _loss_grid(expvec, sims[a], sums, shift)
+            grid = _loss_grid(expvec, sims_row, sums, shift)
             inner[k] += marg[a] * float(probs @ grid @ pos)
 
     k = np.arange(n_neg + 1)
@@ -544,6 +542,19 @@ def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: in
     return OracleResult(LossValue(value, KIND_ORACLE), cond, tuple(terms))
 
 
+def softmax_cross_entropy(logits: np.ndarray,
+                          labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row -log softmax(logits)[label] and the softmax probabilities.
+
+    Both come from one max-shifted exponential of the (n, K) logits.
+    """
+    shift = logits.max(axis=1, keepdims=True)
+    expl = np.exp(logits - shift)
+    total = expl.sum(axis=1, keepdims=True)
+    ce = np.log(total[:, 0]) + shift[:, 0] - logits[np.arange(logits.shape[0]), labels]
+    return ce, expl / total
+
+
 def softmax_ce(logits, label: int) -> LossValue:
     """Multiclass cross entropy -log softmax(logits)[label]."""
     logits = _as_float_array(logits, "logits")
@@ -551,34 +562,41 @@ def softmax_ce(logits, label: int) -> LossValue:
         raise DegenerateClass("softmax cross entropy needs K >= 2")
     if not (0 <= label < logits.shape[0]):
         raise ValueError("label out of range")
-    shift = float(logits.max())
-    value = math.log(float(np.exp(logits - shift).sum())) + shift - float(logits[label])
-    return LossValue(value, KIND_SOFTMAX_CE)
+    ce, _ = softmax_cross_entropy(logits[None, :], np.array([label]))
+    return LossValue(float(ce[0]), KIND_SOFTMAX_CE)
 
 
-def class_mean_embeddings(embeddings: np.ndarray, mix: DiscreteClassMixture) -> np.ndarray:
-    """Exact class means mu_c = E_{x ~ p(.|c)} f(x), shape (K, d)."""
-    f = np.asarray(embeddings, dtype=np.float64)
-    return mix.class_conditionals @ f
+def mean_classifier_weights(representations: np.ndarray, labels: np.ndarray,
+                            n_classes: int,
+                            sample_weights: np.ndarray | None = None) -> np.ndarray:
+    """K x d matrix whose row c is the (weighted) mean representation of class c."""
+    reps = np.asarray(representations, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.intp)
+    if sample_weights is None:
+        sample_weights = np.ones(labels.shape[0])
+    w = np.zeros((n_classes, reps.shape[1]))
+    for c in range(n_classes):
+        mask = labels == c
+        total = sample_weights[mask].sum()
+        if total > 0.0:
+            w[c] = (sample_weights[mask, None] * reps[mask]).sum(axis=0) / total
+    return w
 
 
 def mean_classifier_loss(embeddings: np.ndarray, mix: DiscreteClassMixture,
                          t: float = 1.0) -> LossValue:
     """Exact supervised loss of the classifier whose rows are class means.
 
-    Logits for point x are f(x).mu_c / t; the expectation over x ~ marginal
-    is a finite sum.  Constant embeddings give exactly log K.
+    Logits for point x are f(x).mu_c / t with mu_c = E_{x ~ p(.|c)} f(x);
+    the expectation over x ~ marginal is a finite sum.  Constant embeddings
+    give exactly log K.
     """
     if mix.n_classes < 2:
         raise DegenerateClass("mean classifier loss needs K >= 2")
     f = np.asarray(embeddings, dtype=np.float64)
-    mu = class_mean_embeddings(f, mix)
-    logits = (f @ mu.T) / t
-    marg = marginal(mix)
-    shift = logits.max(axis=1)
-    lse = np.log(np.exp(logits - shift[:, None]).sum(axis=1)) + shift
-    ce = lse - logits[np.arange(mix.n_points), mix.labels]
-    return LossValue(float(marg @ ce), KIND_SUPERVISED_MU)
+    mu = mix.class_conditionals @ f
+    ce, _ = softmax_cross_entropy((f @ mu.T) / t, mix.labels)
+    return LossValue(float(marginal(mix) @ ce), KIND_SUPERVISED_MU)
 
 
 def mean_classifier_loss_data(representations: np.ndarray, labels: np.ndarray,
@@ -587,22 +605,11 @@ def mean_classifier_loss_data(representations: np.ndarray, labels: np.ndarray,
     """Empirical mean-classifier loss on a labeled representation set."""
     reps = np.asarray(representations, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
-    k = int(labels.max()) + 1
     if np.unique(labels).size < 2:
         raise DegenerateClass("mean classifier needs at least two classes present")
-    if sample_weights is None:
-        sample_weights = np.full(labels.shape[0], 1.0 / labels.shape[0])
-    else:
-        sample_weights = np.asarray(sample_weights, dtype=np.float64)
-        sample_weights = sample_weights / sample_weights.sum()
-    mu = np.zeros((k, reps.shape[1]))
-    for c in range(k):
-        mask = labels == c
-        w = sample_weights[mask]
-        if w.sum() > 0.0:
-            mu[c] = (w[:, None] * reps[mask]).sum(axis=0) / w.sum()
-    logits = (reps @ mu.T) / t
-    shift = logits.max(axis=1)
-    lse = np.log(np.exp(logits - shift[:, None]).sum(axis=1)) + shift
-    ce = lse - logits[np.arange(labels.shape[0]), labels]
-    return LossValue(float(sample_weights @ ce), KIND_SUPERVISED_MU)
+    weights = np.ones(labels.shape[0]) if sample_weights is None else \
+        np.asarray(sample_weights, dtype=np.float64)
+    weights = weights / weights.sum()
+    mu = mean_classifier_weights(reps, labels, int(labels.max()) + 1, weights)
+    ce, _ = softmax_cross_entropy((reps @ mu.T) / t, labels)
+    return LossValue(float(weights @ ce), KIND_SUPERVISED_MU)

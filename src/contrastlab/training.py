@@ -84,6 +84,15 @@ class TrainConfig:
                         temperature=self.temperature, floor_mode=self.floor_mode)
 
 
+def run_tau_plus(loss_kind: str, tau_plus: float) -> float:
+    """The tau+ a run of ``loss_kind`` trains with: only the debiased loss reads it.
+
+    The biased loss is the tau+ = 0 case and the true-negative loss has no
+    tau+, so their runs are labelled 0 and a tau+ sweep trains them once.
+    """
+    return tau_plus if loss_kind == "debiased" else 0.0
+
+
 @dataclass(frozen=True)
 class TrainDataset:
     """Fixed anchor identities; views are redrawn per batch.

@@ -25,8 +25,12 @@ import numpy as np
 from .errors import DegenerateClass, InsufficientGrid
 from .losses import (
     DEFAULT_ENUM_BUDGET,
+    EXP_FLOOR,
+    _check_params,
     asymptotic_debiased_exact,
     binomial_oracle,
+    clamped_estimate,
+    estimator_floor,
     unbiased_loss_exact,
 )
 from .rng import substream
@@ -230,8 +234,7 @@ def theorem3_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_ne
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials")
-    if not (0.0 <= tau_plus < 1.0):
-        raise ValueError("tau_plus must lie in [0, 1)")
+    _check_params(tau_plus)
     exact = asymptotic_debiased_exact(embeddings, mix, q=float(n_neg), tau_plus=tau_plus)
     mc_losses = _debiased_mc_losses(embeddings, mix, n_neg, m_pos, tau_plus, trials,
                                     substream(seed, 2))[0]
@@ -267,7 +270,7 @@ def _debiased_mc_losses(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg
     h_pos = expm[anchors, positives]
     mean_u = _grouped_mean_exp(anchors, lambda a: marg, n_neg, expm, rng)
     mean_v = _grouped_mean_exp(anchors, lambda a: positive_dist(mix, a), m_pos, expm, rng)
-    g = np.maximum((mean_u - tau_plus * mean_v) / tau_minus, math.exp(-1.0))
+    g, _ = clamped_estimate(mean_u, mean_v, tau_plus, estimator_floor(EXP_FLOOR, t=1.0))
     losses = np.log(h_pos + n_neg * g) - s_pos
 
     inner_per_anchor = np.empty(mix.n_points)
@@ -336,8 +339,7 @@ def theorem5_constants(n_neg: int, m_pos: int, tau_plus: float) -> tuple[float, 
     """
     if n_neg < 1 or m_pos < 1:
         raise ValueError("N and M must be >= 1")
-    if not (0.0 <= tau_plus < 1.0):
-        raise ValueError("tau_plus must lie in [0, 1)")
+    _check_params(tau_plus)
     tau_minus = 1.0 - tau_plus
     lam = math.sqrt((m_pos / n_neg + 1.0) / tau_minus ** 2
                     + tau_plus ** 2 * (n_neg / m_pos + 1.0))

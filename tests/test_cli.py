@@ -114,6 +114,17 @@ class TestTrainCommand:
         rows = (tmp_path / "probe.csv").read_text().splitlines()[1:]
         assert len(rows) == 6  # one accuracy row per (seed, tau)
 
+    def test_non_debiased_kinds_train_once_at_tau_zero(self, tmp_path):
+        # Only the debiased loss reads tau+: a sweep trains biased once, as tau+ = 0.
+        code = main(["train", "--out", str(tmp_path), "--seed", "1",
+                     "--set", "loss_kinds=biased,debiased",
+                     "--set", "tau_plus=0.05,0.1"] + FAST_TRAIN)
+        assert code == 0
+        rows = (tmp_path / "probe.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:3] for row in rows] == [
+            ["1", "biased", "0.0"], ["1", "debiased", "0.05"], ["1", "debiased", "0.1"]]
+        assert (tmp_path / "train_log_biased_tau0_seed1.csv").exists()
+
     def test_rerun_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         args = ["train", "--seed", "2"] + FAST_TRAIN

@@ -90,6 +90,7 @@ class TestMeanClassifierConsistency:
 
         assert mean_classifier_loss is losses.mean_classifier_loss
         assert mean_classifier_loss_data is losses.mean_classifier_loss_data
+        assert mean_classifier_weights is losses.mean_classifier_weights
 
 
 class TestChainCheck:
