@@ -29,12 +29,14 @@ from .losses import (
 from .training import TrainConfig, make_batches, train
 from .verification import (
     BoundCertificate,
+    MonteCarloDraws,
     RateFit,
     SweepSpec,
     lemma1_certificate,
     oracle_certificate,
     rate_fit,
     theorem3_certificate,
+    theorem3_draws,
     theorem5_constants,
 )
 from .worldmodel import (

@@ -38,6 +38,7 @@ from .verification import (
     oracle_certificate,
     rate_fit,
     theorem3_certificate,
+    theorem3_draws,
 )
 from .worldmodel import (
     DiscreteClassMixture,
@@ -186,12 +187,17 @@ def cmd_probe(cfg: dict, report: RunReport) -> int:
     if not cfg["checkpoint"]:
         raise ConfigError("probe needs key 'checkpoint'")
     world = _build_world(cfg)
-    params, _ = load_checkpoint(cfg["checkpoint"])
+    params, payload = load_checkpoint(cfg["checkpoint"])
+    # The row is labelled with what the checkpoint was trained as.
+    meta = payload.get("meta", {})
+    missing = [key for key in ("loss_kind", "tau_plus") if key not in meta]
+    if missing:
+        raise ConfigError(f"checkpoint {cfg['checkpoint']} meta lacks {missing}")
     probe_cfg = TrainConfig(seed=cfg["seed"])
     accuracy = _eval_accuracy(params, probe_cfg, world,
                               cfg | {"probe_on_dataset": False})
     report.csv("probe.csv", PROBE_HEADER,
-               [(cfg["seed"], cfg["loss_kind"], cfg["tau_plus"], accuracy)])
+               [(cfg["seed"], meta["loss_kind"], float(meta["tau_plus"]), accuracy)])
     print(f"probe: accuracy={accuracy:.4f}")
     return report.finish()
 
@@ -234,13 +240,15 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
             emb, mix = _random_instance(seed, s_points=cfg["s_points"],
                                         k_classes=cfg["k_classes"],
                                         embed_dim=cfg["embed_dim"], path=(30, inst))
-            for a, tau in enumerate(cfg["tau_list"]):
-                for b, n_neg in enumerate(cfg["n_grid"]):
-                    for c, m_pos in enumerate(cfg["m_grid"]):
+            inst_seed = _child_seed(seed, 31, inst)
+            draws = theorem3_draws(emb, mix, cfg["n_grid"], cfg["m_grid"], cfg["trials"],
+                                   inst_seed)
+            for tau in cfg["tau_list"]:
+                for n_neg in cfg["n_grid"]:
+                    for m_pos in cfg["m_grid"]:
                         try:
-                            cert = theorem3_certificate(
-                                emb, mix, n_neg, m_pos, tau, cfg["trials"],
-                                _child_seed(seed, 31, inst, a, b, c))
+                            cert = theorem3_certificate(emb, mix, n_neg, m_pos, tau,
+                                                        cfg["trials"], inst_seed, draws=draws)
                         except NegativeDenominator as exc:
                             report.add_certificate({
                                 "check": "thm3", "skipped": True, "reason": str(exc),

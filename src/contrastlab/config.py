@@ -63,8 +63,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
     "probe": _COMMON | _WORLD | {
         "checkpoint": Field("str", "", "encoder checkpoint to evaluate"),
-        "loss_kind": Field("str", "debiased", "label recorded in the CSV row"),
-        "tau_plus": Field("float", 0.1, "label recorded in the CSV row"),
         "eval_train_size": Field("int", 2048, ""),
         "eval_test_size": Field("int", 2048, ""),
         "eval_replicas": Field("int", 1, ""),

@@ -223,62 +223,123 @@ def lemma1_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
     return make_certificate("lemma1", lhs, rhs, stderr, trials, meta)
 
 
+@dataclass(frozen=True, eq=False)
+class MonteCarloDraws:
+    """Monte Carlo inputs shared by the thm3 certificates of one instance.
+
+    One substream yields, in this order, the trial-wise (anchor, positive)
+    pairs, the negative-side mean ``mean_u`` for each N of the grid and the
+    positive-side mean ``mean_v`` for each M of the grid.  Neither mean
+    depends on tau+, so every (tau+, N, M) certificate reads the same
+    arrays: common random numbers across the grid.  A one-point grid holds
+    exactly what a certificate without shared draws draws for itself.  The
+    draws belong to the (embeddings, mixture) objects they were made from,
+    and ``exact`` memoizes the asymptotic value per (tau+, N).
+    """
+
+    embeddings: np.ndarray
+    mix: DiscreteClassMixture
+    stream: tuple[int, ...]
+    trials: int
+    anchors: np.ndarray
+    s_pos: np.ndarray
+    h_pos: np.ndarray
+    mean_u: dict[int, np.ndarray]
+    mean_v: dict[int, np.ndarray]
+    exact: dict[tuple[float, int], float] = field(default_factory=dict)
+
+    def asymptotic(self, tau_plus: float, n_neg: int) -> float:
+        """Exact asymptotic debiased value at Q = N, computed once per (tau+, N)."""
+        key = (tau_plus, n_neg)
+        if key not in self.exact:
+            self.exact[key] = asymptotic_debiased_exact(
+                self.embeddings, self.mix, q=float(n_neg), tau_plus=tau_plus).value
+        return self.exact[key]
+
+
+def _draw_monte_carlo(embeddings: np.ndarray, mix: DiscreteClassMixture,
+                      n_grid, m_grid, trials: int, *stream: int) -> MonteCarloDraws:
+    """Draw the inputs of the clamped debiased loss from ``substream(*stream)``."""
+    sims, expm = _sims_and_exp(embeddings)
+    marg = marginal(mix)
+    rng = substream(*stream)
+    anchors, positives = _draw_anchor_positive(mix, trials, rng)
+    mean_u = {int(n): _grouped_mean_exp(anchors, lambda a: marg, int(n), expm, rng)
+              for n in n_grid}
+    mean_v = {int(m): _grouped_mean_exp(anchors, lambda a: positive_dist(mix, a), int(m),
+                                        expm, rng)
+              for m in m_grid}
+    return MonteCarloDraws(embeddings=embeddings, mix=mix, stream=stream, trials=trials,
+                           anchors=anchors, s_pos=sims[anchors, positives],
+                           h_pos=expm[anchors, positives], mean_u=mean_u, mean_v=mean_v)
+
+
+def theorem3_draws(embeddings: np.ndarray, mix: DiscreteClassMixture, n_grid, m_grid,
+                   trials: int, seed: int) -> MonteCarloDraws:
+    """Shared draws for every thm3 certificate of one instance at ``seed``.
+
+    Pass the result as ``draws=`` to :func:`theorem3_certificate` with the
+    same embeddings, mixture, trials and seed, and any N of ``n_grid`` and M
+    of ``m_grid``.
+    """
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials")
+    return _draw_monte_carlo(embeddings, mix, n_grid, m_grid, trials, seed, 2)
+
+
 def theorem3_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,
                          m_pos: int, tau_plus: float, trials: int,
-                         seed: int) -> BoundCertificate:
+                         seed: int, *, draws: MonteCarloDraws | None = None) -> BoundCertificate:
     """Certify the finite-sample estimation error of the debiased loss.
 
     lhs = | exact asymptotic value - MC mean of the clamped finite-(N, M)
     loss |; rhs = (e^{3/2}/tau-) sqrt(pi/2N) + (e^{3/2} tau+/tau-)
-    sqrt(pi/2M).  Q is fixed to N and t to 1.
+    sqrt(pi/2M).  Q is fixed to N and t to 1.  Without ``draws`` the
+    certificate draws its own inputs from ``seed``; with draws from
+    :func:`theorem3_draws` it reads theirs, and draws made for other
+    arguments raise ``ValueError``.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials")
     _check_params(tau_plus)
-    exact = asymptotic_debiased_exact(embeddings, mix, q=float(n_neg), tau_plus=tau_plus)
-    mc_losses = _debiased_mc_losses(embeddings, mix, n_neg, m_pos, tau_plus, trials,
-                                    substream(seed, 2))[0]
+    if draws is None:
+        exact = asymptotic_debiased_exact(embeddings, mix, q=float(n_neg),
+                                          tau_plus=tau_plus).value
+        draws = _draw_monte_carlo(embeddings, mix, (n_neg,), (m_pos,), trials, seed, 2)
+    else:
+        if draws.embeddings is not embeddings or draws.mix is not mix:
+            raise ValueError("draws were made for other embeddings or another mixture")
+        if draws.stream != (seed, 2) or draws.trials != trials:
+            raise ValueError(f"draws were made for stream {draws.stream} at "
+                             f"{draws.trials} trials, not seed {seed} at {trials}")
+        if n_neg not in draws.mean_u or m_pos not in draws.mean_v:
+            raise ValueError(f"draws hold N in {sorted(draws.mean_u)} and M in "
+                             f"{sorted(draws.mean_v)}, not (N, M) = ({n_neg}, {m_pos})")
+        exact = draws.asymptotic(tau_plus, n_neg)
+    mc_losses = _debiased_mc_losses(draws, n_neg, m_pos, tau_plus)
     tau_minus = 1.0 - tau_plus
     rhs = (math.exp(1.5) / tau_minus) * math.sqrt(math.pi / (2.0 * n_neg)) \
         + (math.exp(1.5) * tau_plus / tau_minus) * math.sqrt(math.pi / (2.0 * m_pos))
-    lhs = abs(exact.value - float(mc_losses.mean()))
+    lhs = abs(exact - float(mc_losses.mean()))
     stderr = float(mc_losses.std(ddof=1) / math.sqrt(trials))
     meta = mixture_tag(mix) | {
         "n_neg": n_neg,
         "m_pos": m_pos,
         "tau_plus": tau_plus,
         "seed": seed,
-        "exact": exact.value,
+        "exact": exact,
         "mc_mean": float(mc_losses.mean()),
     }
     return make_certificate("thm3", lhs, rhs, stderr, trials, meta)
 
 
-def _debiased_mc_losses(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,
-                        m_pos: int, tau_plus: float, trials: int,
-                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial clamped debiased losses and the matching asymptotic integrands.
-
-    Both arrays share the same (anchor, positive) draws, so their pointwise
-    difference is exactly the estimation error the error bound controls.
-    """
-    sims, expm = _sims_and_exp(embeddings)
-    marg = marginal(mix)
-    tau_minus = 1.0 - tau_plus
-    anchors, positives = _draw_anchor_positive(mix, trials, rng)
-    s_pos = sims[anchors, positives]
-    h_pos = expm[anchors, positives]
-    mean_u = _grouped_mean_exp(anchors, lambda a: marg, n_neg, expm, rng)
-    mean_v = _grouped_mean_exp(anchors, lambda a: positive_dist(mix, a), m_pos, expm, rng)
-    g, _ = clamped_estimate(mean_u, mean_v, tau_plus, estimator_floor(EXP_FLOOR, t=1.0))
-    losses = np.log(h_pos + n_neg * g) - s_pos
-
-    inner_per_anchor = np.empty(mix.n_points)
-    for a in range(mix.n_points):
-        inner_per_anchor[a] = (float(marg @ expm[a])
-                               - tau_plus * float(positive_dist(mix, a) @ expm[a])) / tau_minus
-    integrand = np.log(h_pos + n_neg * inner_per_anchor[anchors]) - s_pos
-    return losses, integrand
+def _debiased_mc_losses(draws: MonteCarloDraws, n_neg: int, m_pos: int,
+                        tau_plus: float) -> np.ndarray:
+    """Per-trial clamped debiased losses at (N, M, tau+): the one Monte Carlo
+    kernel behind both thm3 certificates and rate fits."""
+    g, _ = clamped_estimate(draws.mean_u[n_neg], draws.mean_v[m_pos], tau_plus,
+                            estimator_floor(EXP_FLOOR, t=1.0))
+    return np.log(draws.h_pos + n_neg * g) - draws.s_pos
 
 
 def rate_fit(embeddings: np.ndarray, mix: DiscreteClassMixture, sweep: SweepSpec,
@@ -304,11 +365,21 @@ def rate_fit(embeddings: np.ndarray, mix: DiscreteClassMixture, sweep: SweepSpec
         raise InsufficientGrid("non-swept size must be >= 10x the largest swept value")
     tau_plus = mix.tau_plus if sweep.tau_plus is None else sweep.tau_plus
 
+    # The asymptotic inner expectation per anchor, unclamped: the integrand
+    # the finite-sample loss of each trial is compared against.
+    _, expm = _sims_and_exp(embeddings)
+    marg = marginal(mix)
+    tau_minus = 1.0 - tau_plus
+    inner_per_anchor = np.empty(mix.n_points)
+    for a in range(mix.n_points):
+        inner_per_anchor[a] = (float(marg @ expm[a])
+                               - tau_plus * float(positive_dist(mix, a) @ expm[a])) / tau_minus
     points = []
     for i, size in enumerate(grid):
         n_neg, m_pos = (size, sweep.other) if sweep.variable == "N" else (sweep.other, size)
-        losses, integrand = _debiased_mc_losses(embeddings, mix, n_neg, m_pos, tau_plus,
-                                                trials, substream(seed, 3, i))
+        draws = _draw_monte_carlo(embeddings, mix, (n_neg,), (m_pos,), trials, seed, 3, i)
+        losses = _debiased_mc_losses(draws, n_neg, m_pos, tau_plus)
+        integrand = np.log(draws.h_pos + n_neg * inner_per_anchor[draws.anchors]) - draws.s_pos
         gaps = np.abs(losses - integrand)
         points.append(GridPoint(size=size, mean_gap=float(gaps.mean()),
                                 stderr=float(gaps.std(ddof=1) / math.sqrt(trials))))

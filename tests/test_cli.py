@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from contrastlab.cli import main
+from contrastlab.cli import _child_seed, _random_instance, main
 from contrastlab.config import SCHEMA_VERSION, config_hash, resolve
 from contrastlab.errors import ConfigError
+from contrastlab.verification import theorem3_certificate, theorem3_draws
 from contrastlab.worldmodel import load_mixture
 
 FAST_TRAIN = [
@@ -146,9 +147,11 @@ class TestTrainCommand:
 
 class TestProbeCommand:
     def test_probe_checkpoint(self, tmp_path):
+        # The row is labelled from the checkpoint's meta, not from defaults.
         train_out = tmp_path / "t"
-        main(["train", "--out", str(train_out), "--seed", "2"] + FAST_TRAIN)
-        ckpt = next(train_out.glob("checkpoint_*.json"))
+        main(["train", "--out", str(train_out), "--seed", "2",
+              "--set", "loss_kinds=biased"] + FAST_TRAIN)
+        ckpt = train_out / "checkpoint_biased_tau0_seed2.json"
         probe_out = tmp_path / "p"
         code = main(["probe", "--out", str(probe_out), "--seed", "2",
                      "--set", f"checkpoint={ckpt}"])
@@ -156,6 +159,23 @@ class TestProbeCommand:
         rows = (probe_out / "probe.csv").read_text().splitlines()
         assert rows[0] == "seed,loss_kind,tau_plus,accuracy"
         assert len(rows) == 2
+        assert rows[1].split(",")[:3] == ["2", "biased", "0.0"]
+
+    def test_checkpoint_without_labels_exits_2(self, tmp_path, capsys):
+        train_out = tmp_path / "t"
+        main(["train", "--out", str(train_out), "--seed", "2"] + FAST_TRAIN)
+        ckpt = next(train_out.glob("checkpoint_*.json"))
+        payload = json.loads(ckpt.read_text())
+        del payload["meta"]["tau_plus"]
+        ckpt.write_text(json.dumps(payload))
+        code = main(["probe", "--out", str(tmp_path / "p"), "--set", f"checkpoint={ckpt}"])
+        assert code == 2
+        assert "tau_plus" in capsys.readouterr().err
+
+    def test_label_keys_are_not_config(self, tmp_path, capsys):
+        for key in ("loss_kind", "tau_plus"):
+            assert main(["probe", "--out", str(tmp_path), "--set", f"{key}=0"]) == 2
+            assert f"unknown config keys for 'probe': ['{key}']" in capsys.readouterr().err
 
     def test_missing_checkpoint_key(self, tmp_path, capsys):
         assert main(["probe", "--out", str(tmp_path)]) == 2
@@ -174,6 +194,60 @@ class TestVerifyCommand:
         for cert in certs:
             assert set(cert) >= {"check", "lhs", "rhs", "stderr", "trials",
                                  "passed", "meta"}
+
+    THM3_2X2X2 = ["verify", "thm3", "--seed", "8", "--set", "instances=2",
+                  "--set", "trials=1000", "--set", "n_grid=4,16",
+                  "--set", "m_grid=4,16", "--set", "tau_list=0.05,0.1"]
+
+    def test_thm3_grid_byte_identical(self, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert main(self.THM3_2X2X2 + ["--out", str(out1)]) == 0
+        assert main(self.THM3_2X2X2 + ["--out", str(out2)]) == 0
+        _, blobs1 = read_artifacts(out1)
+        _, blobs2 = read_artifacts(out2)
+        assert blobs1 == blobs2
+
+    def test_thm3_records_rederive_from_instance_draws(self, tmp_path):
+        # Every record of an instance carries the instance's seed; re-running
+        # the instance's grid with draws from that seed gives the record.
+        assert main(self.THM3_2X2X2 + ["--out", str(tmp_path)]) == 0
+        records = json.loads((tmp_path / "certificates.json").read_text())
+        assert len(records) == 16
+        for inst in range(2):
+            emb, mix = _random_instance(8, s_points=8, k_classes=5, embed_dim=8,
+                                        path=(30, inst))
+            inst_seed = _child_seed(8, 31, inst)
+            draws = theorem3_draws(emb, mix, (4, 16), (4, 16), 1000, inst_seed)
+            mine = [rec for rec in records if rec["meta"]["instance"] == inst]
+            expected = []
+            for tau in (0.05, 0.1):
+                for n_neg in (4, 16):
+                    for m_pos in (4, 16):
+                        cert = theorem3_certificate(emb, mix, n_neg, m_pos, tau, 1000,
+                                                    inst_seed, draws=draws)
+                        cert.meta["instance"] = inst
+                        expected.append(json.loads(json.dumps(cert.to_record())))
+            assert mine == expected
+            assert {rec["meta"]["seed"] for rec in mine} == {inst_seed}
+
+    def test_thm3_draws_once_per_n_and_per_m(self, tmp_path, monkeypatch):
+        # |N| + |M| = 4 count-sampling calls for the instance; one per
+        # (tau+, N, M) cell and side would be 16.
+        import contrastlab.verification as verification
+
+        calls = []
+        real = verification._grouped_mean_exp
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verification, "_grouped_mean_exp", counting)
+        code = main(["verify", "thm3", "--out", str(tmp_path), "--set", "instances=1",
+                     "--set", "trials=1000", "--set", "n_grid=4,16",
+                     "--set", "m_grid=4,16", "--set", "tau_list=0.05,0.1"])
+        assert code == 0
+        assert len(calls) == 4
 
     def test_lemma1_runs(self, tmp_path):
         code = main(["verify", "lemma1", "--out", str(tmp_path), "--seed", "3",

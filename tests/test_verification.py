@@ -14,6 +14,7 @@ from contrastlab.verification import (
     oracle_certificate,
     rate_fit,
     theorem3_certificate,
+    theorem3_draws,
     theorem5_constants,
 )
 from contrastlab.worldmodel import preset_mixture
@@ -103,6 +104,75 @@ class TestTheorem3Certificate:
         errs = [p.stderr for p in fit.points]
         for i in range(len(gaps) - 1):
             assert gaps[i + 1] <= gaps[i] + 3 * (errs[i] + errs[i + 1])
+
+
+class TestTheorem3Draws:
+    def test_one_point_draws_reproduce_the_unshared_record(self):
+        emb, mix = random_instance(24, k_classes=5)
+        draws = theorem3_draws(emb, mix, (16,), (64,), trials=2000, seed=11)
+        shared = theorem3_certificate(emb, mix, 16, 64, 0.1, 2000, 11, draws=draws)
+        alone = theorem3_certificate(emb, mix, 16, 64, 0.1, 2000, 11)
+        assert shared.to_record() == alone.to_record()
+
+    def test_draw_order_pairs_then_each_n_then_each_m(self):
+        # One stream: (anchor, positive) pairs, mean_u per N, then mean_v per M.
+        # A grid therefore shares its pairs and first mean_u with the 1x1x1
+        # set, while its first mean_v comes after every mean_u.
+        emb, mix = random_instance(25, k_classes=5)
+        grid = theorem3_draws(emb, mix, (4, 16), (4, 16), trials=2000, seed=12)
+        one = theorem3_draws(emb, mix, (4,), (4,), trials=2000, seed=12)
+        assert np.array_equal(grid.anchors, one.anchors)
+        assert np.array_equal(grid.s_pos, one.s_pos)
+        assert np.array_equal(grid.mean_u[4], one.mean_u[4])
+        assert not np.array_equal(grid.mean_v[4], one.mean_v[4])
+        for n_neg in (4, 16):
+            for m_pos in (4, 16):
+                assert theorem3_certificate(emb, mix, n_neg, m_pos, 0.1, 2000, 12,
+                                            draws=grid).passed
+
+    @pytest.mark.parametrize("change", [
+        {"trials": 3000}, {"n_neg": 64}, {"m_pos": 64}, {"seed": 14},
+    ])
+    def test_mismatched_draws_raise(self, change):
+        emb, mix = random_instance(26, k_classes=5)
+        draws = theorem3_draws(emb, mix, (4, 16), (4, 16), trials=2000, seed=13)
+        args = {"n_neg": 16, "m_pos": 4, "trials": 2000, "seed": 13} | change
+        with pytest.raises(ValueError, match="draws"):
+            theorem3_certificate(emb, mix, args["n_neg"], args["m_pos"], 0.1,
+                                 args["trials"], args["seed"], draws=draws)
+
+    def test_draws_of_another_instance_raise(self):
+        emb, mix = random_instance(27, k_classes=5)
+        other_emb, other_mix = random_instance(28, k_classes=5)
+        draws = theorem3_draws(emb, mix, (4,), (4,), trials=2000, seed=15)
+        with pytest.raises(ValueError, match="draws"):
+            theorem3_certificate(other_emb, mix, 4, 4, 0.1, 2000, 15, draws=draws)
+        with pytest.raises(ValueError, match="draws"):
+            theorem3_certificate(emb, other_mix, 4, 4, 0.1, 2000, 15, draws=draws)
+
+    def test_exact_value_computed_once_per_tau_and_n(self, monkeypatch):
+        import contrastlab.verification as verification
+
+        calls = []
+        real = verification.asymptotic_debiased_exact
+
+        def counting(*args, **kwargs):
+            calls.append((kwargs["q"], kwargs["tau_plus"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verification, "asymptotic_debiased_exact", counting)
+        emb, mix = random_instance(29, k_classes=5)
+        draws = theorem3_draws(emb, mix, (4, 16), (4, 16, 64), trials=1000, seed=16)
+        for tau in (0.05, 0.1):
+            for n_neg in (4, 16):
+                for m_pos in (4, 16, 64):
+                    theorem3_certificate(emb, mix, n_neg, m_pos, tau, 1000, 16, draws=draws)
+        assert sorted(calls) == [(4.0, 0.05), (4.0, 0.1), (16.0, 0.05), (16.0, 0.1)]
+
+    def test_trials_floor(self):
+        emb, mix = random_instance(30)
+        with pytest.raises(ValueError):
+            theorem3_draws(emb, mix, (4,), (4,), trials=10, seed=0)
 
 
 class TestRateFit:
