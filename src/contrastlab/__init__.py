@@ -10,9 +10,7 @@ from .autograd import GradientReport, LossSpec, finite_diff_check, loss_and_grad
 from .encoder import EncoderParams, ViewBatch, init_params
 from .evaluation import ProbeResult, lemma4_chain_check, linear_probe
 from .experiments import DIRECTION_PRESET, direction_probe_accuracy, figure2_direction_run
-from .geometry import UnitEmbedding, normalize, normalize_jacobian, similarity
 from .losses import (
-    GEstimate,
     LossValue,
     OracleResult,
     asymptotic_debiased_exact,
@@ -20,10 +18,8 @@ from .losses import (
     binomial_oracle,
     debiased_loss_batch,
     debiased_loss_point,
-    g_estimator,
     mean_classifier_loss,
     mean_classifier_loss_data,
-    softmax_ce,
     unbiased_loss_exact,
 )
 from .training import TrainConfig, make_batches, train
@@ -42,8 +38,6 @@ from .verification import (
 from .worldmodel import (
     DiscreteClassMixture,
     SphereMixture,
-    TripleSample,
-    build_discrete,
     load_mixture,
     marginal,
     negative_dist,
@@ -51,7 +45,6 @@ from .worldmodel import (
     preset_mixture,
     preset_sphere,
     random_mixture,
-    sample_triple,
     save_mixture,
 )
 

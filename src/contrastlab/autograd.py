@@ -93,6 +93,9 @@ def loss_and_grad(params: EncoderParams, batch: ViewBatch,
         m = terms.m_positives
         v_coef = active * terms.n_negatives * terms.tau_plus / ((1.0 - terms.tau_plus) * m)
         d_pos = terms.h_pos * (1.0 - v_coef) * inv_d - 1.0
+        # A zero clamped estimate (zero_floor) makes the loss exactly 0 here;
+        # h * (1/h) - 1 would leave round-off where the derivative is 0.
+        d_pos = np.where(terms.denom == terms.h_pos, 0.0, d_pos)
         d_neg = (active * terms.neg_scale * inv_d)[:, None] * terms.exp_shift * terms.neg_mask
         if m > 1:
             ext_vals = np.take_along_axis(terms.exp_shift, terms.extra_cols, axis=1)

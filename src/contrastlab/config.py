@@ -46,7 +46,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "batch_size": Field("int", 64, ""),
         "epochs": Field("int", 200, ""),
         "learning_rate": Field("float", 0.001, ""),
-        "optimizer": Field("str", "adam", "sgd | momentum | adam"),
+        "optimizer": Field("str", "adam", "sgd | adam"),
         "dataset_size": Field("int", 512, "anchor identities per run"),
         "embed_dim": Field("int", 16, ""),
         "hidden_dim": Field("int", 0, "0 = linear encoder"),

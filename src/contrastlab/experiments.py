@@ -1,8 +1,9 @@
 """Desk-scale direction experiment: biased vs debiased vs true-negative.
 
 The shipped preset trains a small linear encoder on a K = 10 sphere world
-with instance-pinned anchors and partially class-resampling augmentation,
-then scores each run by held-out linear-probe accuracy.  The expected
+with instance-pinned anchors, whose views redraw noise around the pinned
+sample and never resample the class (class_resample_prob = 0), then scores
+each run by held-out linear-probe accuracy.  The expected
 direction at this scale is ordering only (true-negative >= debiased >=
 biased); magnitudes are not comparable to full-scale benchmarks.
 """

@@ -1,4 +1,4 @@
-"""Unit-sphere embeddings: normalization, its Jacobian, and similarity scores.
+"""Unit-sphere embeddings: row-wise projection onto the unit sphere.
 
 Embeddings are stored unit-norm and the temperature enters as a 1/t factor
 on inner products, so every exponent downstream has the form exp((a.b)/t).
@@ -7,90 +7,21 @@ All values are float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ZeroVector
 
-UNIT_NORM_TOL = 1e-12
 _MIN_NORM = 1e-300
-
-# A similarity score is a plain float in [-1/t, +1/t].
-Similarity = float
-
-
-@dataclass(frozen=True)
-class UnitEmbedding:
-    """A point on the unit hypersphere (dimension >= 2, norm 1 to 1e-12).
-
-    The temperature is an experiment-level constant shared by all embeddings,
-    so it is passed to :func:`similarity` rather than stored per point.
-    """
-
-    coords: np.ndarray
-
-    def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=np.float64)
-        object.__setattr__(self, "coords", coords)
-        coords.setflags(write=False)
-        if coords.ndim != 1 or coords.shape[0] < 2:
-            raise ValueError("embedding must be a 1-d vector with dimension >= 2")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("embedding has non-finite entries")
-        if abs(np.linalg.norm(coords) - 1.0) > UNIT_NORM_TOL:
-            raise ValueError("embedding is not unit-norm")
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
-
-def normalize(v) -> UnitEmbedding:
-    """Project ``v`` onto the unit sphere.
-
-    Idempotent on already-unit inputs; raises :class:`ZeroVector` when the
-    norm is numerically zero (< 1e-300).
-    """
-    v = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(v)
-    if n < _MIN_NORM:
-        raise ZeroVector(f"cannot normalize a vector with norm {n!r}")
-    return UnitEmbedding(v / n)
-
-
-def normalize_jacobian(v) -> np.ndarray:
-    """Jacobian of ``normalize`` at ``v``: (I - u u^T) / ||v|| with u = v/||v||.
-
-    Symmetric, and annihilates the radial direction (J v = 0).
-    """
-    v = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(v)
-    if n < _MIN_NORM:
-        raise ZeroVector(f"cannot differentiate normalize at norm {n!r}")
-    u = v / n
-    return (np.eye(v.shape[0]) - np.outer(u, u)) / n
-
-
-def similarity(a: UnitEmbedding, b: UnitEmbedding, t: float) -> Similarity:
-    """Temperature-scaled inner product (a.b)/t; symmetric in a and b."""
-    if t <= 0.0:
-        raise ValueError("temperature must be positive")
-    return float(a.coords @ b.coords) / t
 
 
 def unit_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise normalization of a 2-d array (batch form of ``normalize``)."""
+    """Row-wise normalization x / ||x|| of a 2-d array.
+
+    Raises :class:`ZeroVector` when a row's norm is numerically zero
+    (< 1e-300).
+    """
     x = np.asarray(x, dtype=np.float64)
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms < _MIN_NORM):
         raise ZeroVector("cannot normalize rows with zero norm")
     return x / norms[:, None]
-
-
-def similarity_matrix(f: np.ndarray, t: float) -> np.ndarray:
-    """All pairwise similarities (f @ f.T) / t for unit rows ``f``."""
-    if t <= 0.0:
-        raise ValueError("temperature must be positive")
-    f = np.asarray(f, dtype=np.float64)
-    return (f @ f.T) / t

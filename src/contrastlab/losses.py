@@ -51,7 +51,6 @@ KIND_DEBIASED_FIN = "debiased_fin"
 KIND_DEBIASED_ASYM = "debiased_asym"
 KIND_ORACLE = "oracle"
 KIND_SUPERVISED_MU = "supervised_mu"
-KIND_SOFTMAX_CE = "softmax_ce"
 
 DEFAULT_ENUM_BUDGET = 1e7
 ORACLE_MAX_N = 8
@@ -75,24 +74,6 @@ class LossValue:
             if self.value < -1e-12:
                 raise ValueError(f"loss value must be >= 0, got {self.value!r}")
             object.__setattr__(self, "value", 0.0)
-
-
-@dataclass(frozen=True)
-class GEstimate:
-    """Clamped denominator estimator with its floor metadata.
-
-    ``floored`` records whether the raw reweighted estimate fell strictly
-    below the floor (exp(-1/t) for normalized embeddings, 0 for the
-    unnormalized-feature variant).
-    """
-
-    value: float
-    floored: bool
-    floor_used: float
-
-    def __post_init__(self) -> None:
-        if self.value < self.floor_used:
-            raise ValueError("estimator value below its floor")
 
 
 @dataclass(frozen=True)
@@ -176,30 +157,6 @@ def clamped_estimate(mean_u, mean_v, tau_plus: float, floor):
     """
     raw = (mean_u - tau_plus * mean_v) / (1.0 - tau_plus)
     return np.maximum(raw, floor), raw
-
-
-def g_estimator(sims_u, sims_v, tau_plus: float, t: float = 1.0,
-                floor_mode: str = EXP_FLOOR) -> GEstimate:
-    """Clamped estimator of the mean true-negative exponential.
-
-    g = max{ (1/tau-) [ mean_i exp(s_u_i) - tau+ mean_i exp(s_v_i) ], floor }
-    with floor = exp(-1/t) (exp_floor) or 0 (zero_floor, for unnormalized
-    features).  Inputs are similarity scores, i.e. already scaled by 1/t.
-    """
-    _check_params(tau_plus, t, floor_mode)
-    sims_u = _as_float_array(sims_u, "sims_u")
-    sims_v = _as_float_array(sims_v, "sims_v")
-    if sims_u.shape[0] < 1 or sims_v.shape[0] < 1:
-        raise EmptyNegatives("g estimator needs N >= 1 and M >= 1 samples")
-
-    c = max(float(sims_u.max()), float(sims_v.max()))
-    g_scaled, raw_scaled = clamped_estimate(float(np.exp(sims_u - c).mean()),
-                                            float(np.exp(sims_v - c).mean()),
-                                            tau_plus, estimator_floor(floor_mode, t, c))
-    floor_used = float(estimator_floor(floor_mode, t))
-    floored = bool(raw_scaled < g_scaled)
-    value = floor_used if floored or g_scaled <= 0.0 else math.exp(math.log(g_scaled) + c)
-    return GEstimate(value=max(value, floor_used), floored=floored, floor_used=floor_used)
 
 
 def debiased_loss_point(sim_pos: float, sims_u, sims_v, tau_plus: float,
@@ -553,17 +510,6 @@ def softmax_cross_entropy(logits: np.ndarray,
     total = expl.sum(axis=1, keepdims=True)
     ce = np.log(total[:, 0]) + shift[:, 0] - logits[np.arange(logits.shape[0]), labels]
     return ce, expl / total
-
-
-def softmax_ce(logits, label: int) -> LossValue:
-    """Multiclass cross entropy -log softmax(logits)[label]."""
-    logits = _as_float_array(logits, "logits")
-    if logits.shape[0] < 2:
-        raise DegenerateClass("softmax cross entropy needs K >= 2")
-    if not (0 <= label < logits.shape[0]):
-        raise ValueError("label out of range")
-    ce, _ = softmax_cross_entropy(logits[None, :], np.array([label]))
-    return LossValue(float(ce[0]), KIND_SOFTMAX_CE)
 
 
 def mean_classifier_weights(representations: np.ndarray, labels: np.ndarray,

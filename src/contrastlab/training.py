@@ -23,7 +23,7 @@ from .geometry import unit_rows
 from .rng import substream
 from .worldmodel import SphereMixture, sample_classes, sample_views
 
-OPTIMIZERS = ("sgd", "momentum", "adam")
+OPTIMIZERS = ("sgd", "adam")
 
 CHECKPOINT_VERSION = 1
 
@@ -199,9 +199,6 @@ class _Optimizer:
     def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
         if self.name == "sgd":
             return theta - self.lr * grad
-        if self.name == "momentum":
-            self.momentum = 0.9 * self.momentum + grad
-            return theta - self.lr * self.momentum
         # adaptive-moment estimation with standard constants
         b1, b2, eps = 0.9, 0.999, 1e-8
         self.t += 1

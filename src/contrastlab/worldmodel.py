@@ -22,14 +22,13 @@ only holds in the uniform case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ConfigError,
     DegenerateClass,
-    EmptyNegatives,
     InvalidTable,
     LabelMismatch,
     PriorMismatch,
@@ -44,9 +43,6 @@ MIXTURE_FILE_VERSION = 1
 
 # Seed that pins the shipped presets; bump only together with the file version.
 _PRESET_SEED = 20240911
-
-MODE_BIASED = "biased-negatives"
-MODE_TRUE = "true-negatives"
 
 
 @dataclass(frozen=True)
@@ -179,53 +175,6 @@ class SphereMixture:
         return self.class_means.shape[1]
 
 
-@dataclass(frozen=True)
-class TripleSample:
-    """One draw of (anchor, positive, N negatives, M extra positives).
-
-    For discrete worlds the fields are point indices; for sphere worlds they
-    are feature vectors.  Negatives come from the marginal in
-    "biased-negatives" mode and from the anchor's complement classes in
-    "true-negatives" mode; the positive and every extra positive come from
-    the anchor's class conditional.
-    """
-
-    anchor: object
-    positive: object
-    negatives: np.ndarray
-    extra_positives: np.ndarray
-    mode: str
-
-
-def build_discrete(config: dict) -> DiscreteClassMixture:
-    """Build a validated mixture from a preset name or explicit tables.
-
-    ``config`` is either ``{"preset": name}`` or a dict with keys ``points``,
-    ``labels``, ``conditionals``, ``prior`` and optional ``tau_plus``
-    (default 1/K).
-    """
-    if "preset" in config:
-        extra = set(config) - {"preset"}
-        if extra:
-            raise ConfigError(f"unexpected keys with preset: {sorted(extra)}")
-        return preset_mixture(config["preset"])
-    missing = {"points", "labels", "conditionals", "prior"} - set(config)
-    if missing:
-        raise ConfigError(f"mixture config missing keys: {sorted(missing)}")
-    extra = set(config) - {"points", "labels", "conditionals", "prior", "tau_plus"}
-    if extra:
-        raise ConfigError(f"unknown mixture config keys: {sorted(extra)}")
-    prior = np.asarray(config["prior"], dtype=np.float64)
-    tau_plus = float(config.get("tau_plus", 1.0 / prior.shape[0]))
-    return DiscreteClassMixture(
-        points=config["points"],
-        labels=config["labels"],
-        class_conditionals=config["conditionals"],
-        prior=prior,
-        tau_plus=tau_plus,
-    )
-
-
 def preset_mixture(name: str) -> DiscreteClassMixture:
     """Named, fully deterministic mixtures addressable from the CLI."""
     if name == "two-point":
@@ -337,57 +286,6 @@ def sample_views(world, labels: np.ndarray, rng: np.random.Generator) -> np.ndar
         idx = rng.choice(world.n_points, size=int(mask.sum()), p=world.class_conditionals[c])
         out[mask] = world.points[idx]
     return out
-
-
-def sample_triple(world, n_negatives: int, m_positives: int, mode: str,
-                  rng: np.random.Generator, anchor=None,
-                  reuse_positive: bool = False) -> TripleSample:
-    """Draw one (anchor, positive, negatives, extra positives) sample.
-
-    With ``reuse_positive`` and m_positives == 1, the single extra positive
-    is set equal to the positive instead of being redrawn, matching the
-    no-extra-data batch construction.
-    """
-    if n_negatives < 1:
-        raise EmptyNegatives("need at least one negative sample")
-    if m_positives < 1:
-        raise ValueError("m_positives must be >= 1")
-    if mode not in (MODE_BIASED, MODE_TRUE):
-        raise ConfigError(f"unknown sampling mode {mode!r}")
-
-    if isinstance(world, DiscreteClassMixture):
-        marg = marginal(world)
-        if anchor is None:
-            anchor = int(rng.choice(world.n_points, p=marg))
-        pos_d = positive_dist(world, anchor)
-        positive = int(rng.choice(world.n_points, p=pos_d))
-        neg_d = marg if mode == MODE_BIASED else negative_dist(world, anchor)
-        negatives = rng.choice(world.n_points, size=n_negatives, p=neg_d)
-        if reuse_positive and m_positives == 1:
-            extras = np.array([positive])
-        else:
-            extras = rng.choice(world.n_points, size=m_positives, p=pos_d)
-        return TripleSample(anchor, positive, negatives, extras, mode)
-
-    if anchor is not None:
-        raise ConfigError("sphere worlds draw their own anchors")
-    c = int(sample_classes(world, 1, rng)[0])
-    anchor = sample_views(world, np.array([c]), rng)[0]
-    positive = sample_views(world, np.array([c]), rng)[0]
-    if mode == MODE_BIASED:
-        neg_classes = sample_classes(world, n_negatives, rng)
-    else:
-        if world.n_classes < 2:
-            raise DegenerateClass("true negatives need K >= 2")
-        weights = world.prior.copy()
-        weights[c] = 0.0
-        neg_classes = rng.choice(world.n_classes, size=n_negatives, p=weights / weights.sum())
-    negatives = sample_views(world, neg_classes, rng)
-    if reuse_positive and m_positives == 1:
-        extras = positive[None, :].copy()
-    else:
-        extras = sample_views(world, np.full(m_positives, c), rng)
-    return TripleSample(anchor, positive, negatives, extras, mode)
 
 
 def save_mixture(mix: DiscreteClassMixture, path) -> None:

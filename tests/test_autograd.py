@@ -65,6 +65,22 @@ class TestLossAndGrad:
         _, grads = loss_and_grad(params, batch, spec)
         assert float(np.abs(grads.weights).max()) > 0.0
 
+    def test_all_floored_zero_floor_gradient_is_exactly_zero(self):
+        # With zero_floor and every role floored, g = 0 and each role's loss
+        # is exactly 0 near this point, so the gradient is exactly 0 too.  The
+        # positive similarity is below the role's max here, so h * (1/h) - 1
+        # would leave round-off in place of 0.
+        rng = substream(237)
+        batch = ViewBatch(features=rng.standard_normal((4, 4)), batch_size=2,
+                          m_positives=1, labels=np.array([0, 1]))
+        params = init_params(rng, 4, 3)
+        spec = LossSpec(kind="debiased", tau_plus=0.9, floor_mode="zero_floor")
+        terms = batch_loss_terms(params, batch, spec)
+        assert terms.floored.all()
+        assert np.any(terms.h_pos < 1.0)
+        _, grads = loss_and_grad(params, batch, spec)
+        assert np.all(grads.weights == 0.0)
+
     def test_gradient_linearity_over_anchors(self):
         # Batch gradient is the mean of per-anchor contributions; check by
         # splitting the similarity-gradient accumulation via two tau values

@@ -293,6 +293,14 @@ class TestGradcheckCommand:
         assert all(float(r.split(",")[5]) <= 1e-6 for r in rows[1:])
 
 
+    @pytest.mark.parametrize("seed,cases", [(6, 158), (12, 50)])
+    def test_zero_loss_cases_pass(self, tmp_path, seed, cases):
+        # The last case of each run is a zero_floor debiased batch whose
+        # loss is exactly 0 near its parameters; its gradient must be 0 too.
+        code = main(["gradcheck", "--out", str(tmp_path), "--seed", str(seed),
+                     "--set", f"cases={cases}"])
+        assert code == 0
+
 class TestGenDataCommand:
     def test_preset_roundtrip(self, tmp_path):
         code = main(["gen-data", "--out", str(tmp_path),

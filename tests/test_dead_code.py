@@ -1,4 +1,9 @@
-"""No dead private helpers: each module-level ``_private`` function has a caller."""
+"""No dead code: each module-level function and class of the package is reached.
+
+A private function needs a caller in the package.  A public function or
+class needs one too, or else a reader outside the package that is not a unit
+test: the acceptance tests, the shared test helpers or the benchmark.
+"""
 
 import ast
 from pathlib import Path
@@ -6,35 +11,78 @@ from pathlib import Path
 import contrastlab
 
 PACKAGE = Path(contrastlab.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+OUTSIDE_READERS = [TESTS / "test_acceptance.py", TESTS / "conftest.py",
+                   *sorted((TESTS.parent / "perfbench").glob("*.py"))]
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _scan_package():
-    """(module, name) of every private function, and every (module, name) referenced.
+    """(module, name, line, is_function) of every module-level function and
+    class, and every (module, name) referenced.
 
     A bare name counts within its own module, ``from .module import name``
     counts for that module, and an attribute access ``x.name`` counts for any
-    module.
+    module.  A definition's own body does not reach it, and ``__init__.py``,
+    which only re-exports, reaches nothing.
     """
     defined, referenced = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        defined += [(module, node.name, node.lineno) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add((module, node.id))
-            elif isinstance(node, ast.Attribute):
-                referenced.add(("*", node.attr))
-            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-                referenced.update((node.module, alias.name) for alias in node.names)
+        for stmt in _parse(path).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                defined.append((module, own, stmt.lineno, not isinstance(stmt, ast.ClassDef)))
+            if module == "__init__":
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id != own:
+                    referenced.add((module, node.id))
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    referenced.add(("*", node.attr))
+                elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                    referenced.update((node.module, alias.name) for alias in node.names)
     return defined, referenced
+
+
+def _outside_names():
+    """Every name, attribute and imported name in the readers outside the package."""
+    names = set()
+    for path in OUTSIDE_READERS:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def _unreached(defined, referenced, extra=frozenset()):
+    return [f"{module}.py:{line} {name}" for module, name, line, _ in defined
+            if (module, name) not in referenced and ("*", name) not in referenced
+            and name not in extra]
 
 
 def test_every_private_function_is_referenced():
     defined, referenced = _scan_package()
-    assert defined, "scan found no private functions; is the package path right?"
-    unused = [f"{module}.py:{line} {name}" for module, name, line in defined
-              if (module, name) not in referenced and ("*", name) not in referenced]
+    private = [(module, name, line, is_function)
+               for module, name, line, is_function in defined
+               if is_function and name.startswith("_") and not name.startswith("__")]
+    assert private, "scan found no private functions; is the package path right?"
+    unused = _unreached(private, referenced)
     assert not unused, f"private functions nothing in the package calls: {unused}"
+
+
+def test_every_public_definition_is_reached():
+    defined, referenced = _scan_package()
+    public = [entry for entry in defined if not entry[1].startswith("_")]
+    assert public, "scan found no public definitions; is the package path right?"
+    unreached = _unreached(public, referenced, _outside_names())
+    assert not unreached, ("public functions and classes that no other package code, "
+                           f"acceptance test or benchmark file reaches: {unreached}")

@@ -21,12 +21,13 @@ from contrastlab.losses import (
     asymptotic_debiased_exact,
     biased_loss_point,
     binomial_oracle,
+    clamped_estimate,
     debiased_loss_batch,
     debiased_loss_point,
-    g_estimator,
+    estimator_floor,
     mean_classifier_loss,
     mean_classifier_loss_data,
-    softmax_ce,
+    softmax_cross_entropy,
     unbiased_loss_exact,
 )
 from contrastlab.rng import substream
@@ -77,42 +78,52 @@ class TestBiasedLossPoint:
         assert biased_loss_point(s_pos, bumped).value > lo
 
 
+def g_estimate(sims_u, sims_v, tau_plus, t=1.0, floor_mode=EXP_FLOOR):
+    """(g, raw, floor) of the clamped estimator on unshifted similarity scores."""
+    floor = estimator_floor(floor_mode, t)
+    g, raw = clamped_estimate(float(np.exp(sims_u).mean()), float(np.exp(sims_v).mean()),
+                              tau_plus, floor)
+    return g, raw, floor
+
+
 class TestGEstimator:
     def test_tau_zero_mean(self):
-        est = g_estimator([0.0, 0.0], [0.5], tau_plus=0.0)
-        assert est.value == pytest.approx(1.0, abs=1e-15)
-        assert not est.floored
+        g, raw, floor = g_estimate([0.0, 0.0], [0.5], tau_plus=0.0)
+        assert g == pytest.approx(1.0, abs=1e-15)
+        assert not raw < floor
 
     def test_algebraic_cancellation(self):
         # (1/0.9)(e - 0.1 e) = e.
-        est = g_estimator([1.0], [1.0], tau_plus=0.1)
-        assert est.value == pytest.approx(math.e, rel=1e-12)
-        assert not est.floored
+        g, raw, floor = g_estimate([1.0], [1.0], tau_plus=0.1)
+        assert g == pytest.approx(math.e, rel=1e-12)
+        assert not raw < floor
 
     def test_floored_case(self):
         # raw = 2(e^{-1} - 0.5 e) = -1.98252... < e^{-1}.
-        est = g_estimator([-1.0], [1.0], tau_plus=0.5)
-        assert est.floored
-        assert est.value == pytest.approx(0.36787944117144233, abs=1e-15)
-        assert est.floor_used == pytest.approx(0.36787944117144233, abs=1e-15)
+        g, raw, floor = g_estimate([-1.0], [1.0], tau_plus=0.5)
+        assert raw < floor
+        assert g == pytest.approx(0.36787944117144233, abs=1e-15)
+        assert floor == pytest.approx(0.36787944117144233, abs=1e-15)
 
     def test_zero_floor_mode(self):
-        est = g_estimator([-1.0], [1.0], tau_plus=0.5, floor_mode=ZERO_FLOOR)
-        assert est.floored
-        assert est.value == 0.0
-        assert est.floor_used == 0.0
+        g, raw, floor = g_estimate([-1.0], [1.0], tau_plus=0.5, floor_mode=ZERO_FLOOR)
+        assert raw < floor
+        assert g == 0.0
+        assert floor == 0.0
 
     def test_floor_scales_with_temperature(self):
-        est = g_estimator([-4.0], [4.0], tau_plus=0.5, t=0.5)
-        assert est.floor_used == pytest.approx(math.exp(-2.0), abs=1e-15)
+        assert estimator_floor(EXP_FLOOR, 0.5) == pytest.approx(math.exp(-2.0), abs=1e-15)
+        # In units shifted by exp(-c), as the batch loss evaluates it.
+        np.testing.assert_allclose(estimator_floor(EXP_FLOOR, 0.5, np.array([0.0, 1.5])),
+                                   [math.exp(-2.0), math.exp(-3.5)], rtol=1e-15)
 
     @given(st.lists(st.floats(-2, 2), min_size=1, max_size=5),
            st.lists(st.floats(-2, 2), min_size=1, max_size=5),
            st.floats(0.0, 0.9))
     def test_exp_floor_dominates_zero_floor(self, su, sv, tau):
-        lo = g_estimator(su, sv, tau, floor_mode=ZERO_FLOOR)
-        hi = g_estimator(su, sv, tau, floor_mode=EXP_FLOOR)
-        assert hi.value >= lo.value
+        lo, _, _ = g_estimate(su, sv, tau, floor_mode=ZERO_FLOOR)
+        hi, _, _ = g_estimate(su, sv, tau, floor_mode=EXP_FLOOR)
+        assert hi >= lo
 
 
 class TestDebiasedLossPoint:
@@ -381,7 +392,9 @@ class TestAsymptoticDebiased:
 
 class TestSupervisedLosses:
     def test_softmax_ce_arithmetic(self):
-        val = softmax_ce([1.0, 0.0], 0).value
+        ce, probs = softmax_cross_entropy(np.array([[1.0, 0.0]]), np.array([0]))
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-15)
+        val = float(ce[0])
         assert val == pytest.approx(0.3132616875182228, abs=1e-12)
 
     def test_constant_embedding_gives_log_k(self):

@@ -130,11 +130,10 @@ class TestTrain:
                                     embed_dim=16), world)
         assert log[-1].loss <= log[0].loss
 
-    def test_momentum_and_adam_run(self):
+    def test_adam_run(self):
         world = preset_sphere("sphere-k10")
-        for opt in ("momentum", "adam"):
-            params, log = train(small_config(optimizer=opt, epochs=2), world)
-            assert np.all(np.isfinite(params.weights))
+        params, _ = train(small_config(optimizer="adam", epochs=2), world)
+        assert np.all(np.isfinite(params.weights))
 
     def test_tail_average_is_mean_of_final_epochs(self):
         world = preset_sphere("sphere-k10")
@@ -154,8 +153,9 @@ class TestTrain:
             small_config(batch_size=1)
         with pytest.raises(ConfigError):
             small_config(epochs=0)
-        with pytest.raises(ConfigError):
-            small_config(optimizer="lbfgs")
+        for optimizer in ("lbfgs", "momentum"):
+            with pytest.raises(ConfigError):
+                small_config(optimizer=optimizer)
         with pytest.raises(ConfigError):
             small_config(learning_rate=-1e-3)
 

@@ -11,12 +11,12 @@ from contrastlab.errors import (
     LabelMismatch,
     PriorMismatch,
 )
+from contrastlab.losses import batch_terms
 from contrastlab.rng import substream
+from contrastlab.training import build_dataset, make_batches
 from conftest import single_class_mixture
 from contrastlab.worldmodel import (
-    MODE_BIASED,
-    MODE_TRUE,
-    build_discrete,
+    DiscreteClassMixture,
     load_mixture,
     marginal,
     negative_dist,
@@ -25,21 +25,29 @@ from contrastlab.worldmodel import (
     preset_sphere,
     random_mixture,
     sample_classes,
-    sample_triple,
     sample_views,
     save_mixture,
 )
 
 
+def true_negative_batch(world, seed, batch_size=4, pool=6):
+    """A two-view batch with a fresh labeled pool and its true-negative terms."""
+    dataset = build_dataset(world, batch_size, substream(seed, 0))
+    batch = make_batches(dataset, batch_size, 1, substream(seed, 1), negative_pool=pool)[0]
+    terms = batch_terms(batch.features, batch_size, 1, "unbiased", 0.0, 1.0,
+                        labels=batch.labels, neg_pool_labels=batch.neg_pool_labels)
+    return batch, terms
+
+
 class TestBuildDiscrete:
     def test_two_point_preset(self):
-        mix = build_discrete({"preset": "two-point"})
+        mix = preset_mixture("two-point")
         np.testing.assert_allclose(marginal(mix), [0.5, 0.5])
         assert mix.tau_plus == 0.5
         assert mix.uniform_prior
 
     def test_paper_uniform_preset(self):
-        mix = build_discrete({"preset": "paper-uniform"})
+        mix = preset_mixture("paper-uniform")
         assert mix.n_classes == 10
         assert mix.tau_plus == pytest.approx(0.1)
         assert mix.uniform_prior
@@ -47,42 +55,36 @@ class TestBuildDiscrete:
 
     def test_non_stochastic_row_rejected(self):
         with pytest.raises(InvalidTable):
-            build_discrete({
-                "points": np.eye(2), "labels": [0, 1],
-                "conditionals": [[0.9, 0.0], [0.0, 1.0]], "prior": [0.5, 0.5],
-            })
+            DiscreteClassMixture(points=np.eye(2), labels=[0, 1],
+                                 class_conditionals=[[0.9, 0.0], [0.0, 1.0]],
+                                 prior=[0.5, 0.5], tau_plus=0.5)
 
     def test_mass_outside_support_rejected(self):
         with pytest.raises(LabelMismatch):
-            build_discrete({
-                "points": np.eye(2), "labels": [0, 1],
-                "conditionals": [[0.5, 0.5], [0.0, 1.0]], "prior": [0.5, 0.5],
-            })
+            DiscreteClassMixture(points=np.eye(2), labels=[0, 1],
+                                 class_conditionals=[[0.5, 0.5], [0.0, 1.0]],
+                                 prior=[0.5, 0.5], tau_plus=0.5)
 
     def test_bad_prior_rejected(self):
         with pytest.raises(PriorMismatch):
-            build_discrete({
-                "points": np.eye(2), "labels": [0, 1],
-                "conditionals": np.eye(2), "prior": [0.6, 0.5],
-            })
+            DiscreteClassMixture(points=np.eye(2), labels=[0, 1],
+                                 class_conditionals=np.eye(2),
+                                 prior=[0.6, 0.5], tau_plus=0.5)
 
     def test_uniform_prior_pins_tau(self):
         with pytest.raises(PriorMismatch):
-            build_discrete({
-                "points": np.eye(2), "labels": [0, 1],
-                "conditionals": np.eye(2), "prior": [0.5, 0.5], "tau_plus": 0.3,
-            })
+            DiscreteClassMixture(points=np.eye(2), labels=[0, 1],
+                                 class_conditionals=np.eye(2),
+                                 prior=[0.5, 0.5], tau_plus=0.3)
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
-            build_discrete({"preset": "no-such-preset"})
+            preset_mixture("no-such-preset")
 
     def test_nonuniform_prior_allowed_but_flagged(self):
-        mix = build_discrete({
-            "points": np.eye(3), "labels": [0, 1, 2],
-            "conditionals": np.eye(3), "prior": [0.5, 0.25, 0.25],
-            "tau_plus": 0.25,
-        })
+        mix = DiscreteClassMixture(points=np.eye(3), labels=[0, 1, 2],
+                                   class_conditionals=np.eye(3),
+                                   prior=[0.5, 0.25, 0.25], tau_plus=0.25)
         assert not mix.uniform_prior
 
 
@@ -120,51 +122,56 @@ class TestDistributions:
 
 class TestSampling:
     def test_two_point_true_negatives_deterministic(self):
+        # In the two-point world every true negative of a point is the other point.
         mix = preset_mixture("two-point")
-        triple = sample_triple(mix, 5, 1, MODE_TRUE, substream(1), anchor=0)
-        assert triple.anchor == 0
-        assert triple.positive == 0
-        np.testing.assert_array_equal(triple.negatives, [1] * 5)
+        batch, terms = true_negative_batch(mix, 1)
+        for r, label in enumerate(batch.labels[np.arange(8) % 4]):
+            negatives = batch.features[terms.neg_mask[r]]
+            assert negatives.shape[0] > 0
+            np.testing.assert_array_equal(negatives, np.tile(mix.points[1 - label], (len(negatives), 1)))
 
     def test_biased_same_class_fraction(self):
-        # Binomial concentration oracle: same-class freq within 3 sigma of tau+.
+        # Binomial concentration oracle: a marginal draw shares a given
+        # class with frequency within 3 sigma of tau+.
         mix = preset_mixture("two-point")
         n = 10000
-        triple = sample_triple(mix, n, 1, MODE_BIASED, substream(7), anchor=0)
-        same = int((mix.labels[triple.negatives] == 0).sum())
+        labels = sample_classes(mix, n, substream(7))
+        same = int((labels == 0).sum())
         sigma = np.sqrt(n * 0.5 * 0.5)
         assert abs(same - n * mix.tau_plus) <= 3 * sigma
 
     def test_true_negatives_single_class_errors(self):
         with pytest.raises(DegenerateClass):
-            sample_triple(single_class_mixture(), 2, 1, MODE_TRUE, substream(0))
-
-    def test_reuse_positive(self):
-        mix = preset_mixture("paper-uniform")
-        triple = sample_triple(mix, 4, 1, MODE_BIASED, substream(3), reuse_positive=True)
-        assert triple.extra_positives[0] == triple.positive
+            true_negative_batch(single_class_mixture(), 0)
 
     def test_positives_share_anchor_class(self):
         mix = preset_mixture("paper-uniform")
+        dataset = build_dataset(mix, 12, substream(0))
         for seed in range(5):
-            triple = sample_triple(mix, 3, 4, MODE_BIASED, substream(seed))
-            anchor_class = mix.labels[triple.anchor]
-            assert mix.labels[triple.positive] == anchor_class
-            assert all(mix.labels[v] == anchor_class for v in triple.extra_positives)
+            batch = make_batches(dataset, 4, 4, substream(seed))[0]
+            views = batch.features.reshape(5, 4, mix.feature_dim)
+            for i, label in enumerate(batch.labels):
+                for view in views[:, i]:
+                    point = np.flatnonzero((mix.points == view).all(axis=1))
+                    assert mix.labels[point[0]] == label
 
     def test_true_negative_classes_differ(self):
         mix = preset_mixture("paper-uniform")
-        triple = sample_triple(mix, 50, 1, MODE_TRUE, substream(11))
-        anchor_class = mix.labels[triple.anchor]
-        assert np.all(mix.labels[triple.negatives] != anchor_class)
+        batch, terms = true_negative_batch(mix, 11, batch_size=8, pool=50)
+        anchor = batch.labels[np.arange(16) % 8]
+        pool = terms.neg_mask[:, 16:]
+        np.testing.assert_array_equal(pool, anchor[:, None] != batch.neg_pool_labels[None, :])
+        assert not terms.neg_mask[:, :16].any()
 
     def test_seed_determinism(self):
         mix = preset_mixture("paper-uniform")
-        t1 = sample_triple(mix, 6, 2, MODE_BIASED, substream(42))
-        t2 = sample_triple(mix, 6, 2, MODE_BIASED, substream(42))
-        assert t1.anchor == t2.anchor and t1.positive == t2.positive
-        np.testing.assert_array_equal(t1.negatives, t2.negatives)
-        np.testing.assert_array_equal(t1.extra_positives, t2.extra_positives)
+        draws = []
+        for _ in range(2):
+            rng = substream(42)
+            labels = sample_classes(mix, 6, rng)
+            draws.append((labels, sample_views(mix, labels, rng)))
+        np.testing.assert_array_equal(draws[0][0], draws[1][0])
+        np.testing.assert_array_equal(draws[0][1], draws[1][1])
 
     def test_chi_square_frequency_smoke(self):
         # 1e5 draws from one conditional match the table at p > 0.001.
@@ -187,10 +194,12 @@ class TestSampling:
         np.testing.assert_allclose(np.linalg.norm(views, axis=1), 1.0, atol=1e-12)
 
     def test_sphere_triple_modes(self):
+        # A sphere batch stacks 2 + (M - 1) views per anchor, then the pool.
         world = preset_sphere("sphere-k10")
-        triple = sample_triple(world, 7, 2, MODE_TRUE, substream(2))
-        assert triple.negatives.shape == (7, world.feature_dim)
-        assert triple.extra_positives.shape == (2, world.feature_dim)
+        dataset = build_dataset(world, 4, substream(2, 0))
+        batch = make_batches(dataset, 4, 3, substream(2, 1), negative_pool=7)[0]
+        assert batch.features.shape == (4 * 4 + 7, world.feature_dim)
+        np.testing.assert_allclose(np.linalg.norm(batch.features, axis=1), 1.0, atol=1e-12)
 
 
 class TestMixtureFile:
