@@ -140,12 +140,10 @@ def _build_world(cfg: dict):
 
 
 def _eval_accuracy(params: EncoderParams, train_cfg, world, cfg: dict) -> float:
-    """Linear-probe accuracy of the frozen encoder, per the config's protocol."""
+    """Linear-probe accuracy of the frozen encoder at the config's eval sizes."""
     return direction_probe_accuracy(
-        params, train_cfg, world,
-        probe_fit="dataset" if cfg["probe_on_dataset"] else "fresh",
-        fit_size=cfg["eval_train_size"], replicas=cfg["eval_replicas"],
-        test_size=cfg["eval_test_size"])
+        params, train_cfg, world, fit_size=cfg["eval_train_size"],
+        replicas=cfg["eval_replicas"], test_size=cfg["eval_test_size"])
 
 
 def cmd_train(cfg: dict, report: RunReport) -> int:
@@ -194,8 +192,7 @@ def cmd_probe(cfg: dict, report: RunReport) -> int:
     if missing:
         raise ConfigError(f"checkpoint {cfg['checkpoint']} meta lacks {missing}")
     probe_cfg = TrainConfig(seed=cfg["seed"])
-    accuracy = _eval_accuracy(params, probe_cfg, world,
-                              cfg | {"probe_on_dataset": False})
+    accuracy = _eval_accuracy(params, probe_cfg, world, cfg)
     report.csv("probe.csv", PROBE_HEADER,
                [(cfg["seed"], meta["loss_kind"], float(meta["tau_plus"]), accuracy)])
     print(f"probe: accuracy={accuracy:.4f}")

@@ -19,7 +19,7 @@ SCHEMA_VERSION = "1"
 
 @dataclass(frozen=True)
 class Field:
-    kind: str  # int | float | str | bool | int_list | float_list | str_list
+    kind: str  # int | float | str | int_list | float_list | str_list
     default: object
     help: str = ""
 
@@ -58,8 +58,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "eval_train_size": Field("int", 2048, "probe fitting samples"),
         "eval_test_size": Field("int", 2048, "probe accuracy samples"),
         "eval_replicas": Field("int", 1, "average accuracy over fresh eval sets"),
-        "probe_on_dataset": Field("bool", False,
-                                  "fit the probe on the run's own anchors"),
     },
     "probe": _COMMON | _WORLD | {
         "checkpoint": Field("str", "", "encoder checkpoint to evaluate"),
@@ -139,12 +137,6 @@ def _parse_value(key: str, field: Field, raw: str):
             return int(raw)
         if field.kind == "float":
             return float(raw)
-        if field.kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         if field.kind == "str":
             return raw
         items = [part.strip() for part in raw.split(",") if part.strip()]

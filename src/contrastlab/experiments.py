@@ -18,7 +18,7 @@ from .encoder import EncoderParams, encoder_forward
 from .evaluation import linear_probe, probe_accuracy
 from .geometry import unit_rows
 from .rng import substream
-from .training import TrainConfig, build_dataset, run_tau_plus, train
+from .training import TrainConfig, run_tau_plus, train
 from .worldmodel import preset_sphere, sample_classes, sample_views
 
 DIRECTION_KINDS = ("unbiased", "debiased", "biased")
@@ -52,36 +52,22 @@ def representations(params: EncoderParams, features: np.ndarray) -> np.ndarray:
 
 
 def direction_probe_accuracy(params: EncoderParams, config: TrainConfig, world,
-                             probe_fit: str = "fresh", fit_size: int = 2048,
-                             replicas: int = 4,
+                             fit_size: int = 2048, replicas: int = 4,
                              test_size: int = EVAL_TEST_SIZE) -> float:
     """Held-out linear-probe accuracy of a frozen encoder.
 
-    ``probe_fit`` selects the fitting set: "fresh" draws an independent
-    labeled sample of the world per replica; "dataset" reuses the run's own
-    anchor instances (rebuilt from the same substream, so identical to what
-    the run saw).  Accuracy is averaged over ``replicas`` independent
-    (fit, test) sample pairs, which estimates the same population quantity
-    with less sampling noise; the replica substreams depend only on the
-    seed, so every loss kind is scored on identical evaluation data.
+    Each replica fits the probe on an independent labeled sample of the
+    world and scores it on another.  Accuracy is averaged over ``replicas``
+    independent (fit, test) sample pairs, which estimates the same
+    population quantity with less sampling noise; the replica substreams
+    depend only on the seed, so every loss kind is scored on identical
+    evaluation data.
     """
     accs = []
     for rep in range(replicas):
-        if probe_fit == "dataset":
-            dataset = build_dataset(world, config.dataset_size,
-                                    substream(config.seed, 0),
-                                    anchor_mode=config.anchor_mode,
-                                    view_noise=config.view_noise,
-                                    class_resample_prob=config.class_resample_prob)
-            fit_labels = dataset.labels
-            fit_feats = dataset.base_points if dataset.base_points is not None else \
-                sample_views(world, fit_labels, substream(config.seed, 10, rep))
-        elif probe_fit == "fresh":
-            rng = substream(config.seed, 10, rep)
-            fit_labels = sample_classes(world, fit_size, rng)
-            fit_feats = sample_views(world, fit_labels, rng)
-        else:
-            raise ValueError("probe_fit must be fresh | dataset")
+        rng = substream(config.seed, 10, rep)
+        fit_labels = sample_classes(world, fit_size, rng)
+        fit_feats = sample_views(world, fit_labels, rng)
         probe = linear_probe(representations(params, fit_feats), fit_labels)
         rng = substream(config.seed, 11, rep)
         test_labels = sample_classes(world, test_size, rng)
@@ -93,8 +79,7 @@ def direction_probe_accuracy(params: EncoderParams, config: TrainConfig, world,
 
 def figure2_direction_run(seeds=(1, 2, 3, 4, 5), world=None,
                           config: TrainConfig = DIRECTION_PRESET,
-                          kinds=DIRECTION_KINDS,
-                          probe_fit: str = "fresh") -> dict[str, list[float]]:
+                          kinds=DIRECTION_KINDS) -> dict[str, list[float]]:
     """Train every loss kind on every seed; return per-kind accuracy lists."""
     if world is None:
         world = preset_sphere("sphere-k10")
@@ -104,6 +89,5 @@ def figure2_direction_run(seeds=(1, 2, 3, 4, 5), world=None,
             run_cfg = replace(config, loss_kind=kind,
                               tau_plus=run_tau_plus(kind, config.tau_plus), seed=seed)
             params, _ = train(run_cfg, world)
-            results[kind].append(direction_probe_accuracy(params, run_cfg, world,
-                                                          probe_fit=probe_fit))
+            results[kind].append(direction_probe_accuracy(params, run_cfg, world))
     return results

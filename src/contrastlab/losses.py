@@ -426,6 +426,13 @@ def unbiased_loss_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
     return LossValue(total, KIND_UNBIASED)
 
 
+def _debiased_inner(marg: np.ndarray, pos: np.ndarray, expvec: np.ndarray,
+                    tau_plus: float) -> float:
+    """Unclamped asymptotic inner expectation (E_p e^s - tau+ E+ e^s) / tau- of
+    one anchor, from its row of exponentiated similarities ``expvec``."""
+    return (float(marg @ expvec) - tau_plus * float(pos @ expvec)) / (1.0 - tau_plus)
+
+
 def asymptotic_debiased_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
                               q: float, tau_plus: float | None = None,
                               t: float = 1.0) -> LossValue:
@@ -448,7 +455,7 @@ def asymptotic_debiased_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
     total = 0.0
     for a, sims_row, shift, expvec in _anchor_rows(embeddings, marg, t):
         pos = positive_dist(mix, a)
-        inner = (float(marg @ expvec) - tau_plus * float(pos @ expvec)) / (1.0 - tau_plus)
+        inner = _debiased_inner(marg, pos, expvec, tau_plus)
         if inner <= 0.0:
             raise NegativeDenominator(
                 f"inner expectation nonpositive at anchor {a} (tau_plus={tau_plus!r})"

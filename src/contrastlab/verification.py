@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .losses import (
     DEFAULT_ENUM_BUDGET,
     EXP_FLOOR,
     _check_params,
+    _debiased_inner,
     asymptotic_debiased_exact,
     binomial_oracle,
     clamped_estimate,
@@ -157,7 +159,8 @@ def _draw_anchor_positive(mix: DiscreteClassMixture, trials: int,
 
 def _grouped_mean_exp(anchors: np.ndarray, dist_for_anchor, n_draws: int,
                       expm: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Per-trial mean of exp(similarity) over n_draws i.i.d. negatives.
+    """Per-trial mean of exp(similarity) over n_draws i.i.d. draws of the
+    anchor's ``dist_for_anchor``.
 
     Uses multinomial counts per trial, so the cost is O(S) per trial
     independently of n_draws.
@@ -168,6 +171,67 @@ def _grouped_mean_exp(anchors: np.ndarray, dist_for_anchor, n_draws: int,
         counts = rng.multinomial(n_draws, dist_for_anchor(int(a)), size=int(mask.sum()))
         out[mask] = counts @ expm[int(a)] / n_draws
     return out
+
+
+# The distribution of one draw of each count side, given the anchor.
+_SIDES = {
+    "marginal": lambda mix, anchor: marginal(mix),
+    "negative": negative_dist,
+    "positive": positive_dist,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class MonteCarloDraws:
+    """Monte Carlo inputs of the lemma1, thm3 and rate certificates.
+
+    One substream yields, in this order, the trial-wise (anchor, positive)
+    pairs, then the per-trial mean of exp(similarity) over n i.i.d. draws for
+    each size n of the ``marginal`` side, the ``negative`` side (the anchor's
+    complement classes) and the ``positive`` side (the anchor's class).  No
+    mean depends on tau+, so every certificate that reads a set shares its
+    draws: common random numbers.  lemma1 draws from stream (seed, 1), thm3
+    from (seed, 2) and a rate sweep from (seed, 3).  A set belongs to the
+    (embeddings, mixture) objects it was made from, and ``exact`` memoizes
+    the asymptotic value per (tau+, N).
+    """
+
+    embeddings: np.ndarray
+    mix: DiscreteClassMixture
+    stream: tuple[int, ...]
+    trials: int
+    anchors: np.ndarray
+    s_pos: np.ndarray
+    h_pos: np.ndarray
+    marginal: dict[int, np.ndarray]
+    negative: dict[int, np.ndarray]
+    positive: dict[int, np.ndarray]
+    exact: dict[tuple[float, int], float] = field(default_factory=dict)
+
+    def asymptotic(self, tau_plus: float, n_neg: int) -> float:
+        """Exact asymptotic debiased value at Q = N, computed once per (tau+, N)."""
+        key = (tau_plus, n_neg)
+        if key not in self.exact:
+            self.exact[key] = asymptotic_debiased_exact(
+                self.embeddings, self.mix, q=float(n_neg), tau_plus=tau_plus).value
+        return self.exact[key]
+
+
+def _draw_monte_carlo(embeddings: np.ndarray, mix: DiscreteClassMixture, trials: int,
+                      stream: tuple[int, ...], *, marginal=(), negative=(),
+                      positive=()) -> MonteCarloDraws:
+    """Draw a set from ``substream(*stream)`` holding the given sizes of each side."""
+    sims, expm = _sims_and_exp(embeddings)
+    rng = substream(*stream)
+    anchors, positives = _draw_anchor_positive(mix, trials, rng)
+    means = {side: {int(n): _grouped_mean_exp(anchors, partial(_SIDES[side], mix), int(n),
+                                              expm, rng)
+                    for n in sizes}
+             for side, sizes in (("marginal", marginal), ("negative", negative),
+                                 ("positive", positive))}
+    return MonteCarloDraws(embeddings=embeddings, mix=mix, stream=stream, trials=trials,
+                           anchors=anchors, s_pos=sims[anchors, positives],
+                           h_pos=expm[anchors, positives], **means)
 
 
 def lemma1_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,
@@ -186,19 +250,13 @@ def lemma1_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
         raise ValueError(f"need at least {MIN_TRIALS} trials")
     if mix.n_classes < 2:
         raise DegenerateClass("certificate needs K >= 2")
-    sims, expm = _sims_and_exp(embeddings)
+    draws = _draw_monte_carlo(embeddings, mix, trials, (seed, 1),
+                              marginal=(n_neg,), negative=(n_neg,))
+    loss_biased = np.log(draws.h_pos + draws.marginal[n_neg] * n_neg) - draws.s_pos
+    loss_unbiased = np.log(draws.h_pos + draws.negative[n_neg] * n_neg) - draws.s_pos
+
+    _, expm = _sims_and_exp(embeddings)
     marg = marginal(mix)
-    rng = substream(seed, 1)
-    anchors, positives = _draw_anchor_positive(mix, trials, rng)
-    s_pos = sims[anchors, positives]
-    h_pos = expm[anchors, positives]
-
-    sum_biased = _grouped_mean_exp(anchors, lambda a: marg, n_neg, expm, rng) * n_neg
-    sum_unbiased = _grouped_mean_exp(anchors, lambda a: negative_dist(mix, a),
-                                     n_neg, expm, rng) * n_neg
-    loss_biased = np.log(h_pos + sum_biased) - s_pos
-    loss_unbiased = np.log(h_pos + sum_unbiased) - s_pos
-
     gap_term = 0.0
     for a in range(mix.n_points):
         if marg[a] == 0.0:
@@ -223,57 +281,6 @@ def lemma1_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
     return make_certificate("lemma1", lhs, rhs, stderr, trials, meta)
 
 
-@dataclass(frozen=True, eq=False)
-class MonteCarloDraws:
-    """Monte Carlo inputs shared by the thm3 certificates of one instance.
-
-    One substream yields, in this order, the trial-wise (anchor, positive)
-    pairs, the negative-side mean ``mean_u`` for each N of the grid and the
-    positive-side mean ``mean_v`` for each M of the grid.  Neither mean
-    depends on tau+, so every (tau+, N, M) certificate reads the same
-    arrays: common random numbers across the grid.  A one-point grid holds
-    exactly what a certificate without shared draws draws for itself.  The
-    draws belong to the (embeddings, mixture) objects they were made from,
-    and ``exact`` memoizes the asymptotic value per (tau+, N).
-    """
-
-    embeddings: np.ndarray
-    mix: DiscreteClassMixture
-    stream: tuple[int, ...]
-    trials: int
-    anchors: np.ndarray
-    s_pos: np.ndarray
-    h_pos: np.ndarray
-    mean_u: dict[int, np.ndarray]
-    mean_v: dict[int, np.ndarray]
-    exact: dict[tuple[float, int], float] = field(default_factory=dict)
-
-    def asymptotic(self, tau_plus: float, n_neg: int) -> float:
-        """Exact asymptotic debiased value at Q = N, computed once per (tau+, N)."""
-        key = (tau_plus, n_neg)
-        if key not in self.exact:
-            self.exact[key] = asymptotic_debiased_exact(
-                self.embeddings, self.mix, q=float(n_neg), tau_plus=tau_plus).value
-        return self.exact[key]
-
-
-def _draw_monte_carlo(embeddings: np.ndarray, mix: DiscreteClassMixture,
-                      n_grid, m_grid, trials: int, *stream: int) -> MonteCarloDraws:
-    """Draw the inputs of the clamped debiased loss from ``substream(*stream)``."""
-    sims, expm = _sims_and_exp(embeddings)
-    marg = marginal(mix)
-    rng = substream(*stream)
-    anchors, positives = _draw_anchor_positive(mix, trials, rng)
-    mean_u = {int(n): _grouped_mean_exp(anchors, lambda a: marg, int(n), expm, rng)
-              for n in n_grid}
-    mean_v = {int(m): _grouped_mean_exp(anchors, lambda a: positive_dist(mix, a), int(m),
-                                        expm, rng)
-              for m in m_grid}
-    return MonteCarloDraws(embeddings=embeddings, mix=mix, stream=stream, trials=trials,
-                           anchors=anchors, s_pos=sims[anchors, positives],
-                           h_pos=expm[anchors, positives], mean_u=mean_u, mean_v=mean_v)
-
-
 def theorem3_draws(embeddings: np.ndarray, mix: DiscreteClassMixture, n_grid, m_grid,
                    trials: int, seed: int) -> MonteCarloDraws:
     """Shared draws for every thm3 certificate of one instance at ``seed``.
@@ -284,7 +291,8 @@ def theorem3_draws(embeddings: np.ndarray, mix: DiscreteClassMixture, n_grid, m_
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials")
-    return _draw_monte_carlo(embeddings, mix, n_grid, m_grid, trials, seed, 2)
+    return _draw_monte_carlo(embeddings, mix, trials, (seed, 2),
+                             marginal=n_grid, positive=m_grid)
 
 
 def theorem3_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,
@@ -295,27 +303,22 @@ def theorem3_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_ne
     lhs = | exact asymptotic value - MC mean of the clamped finite-(N, M)
     loss |; rhs = (e^{3/2}/tau-) sqrt(pi/2N) + (e^{3/2} tau+/tau-)
     sqrt(pi/2M).  Q is fixed to N and t to 1.  Without ``draws`` the
-    certificate draws its own inputs from ``seed``; with draws from
-    :func:`theorem3_draws` it reads theirs, and draws made for other
+    certificate draws a one-point set of its own from ``seed``; with draws
+    from :func:`theorem3_draws` it reads theirs, and draws made for other
     arguments raise ``ValueError``.
     """
-    if trials < MIN_TRIALS:
-        raise ValueError(f"need at least {MIN_TRIALS} trials")
     _check_params(tau_plus)
     if draws is None:
-        exact = asymptotic_debiased_exact(embeddings, mix, q=float(n_neg),
-                                          tau_plus=tau_plus).value
-        draws = _draw_monte_carlo(embeddings, mix, (n_neg,), (m_pos,), trials, seed, 2)
-    else:
-        if draws.embeddings is not embeddings or draws.mix is not mix:
-            raise ValueError("draws were made for other embeddings or another mixture")
-        if draws.stream != (seed, 2) or draws.trials != trials:
-            raise ValueError(f"draws were made for stream {draws.stream} at "
-                             f"{draws.trials} trials, not seed {seed} at {trials}")
-        if n_neg not in draws.mean_u or m_pos not in draws.mean_v:
-            raise ValueError(f"draws hold N in {sorted(draws.mean_u)} and M in "
-                             f"{sorted(draws.mean_v)}, not (N, M) = ({n_neg}, {m_pos})")
-        exact = draws.asymptotic(tau_plus, n_neg)
+        draws = theorem3_draws(embeddings, mix, (n_neg,), (m_pos,), trials, seed)
+    if draws.embeddings is not embeddings or draws.mix is not mix:
+        raise ValueError("draws were made for other embeddings or another mixture")
+    if draws.stream != (seed, 2) or draws.trials != trials:
+        raise ValueError(f"draws were made for stream {draws.stream} at "
+                         f"{draws.trials} trials, not seed {seed} at {trials}")
+    if n_neg not in draws.marginal or m_pos not in draws.positive:
+        raise ValueError(f"draws hold N in {sorted(draws.marginal)} and M in "
+                         f"{sorted(draws.positive)}, not (N, M) = ({n_neg}, {m_pos})")
+    exact = draws.asymptotic(tau_plus, n_neg)
     mc_losses = _debiased_mc_losses(draws, n_neg, m_pos, tau_plus)
     tau_minus = 1.0 - tau_plus
     rhs = (math.exp(1.5) / tau_minus) * math.sqrt(math.pi / (2.0 * n_neg)) \
@@ -336,8 +339,10 @@ def theorem3_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_ne
 def _debiased_mc_losses(draws: MonteCarloDraws, n_neg: int, m_pos: int,
                         tau_plus: float) -> np.ndarray:
     """Per-trial clamped debiased losses at (N, M, tau+): the one Monte Carlo
-    kernel behind both thm3 certificates and rate fits."""
-    g, _ = clamped_estimate(draws.mean_u[n_neg], draws.mean_v[m_pos], tau_plus,
+    kernel behind both thm3 certificates and rate fits.  The estimator's
+    unlabeled mean is the marginal side at N and its positive mean the
+    positive side at M."""
+    g, _ = clamped_estimate(draws.marginal[n_neg], draws.positive[m_pos], tau_plus,
                             estimator_floor(EXP_FLOOR, t=1.0))
     return np.log(draws.h_pos + n_neg * g) - draws.s_pos
 
@@ -348,9 +353,11 @@ def rate_fit(embeddings: np.ndarray, mix: DiscreteClassMixture, sweep: SweepSpec
 
     The gap at each grid point is E | finite-sample loss - asymptotic
     integrand | with common (anchor, positive) draws -- the quantity whose
-    square-root decay the error bound establishes.  The non-swept sample
-    size must be at least 10x the largest swept value so its own error term
-    is negligible.
+    square-root decay the error bound establishes.  One draw set serves
+    the whole sweep: the pairs and the fixed size are drawn once, and each
+    grid point adds one mean on its side.  The non-swept sample size must
+    be at least 10x the largest swept value so its own error term is
+    negligible.
     """
     if sweep.variable not in ("N", "M"):
         raise ValueError("sweep variable must be 'N' or 'M'")
@@ -369,17 +376,18 @@ def rate_fit(embeddings: np.ndarray, mix: DiscreteClassMixture, sweep: SweepSpec
     # the finite-sample loss of each trial is compared against.
     _, expm = _sims_and_exp(embeddings)
     marg = marginal(mix)
-    tau_minus = 1.0 - tau_plus
-    inner_per_anchor = np.empty(mix.n_points)
-    for a in range(mix.n_points):
-        inner_per_anchor[a] = (float(marg @ expm[a])
-                               - tau_plus * float(positive_dist(mix, a) @ expm[a])) / tau_minus
+    inner_per_anchor = np.array([_debiased_inner(marg, positive_dist(mix, a), expm[a], tau_plus)
+                                 for a in range(mix.n_points)])
+    other = (sweep.other,)
+    n_sizes, m_sizes = (grid, other) if sweep.variable == "N" else (other, grid)
+    draws = _draw_monte_carlo(embeddings, mix, trials, (seed, 3),
+                              marginal=n_sizes, positive=m_sizes)
+    integrand_inner = inner_per_anchor[draws.anchors]
     points = []
-    for i, size in enumerate(grid):
+    for size in grid:
         n_neg, m_pos = (size, sweep.other) if sweep.variable == "N" else (sweep.other, size)
-        draws = _draw_monte_carlo(embeddings, mix, (n_neg,), (m_pos,), trials, seed, 3, i)
         losses = _debiased_mc_losses(draws, n_neg, m_pos, tau_plus)
-        integrand = np.log(draws.h_pos + n_neg * inner_per_anchor[draws.anchors]) - draws.s_pos
+        integrand = np.log(draws.h_pos + n_neg * integrand_inner) - draws.s_pos
         gaps = np.abs(losses - integrand)
         points.append(GridPoint(size=size, mean_gap=float(gaps.mean()),
                                 stderr=float(gaps.std(ddof=1) / math.sqrt(trials))))

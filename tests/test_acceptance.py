@@ -31,6 +31,7 @@ from contrastlab.verification import (
     lemma1_certificate,
     rate_fit,
     theorem3_certificate,
+    theorem3_draws,
     theorem5_constants,
 )
 from contrastlab.worldmodel import random_mixture
@@ -131,6 +132,8 @@ class TestAcceptance:
     def test_criterion_4_theorem3_certification(self):
         # Grid N, M in {4,16,64,256}^2, tau+ in {0.05,0.1,0.2}, 1e5 trials,
         # 10 random instances; every certificate passes at 3-sigma slack.
+        # Each instance draws once, as `verify thm3` does, and every cell of
+        # the instance reads those draws.
         # Rate fit on the N-sweep: slope in [-0.65, -0.35], r2 >= 0.9.
         started = time.perf_counter()
         grid = (4, 16, 64, 256)
@@ -142,13 +145,13 @@ class TestAcceptance:
             # so the exact denominator stays positive.
             mix = random_mixture(gen, 8, 5)
             emb = random_unit_rows(gen, 8, 8)
-            for ti, tau in enumerate(taus):
-                for ni, n_neg in enumerate(grid):
-                    for mi, m_pos in enumerate(grid):
-                        cert = theorem3_certificate(
-                            emb, mix, n_neg, m_pos, tau, trials=100_000,
-                            seed=int(substream(51_000, inst, ti, ni, mi)
-                                     .integers(2 ** 62)))
+            seed = int(substream(51_000, inst).integers(2 ** 62))
+            draws = theorem3_draws(emb, mix, grid, grid, trials=100_000, seed=seed)
+            for tau in taus:
+                for n_neg in grid:
+                    for m_pos in grid:
+                        cert = theorem3_certificate(emb, mix, n_neg, m_pos, tau,
+                                                    trials=100_000, seed=seed, draws=draws)
                         assert cert.passed, cert
                         checked += 1
         assert checked == 480

@@ -1,6 +1,7 @@
 """Analytic gradients against central finite differences."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ class TestLossAndGrad:
                                           ("debiased", 0.3), ("unbiased", 0.0)])
     @pytest.mark.parametrize("m", [1, 2])
     def test_matches_finite_differences(self, kind, tau, m):
-        rng = substream(hash((kind, tau, m)) % 2 ** 32)
+        rng = substream(zlib.crc32(repr((kind, tau, m)).encode()))
         batch = make_batch(rng, b=3, m=m, feat=5)
         params = init_params(rng, 5, 3)
         spec = LossSpec(kind=kind, tau_plus=tau, temperature=0.6)

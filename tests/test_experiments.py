@@ -29,16 +29,6 @@ class TestDirectionRun:
         b = figure2_direction_run(seeds=(3,), config=TINY, kinds=("debiased",))
         assert a == b
 
-    def test_probe_protocols_both_work(self):
-        world = preset_sphere("sphere-k10")
-        cfg = replace(TINY, seed=5)
-        params, _ = train(cfg, world)
-        fresh = direction_probe_accuracy(params, cfg, world, probe_fit="fresh",
-                                         replicas=1)
-        own = direction_probe_accuracy(params, cfg, world, probe_fit="dataset",
-                                       replicas=1)
-        assert 0.0 <= fresh <= 1.0 and 0.0 <= own <= 1.0
-
     def test_replica_average_is_mean(self):
         world = preset_sphere("sphere-k10")
         cfg = replace(TINY, seed=6)

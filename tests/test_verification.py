@@ -22,6 +22,21 @@ from contrastlab.worldmodel import preset_mixture
 from conftest import random_instance
 
 
+def _count_side_means(monkeypatch):
+    """Record the size of every per-trial mean the draw engine samples."""
+    import contrastlab.verification as verification
+
+    sizes = []
+    real = verification._grouped_mean_exp
+
+    def counting(*args, **kwargs):
+        sizes.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "_grouped_mean_exp", counting)
+    return sizes
+
+
 class TestLemma1Certificate:
     def test_constant_embedding_margin(self):
         # All similarities equal: both losses are log(1+N) and the exact gap
@@ -65,6 +80,12 @@ class TestLemma1Certificate:
         emb, mix = random_instance(14)
         with pytest.raises(ValueError):
             lemma1_certificate(emb, mix, 4, trials=10, seed=0)
+
+    def test_draws_one_marginal_and_one_negative_mean(self, monkeypatch):
+        sizes = _count_side_means(monkeypatch)
+        emb, mix = random_instance(31)
+        lemma1_certificate(emb, mix, 4, trials=2000, seed=5)
+        assert sizes == [4, 4]
 
 
 class TestTheorem3Certificate:
@@ -115,16 +136,17 @@ class TestTheorem3Draws:
         assert shared.to_record() == alone.to_record()
 
     def test_draw_order_pairs_then_each_n_then_each_m(self):
-        # One stream: (anchor, positive) pairs, mean_u per N, then mean_v per M.
-        # A grid therefore shares its pairs and first mean_u with the 1x1x1
-        # set, while its first mean_v comes after every mean_u.
+        # One stream: (anchor, positive) pairs, the marginal side per N, then
+        # the positive side per M.  A grid therefore shares its pairs and first
+        # marginal mean with the 1x1x1 set, while its first positive mean
+        # comes after every marginal mean.
         emb, mix = random_instance(25, k_classes=5)
         grid = theorem3_draws(emb, mix, (4, 16), (4, 16), trials=2000, seed=12)
         one = theorem3_draws(emb, mix, (4,), (4,), trials=2000, seed=12)
         assert np.array_equal(grid.anchors, one.anchors)
         assert np.array_equal(grid.s_pos, one.s_pos)
-        assert np.array_equal(grid.mean_u[4], one.mean_u[4])
-        assert not np.array_equal(grid.mean_v[4], one.mean_v[4])
+        assert np.array_equal(grid.marginal[4], one.marginal[4])
+        assert not np.array_equal(grid.positive[4], one.positive[4])
         for n_neg in (4, 16):
             for m_pos in (4, 16):
                 assert theorem3_certificate(emb, mix, n_neg, m_pos, 0.1, 2000, 12,
@@ -207,6 +229,18 @@ class TestRateFit:
             rate_fit(emb, mix, SweepSpec(grid=(4, 8, 16, 32), other=10240), 2000, 0)
         with pytest.raises(InsufficientGrid):
             rate_fit(emb, mix, SweepSpec(grid=(4, 16, 64, 512), other=1024), 2000, 0)
+
+    @pytest.mark.parametrize("variable,sizes", [
+        ("N", [4, 16, 64, 256, 1024, 10240]), ("M", [10240, 4, 16, 64, 256, 1024]),
+    ])
+    def test_one_draw_set_per_sweep(self, monkeypatch, variable, sizes):
+        # The fixed size once and one mean per grid point, marginal side (N)
+        # first: 6 count-sampling calls, where a draw set per point makes 10.
+        drawn = _count_side_means(monkeypatch)
+        emb, mix = random_instance(32, k_classes=4)
+        sweep = SweepSpec(variable=variable, grid=(4, 16, 64, 256, 1024), other=10240)
+        rate_fit(emb, mix, sweep, trials=2000, seed=10)
+        assert drawn == sizes
 
     def test_grid_points_recorded(self):
         emb, mix = random_instance(22, k_classes=4)
