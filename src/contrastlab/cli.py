@@ -8,7 +8,8 @@ re-runs with the same config and seed; wall-clock metrics are therefore
 written as 0 unless ``--timings`` is given.
 
 Exit codes: 0 = success / all certificates pass, 1 = a certificate or
-check failed, 2 = invalid configuration.
+check failed, 2 = invalid configuration, including a parameter value the
+library rejects with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .autograd import LossSpec, finite_diff_check
-from .config import SCHEMA_VERSION, config_hash, render_value, resolve
+from .config import SCHEMA_VERSION, TRAIN_RUN_KEYS, config_hash, render_value, resolve
 from .encoder import EncoderParams, ViewBatch, init_params
 from .errors import ConfigError, ContrastLabError, NegativeDenominator
 from .evaluation import lemma4_chain_check
@@ -32,7 +33,6 @@ from .geometry import unit_rows
 from .rng import substream
 from .training import TrainConfig, load_checkpoint, run_tau_plus, save_checkpoint, train
 from .verification import (
-    BoundCertificate,
     SweepSpec,
     lemma1_certificate,
     oracle_certificate,
@@ -139,10 +139,10 @@ def _build_world(cfg: dict):
     raise ConfigError(f"unknown world {cfg['world']!r}; expected sphere | discrete")
 
 
-def _eval_accuracy(params: EncoderParams, train_cfg, world, cfg: dict) -> float:
+def _eval_accuracy(params: EncoderParams, seed: int, world, cfg: dict) -> float:
     """Linear-probe accuracy of the frozen encoder at the config's eval sizes."""
     return direction_probe_accuracy(
-        params, train_cfg, world, fit_size=cfg["eval_train_size"],
+        params, seed, world, fit_size=cfg["eval_train_size"],
         replicas=cfg["eval_replicas"], test_size=cfg["eval_test_size"])
 
 
@@ -154,17 +154,8 @@ def cmd_train(cfg: dict, report: RunReport) -> int:
         # dict.fromkeys: each distinct tau+ once, in sweep order.
         for tau in dict.fromkeys(run_tau_plus(kind, tau) for tau in cfg["tau_plus"]):
             for run_seed in seeds:
-                train_cfg = TrainConfig(
-                    loss_kind=kind, tau_plus=tau, temperature=cfg["temperature"],
-                    m_positives=cfg["m_positives"], floor_mode=cfg["floor_mode"],
-                    batch_size=cfg["batch_size"], epochs=cfg["epochs"],
-                    learning_rate=cfg["learning_rate"], optimizer=cfg["optimizer"],
-                    seed=run_seed, dataset_size=cfg["dataset_size"],
-                    embed_dim=cfg["embed_dim"], hidden_dim=cfg["hidden_dim"],
-                    anchor_mode=cfg["anchor_mode"], view_noise=cfg["view_noise"],
-                    class_resample_prob=cfg["class_resample_prob"],
-                    tail_average=cfg["tail_average"],
-                )
+                train_cfg = TrainConfig(loss_kind=kind, tau_plus=tau, seed=run_seed,
+                                        **{key: cfg[key] for key in TRAIN_RUN_KEYS})
                 params, log = train(train_cfg, world)
                 tag = f"{kind}_tau{tau:g}_seed{run_seed}"
                 rows = [(rec.epoch, rec.loss, rec.wall_ms if report.timings else 0)
@@ -174,7 +165,7 @@ def cmd_train(cfg: dict, report: RunReport) -> int:
                 save_checkpoint(ckpt, params, report.hash,
                                 meta={"loss_kind": kind, "tau_plus": tau, "seed": run_seed})
                 report.artifacts.append(ckpt.name)
-                accuracy = _eval_accuracy(params, train_cfg, world, cfg)
+                accuracy = _eval_accuracy(params, run_seed, world, cfg)
                 probe_rows.append((run_seed, kind, float(tau), accuracy))
                 print(f"train {tag}: final_loss={log[-1].loss:.6f} accuracy={accuracy:.4f}")
     report.csv("probe.csv", PROBE_HEADER, probe_rows)
@@ -191,8 +182,7 @@ def cmd_probe(cfg: dict, report: RunReport) -> int:
     missing = [key for key in ("loss_kind", "tau_plus") if key not in meta]
     if missing:
         raise ConfigError(f"checkpoint {cfg['checkpoint']} meta lacks {missing}")
-    probe_cfg = TrainConfig(seed=cfg["seed"])
-    accuracy = _eval_accuracy(params, probe_cfg, world, cfg)
+    accuracy = _eval_accuracy(params, cfg["seed"], world, cfg)
     report.csv("probe.csv", PROBE_HEADER,
                [(cfg["seed"], meta["loss_kind"], float(meta["tau_plus"]), accuracy)])
     print(f"probe: accuracy={accuracy:.4f}")
@@ -207,17 +197,8 @@ def _random_instance(seed: int, *, s_points: int, k_classes: int, embed_dim: int
     return emb, mix
 
 
-def _corrupt(cert: BoundCertificate, scale: float) -> BoundCertificate:
-    if scale == 1.0:
-        return cert
-    rhs = cert.rhs * scale
-    passed = cert.lhs <= rhs + cert.slack
-    return replace(cert, rhs=rhs, passed=passed)
-
-
 def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
     seed = cfg["seed"]
-    scale = cfg.get("corrupt_rhs_scale", 1.0)
 
     if check == "lemma1":
         for inst in range(cfg["instances"]):
@@ -227,7 +208,6 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
             for j, n_neg in enumerate(cfg["n_list"]):
                 cert = lemma1_certificate(emb, mix, n_neg, cfg["trials"],
                                           _child_seed(seed, 21, inst, j))
-                cert = _corrupt(cert, scale)
                 cert.meta["instance"] = inst
                 report.add_certificate(cert.to_record())
         report.json("certificates.json", report.certificates)
@@ -253,7 +233,6 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
                                          "n_neg": n_neg, "m_pos": m_pos},
                             })
                             continue
-                        cert = _corrupt(cert, scale)
                         cert.meta["instance"] = inst
                         report.add_certificate(cert.to_record())
         report.json("certificates.json", report.certificates)
@@ -284,7 +263,6 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
                                 .standard_normal((mix.n_points, cfg["embed_dim"])))
                 for n_neg in range(k - 1, cfg["n_max_factor"] * k + 1):
                     cert = lemma4_chain_check(emb, mix, n_neg, include_probe=(ei == 0))
-                    cert = _corrupt(cert, scale)
                     cert.meta.update({"mixture": mi, "embedding": ei})
                     report.add_certificate(cert.to_record())
         report.json("certificates.json", report.certificates)
@@ -299,7 +277,6 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
             emb = unit_rows(rng.standard_normal((s_points, cfg["embed_dim"])))
             cert = oracle_certificate(emb, mix, n_neg, tolerance=cfg["tolerance"],
                                       budget=cfg["budget"])
-            cert = _corrupt(cert, scale)
             cert.meta["instance"] = inst
             report.add_certificate(cert.to_record())
         report.json("certificates.json", report.certificates)
@@ -404,7 +381,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ContrastLabError as exc:
+    except (ContrastLabError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -5,14 +5,18 @@ overrides (later wins).  Unknown keys are rejected, the ``format_version``
 tag must match the schema version built into the binary, and every run
 report embeds the hash of the resolved config so any emitted number can be
 re-derived.
+
+The ``train`` schema's per-run keys are the fields of ``TrainConfig``, with
+its types and defaults, so a train default is written in one place.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .training import TrainConfig
 
 SCHEMA_VERSION = "1"
 
@@ -35,36 +39,31 @@ _WORLD = {
     "mixture_file": Field("str", "", "mixture definition file (world = discrete)"),
 }
 
+_EVAL = {
+    "eval_train_size": Field("int", 2048, "probe fitting samples"),
+    "eval_test_size": Field("int", 2048, "probe accuracy samples"),
+    "eval_replicas": Field("int", 1, "average accuracy over fresh eval sets"),
+}
+
+# The TrainConfig fields that the train command sweeps rather than reads.
+_SWEPT = ("loss_kind", "tau_plus", "seed")
+
+# One train key per remaining TrainConfig field; its annotation ("int",
+# "float" or "str") is the key's kind.
+TRAIN_RUN_KEYS = {f.name: Field(f.type, f.default) for f in fields(TrainConfig)
+                  if f.name not in _SWEPT}
+
 SCHEMAS: dict[str, dict[str, Field]] = {
     "train": _COMMON | _WORLD | {
         "seeds": Field("int_list", (), "run seeds; empty means [seed]"),
-        "loss_kinds": Field("str_list", ("debiased",), "biased | debiased | unbiased"),
-        "tau_plus": Field("float_list", (0.1,), "class-prior hyperparameter sweep"),
-        "temperature": Field("float", 0.5, "similarity temperature"),
-        "m_positives": Field("int", 1, "positive samples per anchor"),
-        "floor_mode": Field("str", "exp_floor", "exp_floor | zero_floor"),
-        "batch_size": Field("int", 64, ""),
-        "epochs": Field("int", 200, ""),
-        "learning_rate": Field("float", 0.001, ""),
-        "optimizer": Field("str", "adam", "sgd | adam"),
-        "dataset_size": Field("int", 512, "anchor identities per run"),
-        "embed_dim": Field("int", 16, ""),
-        "hidden_dim": Field("int", 0, "0 = linear encoder"),
-        "anchor_mode": Field("str", "class", "class | instance anchor identities"),
-        "view_noise": Field("float", 0.0, "instance-mode augmentation scale"),
-        "class_resample_prob": Field("float", 0.0,
-                                     "chance a view is a fresh class draw"),
-        "tail_average": Field("int", 0, "average params over the last k epochs"),
-        "eval_train_size": Field("int", 2048, "probe fitting samples"),
-        "eval_test_size": Field("int", 2048, "probe accuracy samples"),
-        "eval_replicas": Field("int", 1, "average accuracy over fresh eval sets"),
-    },
+        "loss_kinds": Field("str_list", (TrainConfig.loss_kind,),
+                            "biased | debiased | unbiased"),
+        "tau_plus": Field("float_list", (TrainConfig.tau_plus,),
+                          "class-prior hyperparameter sweep"),
+    } | TRAIN_RUN_KEYS | _EVAL,
     "probe": _COMMON | _WORLD | {
         "checkpoint": Field("str", "", "encoder checkpoint to evaluate"),
-        "eval_train_size": Field("int", 2048, ""),
-        "eval_test_size": Field("int", 2048, ""),
-        "eval_replicas": Field("int", 1, ""),
-    },
+    } | _EVAL,
     "verify.lemma1": _COMMON | {
         "instances": Field("int", 20, "random (embedding, mixture) instances"),
         "trials": Field("int", 100000, ""),
@@ -72,7 +71,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "s_points": Field("int", 8, ""),
         "k_classes": Field("int", 4, ""),
         "embed_dim": Field("int", 8, ""),
-        "corrupt_rhs_scale": Field("float", 1.0, "test hook: scales every rhs"),
     },
     "verify.thm3": _COMMON | {
         "instances": Field("int", 10, ""),
@@ -83,7 +81,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "s_points": Field("int", 8, ""),
         "k_classes": Field("int", 5, "true tau+ = 1/K should dominate tau_list"),
         "embed_dim": Field("int", 8, ""),
-        "corrupt_rhs_scale": Field("float", 1.0, "test hook: scales every rhs"),
     },
     "verify.rate": _COMMON | {
         "trials": Field("int", 100000, ""),
@@ -105,7 +102,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "s_points": Field("int", 10, ""),
         "embed_dim": Field("int", 8, ""),
         "n_max_factor": Field("int", 4, "sweep N = K-1 .. factor*K"),
-        "corrupt_rhs_scale": Field("float", 1.0, "test hook: scales every rhs"),
     },
     "verify.oracle": _COMMON | {
         "instances": Field("int", 50, ""),
@@ -114,7 +110,6 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "budget": Field("float", 1e9, "enumeration budget"),
         "tolerance": Field("float", 1e-9, "relative error threshold"),
         "embed_dim": Field("int", 8, ""),
-        "corrupt_rhs_scale": Field("float", 1.0, "test hook: scales every rhs"),
     },
     "gradcheck": _COMMON | {
         "cases": Field("int", 200, "random configurations"),
@@ -188,6 +183,8 @@ def resolve(command: str, config_path: str | None, overrides: list[str],
         resolved[key] = _parse_value(key, schema[key], value)
     if seed is not None:
         resolved["seed"] = int(seed)
+    if resolved["seed"] < 0 or any(s < 0 for s in resolved.get("seeds", ())):
+        raise ConfigError("seeds must be >= 0")
     if resolved["format_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"config format_version {resolved['format_version']!r} != {SCHEMA_VERSION!r}"

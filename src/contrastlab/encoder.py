@@ -1,8 +1,9 @@
-"""Trainable encoder (linear, optionally one tanh hidden layer) and batches.
+"""Trainable linear encoder and view batches.
 
-The encoder maps input features to pre-normalized representations; the unit
-projection and everything after it live in the loss kernel.  Parameters are
-kept in plain arrays so gradients can share the same container.
+The encoder maps input features to pre-normalized representations
+z = W x; the unit projection and everything after it live in the loss
+kernel.  Parameters are kept in plain arrays so gradients can share the
+same container.
 """
 
 from __future__ import annotations
@@ -14,15 +15,10 @@ import numpy as np
 
 @dataclass(frozen=True)
 class EncoderParams:
-    """Encoder weights.
-
-    ``weights`` maps into the embedding space (d x m for a linear encoder,
-    d x h with a hidden layer).  ``hidden_weights`` (h x m) is present only
-    for the one-hidden-layer variant z = W tanh(W1 x).
-    """
+    """Encoder weights: ``weights`` (d x m) maps m input features into d
+    embedding dimensions."""
 
     weights: np.ndarray
-    hidden_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
@@ -31,30 +27,10 @@ class EncoderParams:
             raise ValueError("weights must be 2-d with output dimension >= 2")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        if self.hidden_weights is not None:
-            h = np.asarray(self.hidden_weights, dtype=np.float64)
-            object.__setattr__(self, "hidden_weights", h)
-            if h.ndim != 2 or h.shape[0] != w.shape[1]:
-                raise ValueError("hidden_weights shape must feed the output layer")
-            if not np.all(np.isfinite(h)):
-                raise ValueError("hidden_weights must be finite")
-
-    @property
-    def embed_dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.weights.shape[1] if self.hidden_weights is None else self.hidden_weights.shape[1]
 
 
-def init_params(rng: np.random.Generator, feature_dim: int, embed_dim: int,
-                hidden_dim: int = 0) -> EncoderParams:
+def init_params(rng: np.random.Generator, feature_dim: int, embed_dim: int) -> EncoderParams:
     """Gaussian init scaled by 1/sqrt(fan-in)."""
-    if hidden_dim:
-        w1 = rng.standard_normal((hidden_dim, feature_dim)) / np.sqrt(feature_dim)
-        w = rng.standard_normal((embed_dim, hidden_dim)) / np.sqrt(hidden_dim)
-        return EncoderParams(weights=w, hidden_weights=w1)
     w = rng.standard_normal((embed_dim, feature_dim)) / np.sqrt(feature_dim)
     return EncoderParams(weights=w)
 
@@ -62,36 +38,21 @@ def init_params(rng: np.random.Generator, feature_dim: int, embed_dim: int,
 def encoder_forward(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
     """Pre-normalized representations Z for inputs x (rows), plus a cache."""
     x = np.asarray(x, dtype=np.float64)
-    if params.hidden_weights is None:
-        return x @ params.weights.T, {"x": x}
-    hidden = np.tanh(x @ params.hidden_weights.T)
-    return hidden @ params.weights.T, {"x": x, "hidden": hidden}
+    return x @ params.weights.T, {"x": x}
 
 
 def encoder_backward(params: EncoderParams, cache: dict, dz: np.ndarray) -> EncoderParams:
     """Backpropagate dLoss/dZ to parameter gradients (same container shape)."""
-    if params.hidden_weights is None:
-        return EncoderParams(weights=dz.T @ cache["x"])
-    hidden = cache["hidden"]
-    dw = dz.T @ hidden
-    dhidden = (dz @ params.weights) * (1.0 - hidden ** 2)
-    return EncoderParams(weights=dw, hidden_weights=dhidden.T @ cache["x"])
+    return EncoderParams(weights=dz.T @ cache["x"])
 
 
 def flatten(params: EncoderParams) -> np.ndarray:
-    parts = [params.weights.ravel()]
-    if params.hidden_weights is not None:
-        parts.append(params.hidden_weights.ravel())
-    return np.concatenate(parts)
+    """A fresh 1-d copy of the parameters."""
+    return params.weights.flatten()
 
 
 def unflatten_like(params: EncoderParams, vec: np.ndarray) -> EncoderParams:
-    w_size = params.weights.size
-    w = vec[:w_size].reshape(params.weights.shape)
-    if params.hidden_weights is None:
-        return EncoderParams(weights=w)
-    w1 = vec[w_size:].reshape(params.hidden_weights.shape)
-    return EncoderParams(weights=w, hidden_weights=w1)
+    return EncoderParams(weights=vec.reshape(params.weights.shape))
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,7 @@ def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
                 neg_pool_labels: np.ndarray | None = None) -> BatchTerms:
     """Shared forward pass for all two-view batch losses.
 
-    ``kind`` selects the denominator: "debiased" uses the clamped estimator
+    ``kind`` selects the denominator: "debiased_fin" uses the clamped estimator
     with the partner as first positive sample, and "biased" is the tau+ = 0
     special case of the same arithmetic.  "unbiased" draws on true
     negatives instead (requires ``labels``): different-class views from the
@@ -242,9 +242,8 @@ def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
     pool = 0 if neg_pool_labels is None else len(neg_pool_labels)
     if f.shape[0] != (m + 1) * b + pool:
         raise ValueError(f"expected {(m + 1) * b + pool} view rows, got {f.shape[0]}")
-    if kind not in (KIND_BIASED, KIND_DEBIASED_FIN, KIND_UNBIASED, "debiased"):
+    if kind not in (KIND_BIASED, KIND_DEBIASED_FIN, KIND_UNBIASED):
         raise ValueError(f"unknown batch loss kind {kind!r}")
-    kind = KIND_DEBIASED_FIN if kind == "debiased" else kind
     if pool and kind != KIND_UNBIASED:
         raise ValueError("a negative pool is only meaningful for the unbiased loss")
     if kind == KIND_BIASED:

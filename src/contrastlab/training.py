@@ -1,11 +1,12 @@
 """Desk-scale training loop for the contrastive objectives.
 
-The encoder is deliberately small (linear, optionally one tanh hidden
-layer): what is under study is the loss, and exact gradients matter more
-here than capacity.  The default optimizer is the adaptive-moment method at
-learning rate 0.001; plain SGD is kept because the single-step oracle test
-needs it.  The whole trajectory is deterministic given the seed: data,
-batches and init all come from named substreams.
+The encoder is deliberately small (linear): what is under study is the
+loss, and exact gradients matter more here than capacity.  ``TrainConfig``
+is the schema of one run: the ``train`` command's per-run config keys are
+its fields, with its defaults.  The default optimizer is the adaptive-moment
+method at learning rate 0.001; plain SGD is kept because the single-step
+oracle test needs it.  The whole trajectory is deterministic given the
+seed: data, batches and init all come from named substreams.
 """
 
 from __future__ import annotations
@@ -25,39 +26,41 @@ from .worldmodel import SphereMixture, sample_classes, sample_views
 
 OPTIMIZERS = ("sgd", "adam")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for one training run.
 
+    Every field is an ``int``, ``float`` or ``str`` with a default, because
+    the ``train`` config keys are built from these fields.  ``loss_kind``,
+    ``tau_plus`` and ``seed`` are the swept ones: the command sets them per
+    run from ``loss_kinds``, ``tau_plus`` and ``seeds``.
+
     ``anchor_mode`` selects what an anchor identity is.  In "class" mode a
     view is a fresh class-conditional sample, so two views of an anchor are
     exchangeable with any same-class sample.  In "instance" mode (sphere
     worlds only) each anchor is pinned to one base sample drawn at dataset
     build time and a view redraws conditional noise of scale ``view_noise``
-    around it; with probability ``class_resample_prob`` a view falls back to
-    a fresh class-conditional draw, interpolating between the two regimes.
+    around it.
     """
 
-    loss_kind: str = "debiased"
-    tau_plus: float = 0.1
+    loss_kind: str = "debiased"  # biased | debiased | unbiased
+    tau_plus: float = 0.1  # class prior the debiased loss corrects for
     temperature: float = 0.5
-    m_positives: int = 1
-    floor_mode: str = "exp_floor"
+    m_positives: int = 1  # positive samples per anchor
+    floor_mode: str = "exp_floor"  # exp_floor | zero_floor
     batch_size: int = 64
     epochs: int = 200
     learning_rate: float = 0.001
-    optimizer: str = "adam"
+    optimizer: str = "adam"  # sgd | adam
     seed: int = 0
-    dataset_size: int = 512
+    dataset_size: int = 512  # anchor identities
     embed_dim: int = 16
-    hidden_dim: int = 0
-    anchor_mode: str = "class"
-    view_noise: float = 0.0
-    class_resample_prob: float = 0.0
-    tail_average: int = 0
+    anchor_mode: str = "class"  # class | instance
+    view_noise: float = 0.0  # instance-mode augmentation scale
+    tail_average: int = 0  # average the params over the last k epochs
 
     def __post_init__(self) -> None:
         if self.batch_size < 2:
@@ -74,8 +77,6 @@ class TrainConfig:
             raise ConfigError("anchor_mode must be class | instance")
         if self.anchor_mode == "instance" and not self.view_noise > 0.0:
             raise ConfigError("instance mode needs view_noise > 0")
-        if not (0.0 <= self.class_resample_prob <= 1.0):
-            raise ConfigError("class_resample_prob must lie in [0, 1]")
         if not (0 <= self.tail_average <= self.epochs):
             raise ConfigError("tail_average must lie in [0, epochs]")
 
@@ -105,7 +106,6 @@ class TrainDataset:
     labels: np.ndarray
     base_points: np.ndarray | None = None
     view_noise: float = 0.0
-    class_resample_prob: float = 0.0
 
     @property
     def size(self) -> int:
@@ -120,8 +120,7 @@ class EpochRecord:
 
 
 def build_dataset(world, size: int, rng: np.random.Generator,
-                  anchor_mode: str = "class", view_noise: float = 0.0,
-                  class_resample_prob: float = 0.0) -> TrainDataset:
+                  anchor_mode: str = "class", view_noise: float = 0.0) -> TrainDataset:
     labels = sample_classes(world, size, rng)
     if anchor_mode == "class":
         return TrainDataset(world=world, labels=labels)
@@ -131,22 +130,15 @@ def build_dataset(world, size: int, rng: np.random.Generator,
         raise ConfigError("instance mode is defined for sphere worlds only")
     base = sample_views(world, labels, rng)
     return TrainDataset(world=world, labels=labels, base_points=base,
-                        view_noise=view_noise,
-                        class_resample_prob=class_resample_prob)
+                        view_noise=view_noise)
 
 
 def _draw_views(dataset: TrainDataset, idx: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
-    labels = dataset.labels[idx]
     if dataset.base_points is None:
-        return sample_views(dataset.world, labels, rng)
+        return sample_views(dataset.world, dataset.labels[idx], rng)
     base = dataset.base_points[idx]
-    views = unit_rows(base + dataset.view_noise * rng.standard_normal(base.shape))
-    if dataset.class_resample_prob > 0.0:
-        flip = rng.random(idx.shape[0]) < dataset.class_resample_prob
-        if flip.any():
-            views[flip] = sample_views(dataset.world, labels[flip], rng)
-    return views
+    return unit_rows(base + dataset.view_noise * rng.standard_normal(base.shape))
 
 
 def _fresh_views(dataset: TrainDataset, labels: np.ndarray,
@@ -217,10 +209,8 @@ def train(config: TrainConfig, world) -> tuple[EncoderParams, list[EpochRecord]]
     """
     dataset = build_dataset(world, config.dataset_size, substream(config.seed, 0),
                             anchor_mode=config.anchor_mode,
-                            view_noise=config.view_noise,
-                            class_resample_prob=config.class_resample_prob)
-    params = init_params(substream(config.seed, 1), world.feature_dim,
-                         config.embed_dim, config.hidden_dim)
+                            view_noise=config.view_noise)
+    params = init_params(substream(config.seed, 1), world.feature_dim, config.embed_dim)
     spec = config.loss_spec()
     theta = flatten(params)
     opt = _Optimizer(config.optimizer, config.learning_rate, theta.size)
@@ -258,7 +248,6 @@ def save_checkpoint(path, params: EncoderParams, config_hash: str, meta: dict | 
         "format_version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
         "weights": params.weights.tolist(),
-        "hidden_weights": None if params.hidden_weights is None else params.hidden_weights.tolist(),
         "meta": meta or {},
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -271,7 +260,4 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
         payload = json.load(fh)
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise ConfigError(f"checkpoint version {payload.get('format_version')} != {CHECKPOINT_VERSION}")
-    hidden = payload["hidden_weights"]
-    params = EncoderParams(weights=np.array(payload["weights"]),
-                           hidden_weights=None if hidden is None else np.array(hidden))
-    return params, payload
+    return EncoderParams(weights=np.array(payload["weights"])), payload

@@ -57,10 +57,6 @@ class BoundCertificate:
     meta: dict = field(default_factory=dict)
     fp_tol: float = 0.0
 
-    @property
-    def slack(self) -> float:
-        return 3.0 * self.mc_stderr + self.fp_tol
-
     def to_record(self) -> dict:
         return {
             "check": self.check,

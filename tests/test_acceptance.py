@@ -6,9 +6,11 @@ property-based and direction-only statistical checks, run at the pinned
 tolerances.
 """
 
+import csv
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +39,8 @@ from contrastlab.verification import (
 from contrastlab.worldmodel import random_mixture
 
 from conftest import random_unit_rows
+
+DIRECTION_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "direction.txt"
 
 
 def _finish(num: int, desc: str, started: float, budget: float) -> None:
@@ -209,13 +213,21 @@ class TestAcceptance:
         _finish(6, f"{checked} chain certificates pass; tightness case exact",
                 started, 120.0)
 
-    def test_criterion_7_direction_at_desk_scale(self):
+    def test_criterion_7_direction_at_desk_scale(self, tmp_path):
         # Synthetic K = 10 world, 5 seeds: mean probe accuracy ordered
         # unbiased >= debiased >= biased, and debiased > biased in >= 4 of 5.
+        # The preset is configs/direction.txt, run through the train command.
         started = time.perf_counter()
-        from contrastlab.experiments import figure2_direction_run
-
-        result = figure2_direction_run(seeds=(1, 2, 3, 4, 5))
+        seeds = (1, 2, 3, 4, 5)
+        code = main(["train", "--config", str(DIRECTION_CONFIG),
+                     "--set", "seeds=" + ",".join(map(str, seeds)), "--out", str(tmp_path)])
+        assert code == 0
+        with open(tmp_path / "probe.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        by_seed = {(row["loss_kind"], int(row["seed"])): float(row["accuracy"]) for row in rows}
+        assert len(by_seed) == len(rows) == 15
+        result = {kind: [by_seed[kind, seed] for seed in seeds]
+                  for kind in ("unbiased", "debiased", "biased")}
         means = {kind: float(np.mean(accs)) for kind, accs in result.items()}
         wins = sum(d > b for d, b in zip(result["debiased"], result["biased"]))
         assert means["unbiased"] >= means["debiased"] >= means["biased"], means

@@ -41,14 +41,6 @@ class TestLossAndGrad:
         report = finite_diff_check(params, batch, spec, step=1e-6)
         assert report.max_rel_err <= 1e-6
 
-    def test_hidden_layer_gradients(self):
-        rng = substream(17)
-        batch = make_batch(rng, b=3, m=1, feat=5)
-        params = init_params(rng, 5, 3, hidden_dim=6)
-        report = finite_diff_check(params, batch,
-                                   LossSpec(kind="debiased", tau_plus=0.1), step=1e-6)
-        assert report.max_rel_err <= 1e-6
-
     def test_floored_branch_kills_negative_paths(self):
         # Engineer g to floor for every anchor: tight positive pairs, distant
         # anchors, and a large tau+ make the raw estimate negative.  The

@@ -1,13 +1,16 @@
 """CLI contract: exit codes, artifact schemas, and byte-level determinism."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
+import contrastlab.cli as cli
 from contrastlab.cli import _child_seed, _random_instance, main
 from contrastlab.config import SCHEMA_VERSION, config_hash, resolve
 from contrastlab.errors import ConfigError
-from contrastlab.verification import theorem3_certificate, theorem3_draws
+from contrastlab.training import TrainConfig, train
+from contrastlab.verification import make_certificate, theorem3_certificate, theorem3_draws
 from contrastlab.worldmodel import load_mixture
 
 FAST_TRAIN = [
@@ -15,6 +18,21 @@ FAST_TRAIN = [
     "--set", "embed_dim=4", "--set", "eval_train_size=64",
     "--set", "eval_test_size=64",
 ]
+
+# Values each library layer rejects with ValueError, plus negative seeds,
+# which the config rejects: every one is an invalid configuration.
+INVALID_VALUES = {
+    "negative-seed": ["verify", "oracle", "--seed", "-1"],
+    "negative-run-seed": ["train", "--set", "seeds=1,-2"] + FAST_TRAIN,
+    "thm3-trials": ["verify", "thm3", "--set", "trials=10"],
+    "lemma1-trials": ["verify", "lemma1", "--set", "trials=10"],
+    "thm3-tau": ["verify", "thm3", "--set", "instances=1", "--set", "trials=1000",
+                 "--set", "tau_list=1.5"],
+    "loss-kind": ["train", "--set", "loss_kinds=foo"] + FAST_TRAIN,
+    "floor-mode": ["train", "--set", "floor_mode=bogus"] + FAST_TRAIN,
+    "train-tau": ["train", "--set", "tau_plus=1.5"] + FAST_TRAIN,
+    "gradcheck-step": ["gradcheck", "--set", "step=1"],
+}
 
 
 def read_artifacts(out_dir):
@@ -83,16 +101,52 @@ class TestExitCodes:
                      "--set", "instances=2", "--set", "s_max=6", "--set", "n_max=3"])
         assert code == 0
 
-    def test_corrupted_bound_exits_1(self, tmp_path):
+    def test_corrupted_bound_exits_1(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "oracle_certificate",
+                            lambda *args, **kwargs: make_certificate("oracle", 1.0, 0.0,
+                                                                     0.0, 0, {}))
         code = main(["verify", "oracle", "--out", str(tmp_path), "--seed", "1",
-                     "--set", "instances=2", "--set", "s_max=6", "--set", "n_max=3",
-                     "--set", "corrupt_rhs_scale=0"])
+                     "--set", "instances=2", "--set", "s_max=6", "--set", "n_max=3"])
         assert code == 1
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["passed"] is False
 
+    @pytest.mark.parametrize("argv", list(INVALID_VALUES.values()), ids=list(INVALID_VALUES))
+    def test_invalid_value_exits_2(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() and "Traceback" not in err
+
 
 class TestTrainCommand:
+    # A valid non-default value for every TrainConfig field the command reads
+    # from its config rather than sweeping.
+    RUN_VALUES = {"temperature": 0.7, "m_positives": 2, "floor_mode": "zero_floor",
+                  "batch_size": 4, "epochs": 3, "learning_rate": 0.01, "optimizer": "sgd",
+                  "dataset_size": 12, "embed_dim": 3, "anchor_mode": "instance",
+                  "view_noise": 0.3, "tail_average": 1}
+
+    def test_every_run_key_reaches_train(self, tmp_path, monkeypatch):
+        swept = {"loss_kind", "tau_plus", "seed"}
+        assert set(self.RUN_VALUES) == {f.name for f in fields(TrainConfig)} - swept
+        seen = []
+
+        def recording_train(config, world):
+            seen.append(config)
+            return train(config, world)
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        sets = [arg for key, value in self.RUN_VALUES.items()
+                for arg in ("--set", f"{key}={value}")]
+        code = main(["train", "--out", str(tmp_path), "--seed", "2",
+                     "--set", "eval_train_size=64", "--set", "eval_test_size=64"] + sets)
+        assert code == 0
+        [config] = seen
+        for key, value in self.RUN_VALUES.items():
+            assert getattr(TrainConfig(), key) != value, key
+            assert getattr(config, key) == value, key
+        assert (config.loss_kind, config.tau_plus, config.seed) == ("debiased", 0.1, 2)
+
     def test_emits_expected_artifacts(self, tmp_path):
         code = main(["train", "--out", str(tmp_path), "--seed", "2"] + FAST_TRAIN)
         assert code == 0
@@ -171,6 +225,18 @@ class TestProbeCommand:
         code = main(["probe", "--out", str(tmp_path / "p"), "--set", f"checkpoint={ckpt}"])
         assert code == 2
         assert "tau_plus" in capsys.readouterr().err
+
+    def test_version_1_checkpoint_exits_2(self, tmp_path, capsys):
+        train_out = tmp_path / "t"
+        main(["train", "--out", str(train_out), "--seed", "2"] + FAST_TRAIN)
+        ckpt = next(train_out.glob("checkpoint_*.json"))
+        payload = json.loads(ckpt.read_text())
+        assert payload["format_version"] == 2
+        payload.update(format_version=1, hidden_weights=None)
+        ckpt.write_text(json.dumps(payload))
+        code = main(["probe", "--out", str(tmp_path / "p"), "--set", f"checkpoint={ckpt}"])
+        assert code == 2
+        assert "checkpoint version 1" in capsys.readouterr().err
 
     def test_label_keys_are_not_config(self, tmp_path, capsys):
         for key in ("loss_kind", "tau_plus"):

@@ -1,8 +1,11 @@
-"""No dead code: each module-level function and class of the package is reached.
+"""No dead code: each module-level function, class and constant of the
+package is reached.
 
-A private function needs a caller in the package.  A public function or
-class needs one too, or else a reader outside the package that is not a unit
-test: the acceptance tests, the shared test helpers or the benchmark.
+A private function or constant needs a reference in the package.  A public
+function, class or constant needs one too, or else a reader outside the
+package that is not a unit test: the acceptance tests, the shared test
+helpers or the benchmark.  A constant is a module-level name in UPPER_CASE,
+with or without a leading underscore.
 """
 
 import ast
@@ -20,9 +23,13 @@ def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
+def _is_constant(name):
+    return name.lstrip("_").isupper()
+
+
 def _scan_package():
-    """(module, name, line, is_function) of every module-level function and
-    class, and every (module, name) referenced.
+    """(module, name, line, kind) of every module-level function, class and
+    constant, and every (module, name) referenced.
 
     A bare name counts within its own module, ``from .module import name``
     counts for that module, and an attribute access ``x.name`` counts for any
@@ -36,7 +43,15 @@ def _scan_package():
             own = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = stmt.name
-                defined.append((module, own, stmt.lineno, not isinstance(stmt, ast.ClassDef)))
+                kind = "class" if isinstance(stmt, ast.ClassDef) else "function"
+                defined.append((module, own, stmt.lineno, kind))
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets
+                         if isinstance(t, ast.Name) and _is_constant(t.id)]
+                if len(names) == 1:
+                    own = names[0]
+                    defined.append((module, own, stmt.lineno, "constant"))
             if module == "__init__":
                 continue
             for node in ast.walk(stmt):
@@ -71,17 +86,29 @@ def _unreached(defined, referenced, extra=frozenset()):
 
 def test_every_private_function_is_referenced():
     defined, referenced = _scan_package()
-    private = [(module, name, line, is_function)
-               for module, name, line, is_function in defined
-               if is_function and name.startswith("_") and not name.startswith("__")]
+    private = [entry for entry in defined if entry[3] == "function"
+               and entry[1].startswith("_") and not entry[1].startswith("__")]
     assert private, "scan found no private functions; is the package path right?"
     unused = _unreached(private, referenced)
     assert not unused, f"private functions nothing in the package calls: {unused}"
 
 
+def test_every_constant_is_reached():
+    defined, referenced = _scan_package()
+    constants = [entry for entry in defined if entry[3] == "constant"]
+    assert constants, "scan found no constants; is the package path right?"
+    private = [entry for entry in constants if entry[1].startswith("_")]
+    public = [entry for entry in constants if not entry[1].startswith("_")]
+    unreached = (_unreached(private, referenced)
+                 + _unreached(public, referenced, _outside_names()))
+    assert not unreached, ("constants that no other package code, acceptance test or "
+                           f"benchmark file reaches: {unreached}")
+
+
 def test_every_public_definition_is_reached():
     defined, referenced = _scan_package()
-    public = [entry for entry in defined if not entry[1].startswith("_")]
+    public = [entry for entry in defined
+              if entry[3] != "constant" and not entry[1].startswith("_")]
     assert public, "scan found no public definitions; is the package path right?"
     unreached = _unreached(public, referenced, _outside_names())
     assert not unreached, ("public functions and classes that no other package code, "

@@ -79,14 +79,6 @@ class TestMakeBatches:
         assert dots[np.arange(16), nearest].min() > 0.9
         np.testing.assert_array_equal(dataset.labels[nearest], batch.labels)
 
-    def test_class_resample_breaks_instance_pinning(self):
-        world = preset_sphere("sphere-k10")
-        dataset = build_dataset(world, 64, substream(5), anchor_mode="instance",
-                                view_noise=0.01, class_resample_prob=1.0)
-        batch = make_batches(dataset, 64, 1, substream(6))[0]
-        dots = (batch.features[:64] * dataset.base_points).sum(axis=1)
-        assert dots.min() < 0.9  # fully resampled views are fresh class draws
-
 
 class TestTrain:
     def test_zero_learning_rate_is_noop(self):
@@ -176,10 +168,3 @@ class TestCheckpoint:
         path.write_text('{"format_version": 99}')
         with pytest.raises(ConfigError):
             load_checkpoint(path)
-
-    def test_hidden_layer_roundtrip(self, tmp_path):
-        params = init_params(substream(2), 6, 3, hidden_dim=5)
-        path = tmp_path / "ckpt.json"
-        save_checkpoint(path, params, "00" * 32)
-        loaded, _ = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.hidden_weights, params.hidden_weights)
