@@ -19,7 +19,6 @@ from .losses import (
     debiased_loss_batch,
     debiased_loss_point,
     mean_classifier_loss,
-    mean_classifier_loss_data,
     unbiased_loss_exact,
 )
 from .training import TrainConfig, make_batches, train

@@ -1,11 +1,14 @@
-"""Analytic gradients of batch losses w.r.t. encoder parameters.
+"""Analytic gradients of batch losses w.r.t. the encoder weight matrix.
 
 The chain is closed-form: similarity scores -> (clamped) denominator
 estimator -> per-anchor loss -> batch mean, then back through the unit
-projection via its Jacobian and through the encoder.  On anchors where the
-estimator sits on its floor the gradient through the unlabeled and extra
-positive similarities is zero while the positive-pair path is retained; at
-exact equality with the floor we take the floored branch, matching the
+projection via its Jacobian and through the encoder.  One formula serves
+every kind of ``losses.LOSS_KINDS``: the biased and true-negative losses
+reach it with tau+ = 0, so the extra-positive path drops out, and the
+true-negative loss has no clamp.  On anchors where the estimator sits on
+its floor the gradient through the unlabeled and extra positive
+similarities is zero while the positive-pair path is retained; at exact
+equality with the floor we take the floored branch, matching the
 right-continuous subgradient of max and typical autodiff behavior.
 
 A central-finite-difference harness verifies the whole chain; coordinates
@@ -21,11 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses
-from .encoder import EncoderParams, ViewBatch, encoder_backward, encoder_forward, flatten, unflatten_like
+from .encoder import EncoderParams, ViewBatch, encoder_backward, encoder_forward
 from .geometry import unit_rows
-from .losses import KIND_BIASED, KIND_DEBIASED_FIN, KIND_UNBIASED, EXP_FLOOR, LossValue
-
-TRAIN_KINDS = ("biased", "debiased", "unbiased")
+from .losses import EXP_FLOOR, LOSS_KINDS, LossValue, _check_params
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,14 @@ class LossSpec:
     floor_mode: str = EXP_FLOOR
 
     def __post_init__(self) -> None:
-        if self.kind not in TRAIN_KINDS:
-            raise ValueError(f"kind must be one of {TRAIN_KINDS}, got {self.kind!r}")
+        if self.kind not in LOSS_KINDS:
+            raise ValueError(f"kind must be one of {LOSS_KINDS}, got {self.kind!r}")
+        _check_params(self.tau_plus, self.temperature, self.floor_mode)
 
 
 @dataclass(frozen=True)
 class GradientReport:
-    """Analytic vs central-difference gradients over flattened parameters.
+    """Analytic vs central-difference gradients over the flattened weights.
 
     max_rel_err = ||analytic - numeric||_inf / (||numeric||_inf + 1e-12),
     computed over coordinates not excluded by clamp straddling.
@@ -57,25 +59,20 @@ class GradientReport:
     excluded: tuple[int, ...] = field(default_factory=tuple)
 
 
-def _kind_tag(kind: str) -> str:
-    return {"biased": KIND_BIASED, "debiased": KIND_DEBIASED_FIN, "unbiased": KIND_UNBIASED}[kind]
-
-
 def batch_loss_terms(params: EncoderParams, batch: ViewBatch, spec: LossSpec) -> losses.BatchTerms:
     """Forward pass only: per-anchor losses plus clamp flags."""
-    z, _ = encoder_forward(params, batch.features)
-    f = unit_rows(z)
-    return losses.batch_terms(f, batch.batch_size, batch.m_positives, _kind_tag(spec.kind),
+    f = unit_rows(encoder_forward(params, batch.features))
+    return losses.batch_terms(f, batch.batch_size, batch.m_positives, spec.kind,
                               spec.tau_plus, spec.temperature, spec.floor_mode,
                               batch.labels, batch.neg_pool_labels)
 
 
 def loss_and_grad(params: EncoderParams, batch: ViewBatch,
                   spec: LossSpec) -> tuple[LossValue, EncoderParams]:
-    """Batch loss and its exact gradient w.r.t. the encoder parameters."""
-    z, cache = encoder_forward(params, batch.features)
+    """Batch loss and its exact gradient w.r.t. the encoder weights."""
+    z = encoder_forward(params, batch.features)
     f = unit_rows(z)
-    terms = losses.batch_terms(f, batch.batch_size, batch.m_positives, _kind_tag(spec.kind),
+    terms = losses.batch_terms(f, batch.batch_size, batch.m_positives, spec.kind,
                                spec.tau_plus, spec.temperature, spec.floor_mode,
                                batch.labels, batch.neg_pool_labels)
     twob = 2 * batch.batch_size
@@ -86,21 +83,17 @@ def loss_and_grad(params: EncoderParams, batch: ViewBatch,
     grad_sims = np.zeros((n_views, n_views))
     inv_d = 1.0 / terms.denom
     active = terms.grad_active.astype(np.float64)
-    if terms.kind == KIND_UNBIASED:
-        d_pos = terms.h_pos * inv_d - 1.0
-        d_neg = (terms.neg_scale * inv_d)[:, None] * terms.exp_shift * terms.neg_mask
-    else:
-        m = terms.m_positives
-        v_coef = active * terms.n_negatives * terms.tau_plus / ((1.0 - terms.tau_plus) * m)
-        d_pos = terms.h_pos * (1.0 - v_coef) * inv_d - 1.0
-        # A zero clamped estimate (zero_floor) makes the loss exactly 0 here;
-        # h * (1/h) - 1 would leave round-off where the derivative is 0.
-        d_pos = np.where(terms.denom == terms.h_pos, 0.0, d_pos)
-        d_neg = (active * terms.neg_scale * inv_d)[:, None] * terms.exp_shift * terms.neg_mask
-        if m > 1:
-            ext_vals = np.take_along_axis(terms.exp_shift, terms.extra_cols, axis=1)
-            d_ext = -(v_coef * inv_d)[:, None] * ext_vals
-            np.add.at(grad_sims, (roles[:, None], terms.extra_cols), d_ext / twob)
+    m = terms.m_positives
+    v_coef = active * terms.n_negatives * terms.tau_plus / ((1.0 - terms.tau_plus) * m)
+    d_pos = terms.h_pos * (1.0 - v_coef) * inv_d - 1.0
+    # A zero clamped estimate (zero_floor) makes the loss exactly 0 here;
+    # h * (1/h) - 1 would leave round-off where the derivative is 0.
+    d_pos = np.where(terms.denom == terms.h_pos, 0.0, d_pos)
+    d_neg = (active * terms.neg_scale * inv_d)[:, None] * terms.exp_shift * terms.neg_mask
+    if m > 1:
+        ext_vals = np.take_along_axis(terms.exp_shift, terms.extra_cols, axis=1)
+        d_ext = -(v_coef * inv_d)[:, None] * ext_vals
+        np.add.at(grad_sims, (roles[:, None], terms.extra_cols), d_ext / twob)
     grad_sims[:twob, :] += d_neg / twob
     grad_sims[roles, terms.partner] += d_pos / twob
 
@@ -109,13 +102,12 @@ def loss_and_grad(params: EncoderParams, batch: ViewBatch,
     # Unit projection: dL/dz = (dL/df - (dL/df . f) f) / ||z||.
     norms = np.linalg.norm(z, axis=1)
     d_z = (d_f - (d_f * f).sum(axis=1, keepdims=True) * f) / norms[:, None]
-    grads = encoder_backward(params, cache, d_z)
-    return LossValue(float(terms.losses.mean()), terms.kind), grads
+    return LossValue(float(terms.losses.mean())), encoder_backward(batch.features, d_z)
 
 
 def finite_diff_check(params: EncoderParams, batch: ViewBatch, spec: LossSpec,
                       step: float = 1e-6) -> GradientReport:
-    """Central differences per parameter coordinate against the analytic gradient.
+    """Central differences per weight against the analytic gradient.
 
     Coordinates where the clamp pattern differs between the +step and -step
     evaluations are excluded from the aggregate and listed in ``excluded``.
@@ -123,20 +115,20 @@ def finite_diff_check(params: EncoderParams, batch: ViewBatch, spec: LossSpec,
     if not (1e-8 <= step <= 1e-3):
         raise ValueError("step must lie in [1e-8, 1e-3]")
     _, grads = loss_and_grad(params, batch, spec)
-    analytic = flatten(grads)
-    theta = flatten(params)
-    numeric = np.zeros_like(theta)
+    analytic = grads.weights.flatten()
+    weights = params.weights
+    numeric = np.zeros(weights.size)
     excluded: list[int] = []
-    for i in range(theta.size):
-        bumped = theta.copy()
-        bumped[i] = theta[i] + step
-        terms_hi = batch_loss_terms(unflatten_like(params, bumped), batch, spec)
-        bumped[i] = theta[i] - step
-        terms_lo = batch_loss_terms(unflatten_like(params, bumped), batch, spec)
+    for i in range(weights.size):
+        bumped = weights.copy()
+        bumped.flat[i] = weights.flat[i] + step
+        terms_hi = batch_loss_terms(EncoderParams(bumped), batch, spec)
+        bumped.flat[i] = weights.flat[i] - step
+        terms_lo = batch_loss_terms(EncoderParams(bumped), batch, spec)
         numeric[i] = (terms_hi.losses.mean() - terms_lo.losses.mean()) / (2.0 * step)
         if not np.array_equal(terms_hi.floored, terms_lo.floored):
             excluded.append(i)
-    keep = np.ones(theta.size, dtype=bool)
+    keep = np.ones(weights.size, dtype=bool)
     keep[excluded] = False
     if keep.any():
         denom = float(np.abs(numeric[keep]).max()) + 1e-12

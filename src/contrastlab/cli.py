@@ -30,6 +30,7 @@ from .errors import ConfigError, ContrastLabError, NegativeDenominator
 from .evaluation import lemma4_chain_check
 from .experiments import direction_probe_accuracy
 from .geometry import unit_rows
+from .losses import LOSS_KINDS
 from .rng import substream
 from .training import TrainConfig, load_checkpoint, run_tau_plus, save_checkpoint, train
 from .verification import (
@@ -77,7 +78,7 @@ class RunReport:
     def csv(self, name: str, header: tuple[str, ...], rows: list[tuple]) -> Path:
         path = self.out_dir / name
         lines = [",".join(header)]
-        lines += [",".join(_render_cell(v) for v in row) for row in rows]
+        lines += [",".join(render_value(v) for v in row) for row in rows]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         self.artifacts.append(name)
         return path
@@ -116,12 +117,6 @@ class RunReport:
         return 1 if self.failures else 0
 
 
-def _render_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _child_seed(seed: int, *path: int) -> int:
     """Independent integer seed for a sub-experiment."""
     return int(substream(seed, *path).integers(2 ** 62))
@@ -149,25 +144,27 @@ def _eval_accuracy(params: EncoderParams, seed: int, world, cfg: dict) -> float:
 def cmd_train(cfg: dict, report: RunReport) -> int:
     world = _build_world(cfg)
     seeds = cfg["seeds"] or (cfg["seed"],)
+    # Every run's config is built, and so checked, before the first one
+    # trains; dict.fromkeys keeps each distinct tau+ once, in sweep order.
+    runs = [TrainConfig(loss_kind=kind, tau_plus=tau, seed=run_seed,
+                        **{key: cfg[key] for key in TRAIN_RUN_KEYS})
+            for kind in cfg["loss_kinds"]
+            for tau in dict.fromkeys(run_tau_plus(kind, tau) for tau in cfg["tau_plus"])
+            for run_seed in seeds]
     probe_rows = []
-    for kind in cfg["loss_kinds"]:
-        # dict.fromkeys: each distinct tau+ once, in sweep order.
-        for tau in dict.fromkeys(run_tau_plus(kind, tau) for tau in cfg["tau_plus"]):
-            for run_seed in seeds:
-                train_cfg = TrainConfig(loss_kind=kind, tau_plus=tau, seed=run_seed,
-                                        **{key: cfg[key] for key in TRAIN_RUN_KEYS})
-                params, log = train(train_cfg, world)
-                tag = f"{kind}_tau{tau:g}_seed{run_seed}"
-                rows = [(rec.epoch, rec.loss, rec.wall_ms if report.timings else 0)
-                        for rec in log]
-                report.csv(f"train_log_{tag}.csv", TRAIN_LOG_HEADER, rows)
-                ckpt = report.out_dir / f"checkpoint_{tag}.json"
-                save_checkpoint(ckpt, params, report.hash,
-                                meta={"loss_kind": kind, "tau_plus": tau, "seed": run_seed})
-                report.artifacts.append(ckpt.name)
-                accuracy = _eval_accuracy(params, run_seed, world, cfg)
-                probe_rows.append((run_seed, kind, float(tau), accuracy))
-                print(f"train {tag}: final_loss={log[-1].loss:.6f} accuracy={accuracy:.4f}")
+    for run in runs:
+        params, log = train(run, world)
+        kind, tau, run_seed = run.loss_kind, run.tau_plus, run.seed
+        tag = f"{kind}_tau{tau:g}_seed{run_seed}"
+        rows = [(rec.epoch, rec.loss, rec.wall_ms if report.timings else 0) for rec in log]
+        report.csv(f"train_log_{tag}.csv", TRAIN_LOG_HEADER, rows)
+        ckpt = report.out_dir / f"checkpoint_{tag}.json"
+        save_checkpoint(ckpt, params, report.hash,
+                        meta={"loss_kind": kind, "tau_plus": tau, "seed": run_seed})
+        report.artifacts.append(ckpt.name)
+        accuracy = _eval_accuracy(params, run_seed, world, cfg)
+        probe_rows.append((run_seed, kind, float(tau), accuracy))
+        print(f"train {tag}: final_loss={log[-1].loss:.6f} accuracy={accuracy:.4f}")
     report.csv("probe.csv", PROBE_HEADER, probe_rows)
     return report.finish()
 
@@ -290,14 +287,13 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
 
 
 def cmd_gradcheck(cfg: dict, report: RunReport) -> int:
-    kinds = ("biased", "debiased", "unbiased")
     floors = ("exp_floor", "zero_floor")
     taus = (0.0, 0.05, 0.1, 0.2)
     rows = []
     worst = 0.0
     for case in range(cfg["cases"]):
         rng = substream(cfg["seed"], 70, case)
-        kind = kinds[case % len(kinds)]
+        kind = LOSS_KINDS[case % len(LOSS_KINDS)]
         tau = 0.0 if kind == "biased" else taus[case % len(taus)]
         floor_mode = floors[case % len(floors)]
         b = int(rng.integers(2, 5))

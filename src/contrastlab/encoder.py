@@ -2,8 +2,8 @@
 
 The encoder maps input features to pre-normalized representations
 z = W x; the unit projection and everything after it live in the loss
-kernel.  Parameters are kept in plain arrays so gradients can share the
-same container.
+kernel.  Its one parameter is the weight matrix W, and a gradient is an
+``EncoderParams`` of the same shape.
 """
 
 from __future__ import annotations
@@ -35,24 +35,14 @@ def init_params(rng: np.random.Generator, feature_dim: int, embed_dim: int) -> E
     return EncoderParams(weights=w)
 
 
-def encoder_forward(params: EncoderParams, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Pre-normalized representations Z for inputs x (rows), plus a cache."""
-    x = np.asarray(x, dtype=np.float64)
-    return x @ params.weights.T, {"x": x}
+def encoder_forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
+    """Pre-normalized representations Z = x W^T for inputs x (rows)."""
+    return np.asarray(x, dtype=np.float64) @ params.weights.T
 
 
-def encoder_backward(params: EncoderParams, cache: dict, dz: np.ndarray) -> EncoderParams:
-    """Backpropagate dLoss/dZ to parameter gradients (same container shape)."""
-    return EncoderParams(weights=dz.T @ cache["x"])
-
-
-def flatten(params: EncoderParams) -> np.ndarray:
-    """A fresh 1-d copy of the parameters."""
-    return params.weights.flatten()
-
-
-def unflatten_like(params: EncoderParams, vec: np.ndarray) -> EncoderParams:
-    return EncoderParams(weights=vec.reshape(params.weights.shape))
+def encoder_backward(x: np.ndarray, dz: np.ndarray) -> EncoderParams:
+    """The weight gradient dLoss/dW = dZ^T x, given the inputs x and dLoss/dZ."""
+    return EncoderParams(weights=dz.T @ np.asarray(x, dtype=np.float64))
 
 
 @dataclass(frozen=True)

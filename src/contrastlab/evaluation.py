@@ -18,7 +18,6 @@ from .errors import BoundPreconditionViolated, SingleClassData
 from .losses import (
     asymptotic_debiased_exact,
     mean_classifier_loss,
-    mean_classifier_loss_data,
     mean_classifier_weights,
     softmax_cross_entropy,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "probe_accuracy",
     "mean_classifier_weights",
     "mean_classifier_loss",
-    "mean_classifier_loss_data",
     "lemma4_chain_check",
 ]
 

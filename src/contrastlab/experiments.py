@@ -17,8 +17,7 @@ from .worldmodel import sample_classes, sample_views
 
 
 def representations(params: EncoderParams, features: np.ndarray) -> np.ndarray:
-    z, _ = encoder_forward(params, features)
-    return unit_rows(z)
+    return unit_rows(encoder_forward(params, features))
 
 
 def direction_probe_accuracy(params: EncoderParams, seed: int, world, *,

@@ -17,6 +17,11 @@ h+ = exp(s+) and a denominator D built from negative-sample exponentials:
                summed with compensated arithmetic, and the condition number
                is reported.
 
+On a two-view training batch the first three are ``LOSS_KINDS``, computed
+by one forward pass, :func:`batch_terms`: the biased loss is the debiased
+one at tau+ = 0 with a zero floor, and the true-negative loss is the same
+expression over a different-class mask.
+
 Everything is evaluated with a max-subtraction shift so small temperatures
 cannot overflow, and all expectations over discrete mixtures are exact
 finite sums (multisets of i.i.d. draws are enumerated with multinomial
@@ -45,12 +50,8 @@ EXP_FLOOR = "exp_floor"
 ZERO_FLOOR = "zero_floor"
 FLOOR_MODES = (EXP_FLOOR, ZERO_FLOOR)
 
-KIND_BIASED = "biased"
-KIND_UNBIASED = "unbiased"
-KIND_DEBIASED_FIN = "debiased_fin"
-KIND_DEBIASED_ASYM = "debiased_asym"
-KIND_ORACLE = "oracle"
-KIND_SUPERVISED_MU = "supervised_mu"
+# The two-view batch losses a training step can differentiate.
+LOSS_KINDS = ("biased", "debiased", "unbiased")
 
 DEFAULT_ENUM_BUDGET = 1e7
 ORACLE_MAX_N = 8
@@ -61,10 +62,9 @@ _MAX_MULTISETS = 2_000_000
 
 @dataclass(frozen=True)
 class LossValue:
-    """A nonnegative loss with its family tag."""
+    """A nonnegative, finite loss value."""
 
     value: float
-    kind: str
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
@@ -135,9 +135,9 @@ def biased_loss_point(sim_pos: float, sims_neg, q: float | None = None) -> LossV
     c = max(float(sim_pos), float(sims_neg.max()))
     denom_tail = (q / n) * float(np.exp(sims_neg - c).sum())
     if denom_tail == 0.0:
-        return LossValue(0.0, KIND_BIASED)
+        return LossValue(0.0)
     value = math.log(math.exp(sim_pos - c) + denom_tail) + c - sim_pos
-    return LossValue(value, KIND_BIASED)
+    return LossValue(value)
 
 
 def estimator_floor(floor_mode: str, t: float, shift=0.0):
@@ -179,9 +179,9 @@ def debiased_loss_point(sim_pos: float, sims_u, sims_v, tau_plus: float,
                                    float(np.exp(sims_v - c).mean()),
                                    tau_plus, estimator_floor(floor_mode, t, c))
     if g_scaled <= 0.0:
-        return LossValue(0.0, KIND_DEBIASED_FIN)
+        return LossValue(0.0)
     value = math.log(math.exp(sim_pos - c) + n * g_scaled) + c - sim_pos
-    return LossValue(value, KIND_DEBIASED_FIN)
+    return LossValue(value)
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,6 @@ class BatchTerms:
     floored: np.ndarray       # (2B,) raw estimate strictly below the floor
     grad_active: np.ndarray   # (2B,) gradient flows through the estimator
     sims: np.ndarray          # (V, V) similarity matrix
-    shift: np.ndarray         # (2B,) per-role max-subtraction constant
     h_pos: np.ndarray         # (2B,) exp(s+ - c)
     denom: np.ndarray         # (2B,) shifted denominator h + N g (or h + T)
     exp_shift: np.ndarray     # (2B, V) exp(s - c)
@@ -210,8 +209,7 @@ class BatchTerms:
     partner: np.ndarray       # (2B,) partner column per role
     extra_cols: np.ndarray    # (2B, M-1) extra-positive columns per role
     n_negatives: int
-    kind: str
-    tau_plus: float
+    tau_plus: float           # 0 unless the kind is debiased
     temperature: float
     m_positives: int
 
@@ -220,18 +218,19 @@ def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
                 tau_plus: float, t: float, floor_mode: str = EXP_FLOOR,
                 labels: np.ndarray | None = None,
                 neg_pool_labels: np.ndarray | None = None) -> BatchTerms:
-    """Shared forward pass for all two-view batch losses.
+    """Shared forward pass for the batch losses of ``LOSS_KINDS``.
 
-    ``kind`` selects the denominator: "debiased_fin" uses the clamped estimator
-    with the partner as first positive sample, and "biased" is the tau+ = 0
-    special case of the same arithmetic.  "unbiased" draws on true
-    negatives instead (requires ``labels``): different-class views from the
-    fresh pool when one is stacked below the extras (``neg_pool_labels``
-    gives the pool's classes), otherwise the different-class primary views;
-    either way the sum is reweighted by N / N_available so the denominator
-    still estimates N times the mean true-negative exponential.
+    ``kind`` selects the denominator: "debiased" uses the clamped estimator
+    with the partner as first positive sample, and "biased" is its tau+ = 0,
+    zero-floor case.  "unbiased" draws on true negatives instead (requires
+    ``labels``): different-class views from the fresh pool when one is
+    stacked below the extras (``neg_pool_labels`` gives the pool's classes),
+    otherwise the different-class primary views; either way the sum is
+    reweighted by N / N_available so the denominator still estimates N times
+    the mean true-negative exponential.  Only the debiased kind reads
+    ``tau_plus`` and ``floor_mode``; every kind validates them.
     """
-    _check_params(floor_mode=floor_mode)
+    _check_params(tau_plus, t, floor_mode)
     f = np.asarray(f, dtype=np.float64)
     b = int(batch_size)
     m = int(m_positives)
@@ -242,13 +241,12 @@ def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
     pool = 0 if neg_pool_labels is None else len(neg_pool_labels)
     if f.shape[0] != (m + 1) * b + pool:
         raise ValueError(f"expected {(m + 1) * b + pool} view rows, got {f.shape[0]}")
-    if kind not in (KIND_BIASED, KIND_DEBIASED_FIN, KIND_UNBIASED):
-        raise ValueError(f"unknown batch loss kind {kind!r}")
-    if pool and kind != KIND_UNBIASED:
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"kind must be one of {LOSS_KINDS}, got {kind!r}")
+    if pool and kind != "unbiased":
         raise ValueError("a negative pool is only meaningful for the unbiased loss")
-    if kind == KIND_BIASED:
+    if kind != "debiased":
         tau_plus, floor_mode = 0.0, ZERO_FLOOR
-    _check_params(tau_plus, t)
 
     twob = 2 * b
     n_views = f.shape[0]
@@ -260,22 +258,19 @@ def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
     # Columns of this role's extra positive views: 2B + j*B + (r mod B).
     extra_cols = (twob + np.arange(m - 1)[None, :] * b + (roles % b)[:, None]).astype(np.intp)
 
-    if kind == KIND_UNBIASED:
+    neg_mask = np.zeros((twob, n_views), dtype=bool)
+    if kind == "unbiased":
         if labels is None:
             raise ValueError("unbiased batch loss needs anchor labels")
         lab = np.asarray(labels)[roles % b]
-        neg_mask = np.zeros((twob, n_views), dtype=bool)
         if pool:
             neg_mask[:, n_views - pool:] = lab[:, None] != np.asarray(neg_pool_labels)[None, :]
         else:
             neg_mask[:, :twob] = lab[:, None] != lab[None, :]
-            neg_mask[roles, roles] = False
-            neg_mask[roles, partner] = False
     else:
-        neg_mask = np.zeros((twob, n_views), dtype=bool)
         neg_mask[:, :twob] = True
-        neg_mask[roles, roles] = False
-        neg_mask[roles, partner] = False
+    neg_mask[roles, roles] = False
+    neg_mask[roles, partner] = False
 
     s_pos = sims[roles, partner]
     shift = np.where(neg_mask, sims[:twob], -np.inf).max(axis=1)
@@ -290,33 +285,29 @@ def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
     h_pos = exp_shift[roles, partner]
     sum_u = (exp_shift * neg_mask).sum(axis=1)
 
-    if kind == KIND_UNBIASED:
+    if kind == "unbiased":
         n_avail = neg_mask.sum(axis=1)
         if np.any(n_avail == 0):
             raise DegenerateClass("an anchor has no different-class negative available")
         neg_scale = n_neg / n_avail
         denom = h_pos + neg_scale * sum_u
-        losses = np.log(denom) + shift - s_pos
-        return BatchTerms(losses, np.zeros(twob, bool), np.ones(twob, bool), sims,
-                          shift, h_pos, denom, exp_shift, neg_mask, neg_scale,
-                          partner, extra_cols, n_neg, kind, tau_plus, t, m)
-
-    mean_u = sum_u / n_neg
-    if m > 1:
-        ext_vals = np.take_along_axis(exp_shift, extra_cols, axis=1)
-        mean_v = (h_pos + ext_vals.sum(axis=1)) / m
+        floored, grad_active = np.zeros(twob, bool), np.ones(twob, bool)
     else:
-        mean_v = h_pos
-    floor = estimator_floor(floor_mode, t, shift)
-    g_scaled, raw = clamped_estimate(mean_u, mean_v, tau_plus, floor)
-    floored = raw < floor
-    grad_active = raw > floor
-    denom = h_pos + n_neg * g_scaled
+        mean_u = sum_u / n_neg
+        if m > 1:
+            ext_vals = np.take_along_axis(exp_shift, extra_cols, axis=1)
+            mean_v = (h_pos + ext_vals.sum(axis=1)) / m
+        else:
+            mean_v = h_pos
+        floor = estimator_floor(floor_mode, t, shift)
+        g_scaled, raw = clamped_estimate(mean_u, mean_v, tau_plus, floor)
+        floored = raw < floor
+        grad_active = raw > floor
+        denom = h_pos + n_neg * g_scaled
+        neg_scale = np.full(twob, 1.0 / (1.0 - tau_plus))
     losses = np.log(denom) + shift - s_pos
-    neg_scale = np.full(twob, 1.0 / (1.0 - tau_plus))
-    return BatchTerms(losses, floored, grad_active, sims, shift, h_pos, denom,
-                      exp_shift, neg_mask, neg_scale, partner, extra_cols,
-                      n_neg, kind, tau_plus, t, m)
+    return BatchTerms(losses, floored, grad_active, sims, h_pos, denom, exp_shift,
+                      neg_mask, neg_scale, partner, extra_cols, n_neg, tau_plus, t, m)
 
 
 def debiased_loss_batch(view_a: np.ndarray, view_b: np.ndarray, tau_plus: float,
@@ -344,8 +335,8 @@ def debiased_loss_batch(view_a: np.ndarray, view_b: np.ndarray, tau_plus: float,
         m += extra_views.shape[0]
         stack.extend(extra_views)
     f = np.concatenate(stack, axis=0)
-    terms = batch_terms(f, view_a.shape[0], m, KIND_DEBIASED_FIN, tau_plus, t, floor_mode)
-    return LossValue(float(terms.losses.mean()), KIND_DEBIASED_FIN)
+    terms = batch_terms(f, view_a.shape[0], m, "debiased", tau_plus, t, floor_mode)
+    return LossValue(float(terms.losses.mean()))
 
 
 def _multiset_sums(weights: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -422,7 +413,7 @@ def unbiased_loss_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
         probs, sums = _multiset_sums(negative_dist(mix, a), expvec, n_neg)
         grid = _loss_grid(expvec, sims_row, (q / n_neg) * sums, shift)
         total += marg[a] * float(probs @ grid @ positive_dist(mix, a))
-    return LossValue(total, KIND_UNBIASED)
+    return LossValue(total)
 
 
 def _debiased_inner(marg: np.ndarray, pos: np.ndarray, expvec: np.ndarray,
@@ -461,7 +452,7 @@ def asymptotic_debiased_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
             )
         losses = np.log(expvec + q * inner) + shift - sims_row
         total += marg[a] * float(losses @ pos)
-    return LossValue(total, KIND_DEBIASED_ASYM)
+    return LossValue(total)
 
 
 def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,
@@ -502,7 +493,7 @@ def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: in
     value = _neumaier_sum(terms[order])
     abs_sum = float(np.abs(terms).sum())
     cond = abs_sum / abs(value) if value != 0.0 else math.inf
-    return OracleResult(LossValue(value, KIND_ORACLE), cond, tuple(terms))
+    return OracleResult(LossValue(value), cond, tuple(terms))
 
 
 def softmax_cross_entropy(logits: np.ndarray,
@@ -548,20 +539,4 @@ def mean_classifier_loss(embeddings: np.ndarray, mix: DiscreteClassMixture,
     f = np.asarray(embeddings, dtype=np.float64)
     mu = mix.class_conditionals @ f
     ce, _ = softmax_cross_entropy((f @ mu.T) / t, mix.labels)
-    return LossValue(float(marginal(mix) @ ce), KIND_SUPERVISED_MU)
-
-
-def mean_classifier_loss_data(representations: np.ndarray, labels: np.ndarray,
-                              t: float = 1.0,
-                              sample_weights: np.ndarray | None = None) -> LossValue:
-    """Empirical mean-classifier loss on a labeled representation set."""
-    reps = np.asarray(representations, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.intp)
-    if np.unique(labels).size < 2:
-        raise DegenerateClass("mean classifier needs at least two classes present")
-    weights = np.ones(labels.shape[0]) if sample_weights is None else \
-        np.asarray(sample_weights, dtype=np.float64)
-    weights = weights / weights.sum()
-    mu = mean_classifier_weights(reps, labels, int(labels.max()) + 1, weights)
-    ce, _ = softmax_cross_entropy((reps @ mu.T) / t, labels)
-    return LossValue(float(weights @ ce), KIND_SUPERVISED_MU)
+    return LossValue(float(marginal(mix) @ ce))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import LossSpec, loss_and_grad
-from .encoder import EncoderParams, ViewBatch, flatten, init_params, unflatten_like
+from .encoder import EncoderParams, ViewBatch, init_params
 from .errors import BatchTooSmall, ConfigError, DivergenceDetected
 from .geometry import unit_rows
 from .rng import substream
@@ -79,6 +79,7 @@ class TrainConfig:
             raise ConfigError("instance mode needs view_noise > 0")
         if not (0 <= self.tail_average <= self.epochs):
             raise ConfigError("tail_average must lie in [0, epochs]")
+        self.loss_spec()  # rejects a bad loss_kind, tau_plus, temperature or floor_mode
 
     def loss_spec(self) -> LossSpec:
         return LossSpec(kind=self.loss_kind, tau_plus=self.tau_plus,
@@ -179,18 +180,18 @@ def make_batches(dataset: TrainDataset, batch_size: int, m_positives: int,
 
 
 class _Optimizer:
-    """First-order updates on the flattened parameter vector."""
+    """First-order updates on the encoder weight matrix."""
 
-    def __init__(self, name: str, learning_rate: float, size: int) -> None:
+    def __init__(self, name: str, learning_rate: float, shape: tuple[int, ...]) -> None:
         self.name = name
         self.lr = learning_rate
-        self.momentum = np.zeros(size)
-        self.second = np.zeros(size)
+        self.momentum = np.zeros(shape)
+        self.second = np.zeros(shape)
         self.t = 0
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    def step(self, weights: np.ndarray, grad: np.ndarray) -> np.ndarray:
         if self.name == "sgd":
-            return theta - self.lr * grad
+            return weights - self.lr * grad
         # adaptive-moment estimation with standard constants
         b1, b2, eps = 0.9, 0.999, 1e-8
         self.t += 1
@@ -198,7 +199,7 @@ class _Optimizer:
         self.second = b2 * self.second + (1.0 - b2) * grad ** 2
         m_hat = self.momentum / (1.0 - b1 ** self.t)
         v_hat = self.second / (1.0 - b2 ** self.t)
-        return theta - self.lr * m_hat / (np.sqrt(v_hat) + eps)
+        return weights - self.lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def train(config: TrainConfig, world) -> tuple[EncoderParams, list[EpochRecord]]:
@@ -210,15 +211,14 @@ def train(config: TrainConfig, world) -> tuple[EncoderParams, list[EpochRecord]]
     dataset = build_dataset(world, config.dataset_size, substream(config.seed, 0),
                             anchor_mode=config.anchor_mode,
                             view_noise=config.view_noise)
-    params = init_params(substream(config.seed, 1), world.feature_dim, config.embed_dim)
+    weights = init_params(substream(config.seed, 1), world.feature_dim, config.embed_dim).weights
     spec = config.loss_spec()
-    theta = flatten(params)
-    opt = _Optimizer(config.optimizer, config.learning_rate, theta.size)
+    opt = _Optimizer(config.optimizer, config.learning_rate, weights.shape)
     # The true-negative trainer draws its negatives fresh from the world's
     # complement classes rather than reusing in-batch views.
     pool = 2 * (config.batch_size - 1) if config.loss_kind == "unbiased" else 0
     log: list[EpochRecord] = []
-    tail_sum = np.zeros_like(theta)
+    tail_sum = np.zeros_like(weights)
     tail_count = 0
     for epoch in range(config.epochs):
         tic = time.perf_counter()
@@ -226,20 +226,19 @@ def train(config: TrainConfig, world) -> tuple[EncoderParams, list[EpochRecord]]
         epoch_losses = []
         for batch in make_batches(dataset, config.batch_size, config.m_positives,
                                   batch_rng, negative_pool=pool):
-            params = unflatten_like(params, theta)
-            loss, grads = loss_and_grad(params, batch, spec)
+            loss, grads = loss_and_grad(EncoderParams(weights), batch, spec)
             if not np.isfinite(loss.value):
                 raise DivergenceDetected(f"non-finite loss at epoch {epoch}")
-            theta = opt.step(theta, flatten(grads))
+            weights = opt.step(weights, grads.weights)
             epoch_losses.append(loss.value)
         if config.epochs - epoch <= config.tail_average:
-            tail_sum += theta
+            tail_sum += weights
             tail_count += 1
         wall_ms = (time.perf_counter() - tic) * 1000.0
         log.append(EpochRecord(epoch=epoch, loss=float(np.mean(epoch_losses)), wall_ms=wall_ms))
     if tail_count:
-        theta = tail_sum / tail_count
-    return unflatten_like(params, theta), log
+        weights = tail_sum / tail_count
+    return EncoderParams(weights), log
 
 
 def save_checkpoint(path, params: EncoderParams, config_hash: str, meta: dict | None = None) -> None:

@@ -150,7 +150,7 @@ class TestFiniteDiffCheck:
         batch = ViewBatch(features=feats, batch_size=2, m_positives=1,
                           labels=np.array([0, 1]))
         params = EncoderParams(weights=np.eye(3))
-        f = unit_rows(encoder_forward(params, batch.features)[0])
+        f = unit_rows(encoder_forward(params, batch.features))
         sims = f @ f.T
         mean_u = float(np.exp(sims[0, [1, 3]]).mean())  # partner of role 0 is 2
         mean_v = float(np.exp(sims[0, 2]))

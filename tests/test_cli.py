@@ -147,6 +147,16 @@ class TestTrainCommand:
             assert getattr(config, key) == value, key
         assert (config.loss_kind, config.tau_plus, config.seed) == ("debiased", 0.1, 2)
 
+    @pytest.mark.parametrize("sets", [["loss_kinds=debiased,foo"],
+                                      ["loss_kinds=debiased", "tau_plus=0.1,1.5"]],
+                             ids=["bad-kind", "bad-tau"])
+    def test_invalid_sweep_writes_nothing(self, tmp_path, sets):
+        # The sweep's first run is valid; it must not train before the bad one is rejected.
+        overrides = [arg for item in sets for arg in ("--set", item)]
+        assert main(["train", "--out", str(tmp_path)] + overrides + FAST_TRAIN) == 2
+        assert not list(tmp_path.glob("train_log_*"))
+        assert not list(tmp_path.glob("checkpoint_*"))
+
     def test_emits_expected_artifacts(self, tmp_path):
         code = main(["train", "--out", str(tmp_path), "--seed", "2"] + FAST_TRAIN)
         assert code == 0

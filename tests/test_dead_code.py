@@ -32,11 +32,12 @@ def _scan_package():
     constant, and every (module, name) referenced.
 
     A bare name counts within its own module, ``from .module import name``
-    counts for that module, and an attribute access ``x.name`` counts for any
+    counts for that module when the importing module also uses ``name``
+    outside its imports, and an attribute access ``x.name`` counts for any
     module.  A definition's own body does not reach it, and ``__init__.py``,
     which only re-exports, reaches nothing.
     """
-    defined, referenced = [], set()
+    defined, referenced, imported = [], set(), []
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         for stmt in _parse(path).body:
@@ -60,7 +61,10 @@ def _scan_package():
                 elif isinstance(node, ast.Attribute) and node.attr != own:
                     referenced.add(("*", node.attr))
                 elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-                    referenced.update((node.module, alias.name) for alias in node.names)
+                    imported.extend((module, alias.asname or alias.name, node.module, alias.name)
+                                    for alias in node.names)
+    referenced.update((source, name) for module, local, source, name in imported
+                      if (module, local) in referenced)
     return defined, referenced
 
 

@@ -26,7 +26,6 @@ from contrastlab.losses import (
     debiased_loss_point,
     estimator_floor,
     mean_classifier_loss,
-    mean_classifier_loss_data,
     softmax_cross_entropy,
     unbiased_loss_exact,
 )
@@ -407,13 +406,6 @@ class TestSupervisedLosses:
         mix = random_mixture(substream(2), 8, 4)
         emb = np.eye(4)[mix.labels]
         assert mean_classifier_loss(emb, mix).value < math.log(4)
-
-    def test_data_variant_matches_mixture_on_weighted_points(self):
-        emb, mix = random_instance(13, s_points=6, k_classes=3, embed_dim=4)
-        exact = mean_classifier_loss(emb, mix).value
-        empirical = mean_classifier_loss_data(emb, mix.labels,
-                                              sample_weights=marginal(mix)).value
-        assert empirical == pytest.approx(exact, rel=1e-12)
 
     def test_rotation_invariance_supervised(self):
         emb, mix = random_instance(14, s_points=6, k_classes=3, embed_dim=5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from contrastlab.autograd import loss_and_grad
-from contrastlab.encoder import flatten, init_params
+from contrastlab.encoder import init_params
 from contrastlab.errors import BatchTooSmall, ConfigError
 from contrastlab.rng import substream
 from contrastlab.training import (
@@ -99,8 +99,8 @@ class TestTrain:
         dataset = build_dataset(world, cfg.dataset_size, substream(cfg.seed, 0))
         batch = make_batches(dataset, 32, 1, substream(cfg.seed, 2, 0))[0]
         _, grads = loss_and_grad(init, batch, cfg.loss_spec())
-        expected = flatten(init) - 0.05 * flatten(grads)
-        np.testing.assert_array_equal(flatten(params), expected)
+        expected = init.weights - 0.05 * grads.weights
+        np.testing.assert_array_equal(params.weights, expected)
 
     def test_seed_determinism_bit_identical(self):
         world = preset_sphere("sphere-k10")
