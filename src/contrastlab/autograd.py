@@ -52,8 +52,6 @@ class GradientReport:
     computed over coordinates not excluded by clamp straddling.
     """
 
-    analytic: np.ndarray
-    numeric: np.ndarray
     max_rel_err: float
     step: float
     excluded: tuple[int, ...] = field(default_factory=tuple)
@@ -135,5 +133,4 @@ def finite_diff_check(params: EncoderParams, batch: ViewBatch, spec: LossSpec,
         max_rel_err = float(np.abs(analytic[keep] - numeric[keep]).max()) / denom
     else:
         max_rel_err = 0.0
-    return GradientReport(analytic=analytic, numeric=numeric, max_rel_err=max_rel_err,
-                          step=step, excluded=tuple(excluded))
+    return GradientReport(max_rel_err=max_rel_err, step=step, excluded=tuple(excluded))

@@ -30,9 +30,9 @@ from .errors import ConfigError, ContrastLabError, NegativeDenominator
 from .evaluation import lemma4_chain_check
 from .experiments import direction_probe_accuracy
 from .geometry import unit_rows
-from .losses import LOSS_KINDS
+from .losses import LOSS_KINDS, kind_params
 from .rng import substream
-from .training import TrainConfig, load_checkpoint, run_tau_plus, save_checkpoint, train
+from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 from .verification import (
     SweepSpec,
     lemma1_certificate,
@@ -145,11 +145,13 @@ def cmd_train(cfg: dict, report: RunReport) -> int:
     world = _build_world(cfg)
     seeds = cfg["seeds"] or (cfg["seed"],)
     # Every run's config is built, and so checked, before the first one
-    # trains; dict.fromkeys keeps each distinct tau+ once, in sweep order.
+    # trains.  A run is labelled with the tau+ its kind computes with, and
+    # dict.fromkeys keeps each distinct one once, in sweep order.
     runs = [TrainConfig(loss_kind=kind, tau_plus=tau, seed=run_seed,
                         **{key: cfg[key] for key in TRAIN_RUN_KEYS})
             for kind in cfg["loss_kinds"]
-            for tau in dict.fromkeys(run_tau_plus(kind, tau) for tau in cfg["tau_plus"])
+            for tau in dict.fromkeys(kind_params(kind, tau, cfg["floor_mode"])[0]
+                                     for tau in cfg["tau_plus"])
             for run_seed in seeds]
     probe_rows = []
     for run in runs:
@@ -294,8 +296,8 @@ def cmd_gradcheck(cfg: dict, report: RunReport) -> int:
     for case in range(cfg["cases"]):
         rng = substream(cfg["seed"], 70, case)
         kind = LOSS_KINDS[case % len(LOSS_KINDS)]
-        tau = 0.0 if kind == "biased" else taus[case % len(taus)]
-        floor_mode = floors[case % len(floors)]
+        # Each row names the tau+ and floor its kind computed with.
+        tau, floor_mode = kind_params(kind, taus[case % len(taus)], floors[case % len(floors)])
         b = int(rng.integers(2, 5))
         m = int(rng.integers(1, 4))
         d = int(rng.integers(2, 5))

@@ -20,12 +20,15 @@ h+ = exp(s+) and a denominator D built from negative-sample exponentials:
 On a two-view training batch the first three are ``LOSS_KINDS``, computed
 by one forward pass, :func:`batch_terms`: the biased loss is the debiased
 one at tau+ = 0 with a zero floor, and the true-negative loss is the same
-expression over a different-class mask.
+expression over a different-class mask; :func:`kind_params` is that rule.
 
 Everything is evaluated with a max-subtraction shift so small temperatures
 cannot overflow, and all expectations over discrete mixtures are exact
 finite sums (multisets of i.i.d. draws are enumerated with multinomial
-weights, which regroups the tuple sum without changing its value).
+weights, which regroups the tuple sum without changing its value).  The
+exact expectations are at temperature 1 with Q = N, the convention under
+which the bounds they certify are stated; only the large-N limit, which
+has no N of its own, takes a Q.
 """
 
 from __future__ import annotations
@@ -101,6 +104,15 @@ def _check_params(tau_plus: float | None = None, t: float | None = None,
         raise ValueError("tau_plus must lie in [0, 1)")
     if t is not None and t <= 0.0:
         raise ValueError("temperature must be positive")
+
+
+def kind_params(kind: str, tau_plus: float, floor_mode: str) -> tuple[float, str]:
+    """The (tau+, floor_mode) a batch loss of ``kind`` computes with.
+
+    Only the debiased loss reads them: the biased loss is its tau+ = 0,
+    zero-floor case, and the true-negative loss has no estimator to clamp.
+    """
+    return (tau_plus, floor_mode) if kind == "debiased" else (0.0, ZERO_FLOOR)
 
 
 def _neumaier_sum(values: np.ndarray) -> float:
@@ -227,8 +239,8 @@ def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
     stacked below the extras (``neg_pool_labels`` gives the pool's classes),
     otherwise the different-class primary views; either way the sum is
     reweighted by N / N_available so the denominator still estimates N times
-    the mean true-negative exponential.  Only the debiased kind reads
-    ``tau_plus`` and ``floor_mode``; every kind validates them.
+    the mean true-negative exponential.  Every kind validates ``tau_plus``
+    and ``floor_mode`` and computes with :func:`kind_params`.
     """
     _check_params(tau_plus, t, floor_mode)
     f = np.asarray(f, dtype=np.float64)
@@ -245,8 +257,7 @@ def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
         raise ValueError(f"kind must be one of {LOSS_KINDS}, got {kind!r}")
     if pool and kind != "unbiased":
         raise ValueError("a negative pool is only meaningful for the unbiased loss")
-    if kind != "debiased":
-        tau_plus, floor_mode = 0.0, ZERO_FLOOR
+    tau_plus, floor_mode = kind_params(kind, tau_plus, floor_mode)
 
     twob = 2 * b
     n_views = f.shape[0]
@@ -311,9 +322,9 @@ def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
 
 
 def debiased_loss_batch(view_a: np.ndarray, view_b: np.ndarray, tau_plus: float,
-                        t: float, extra_views: np.ndarray | None = None,
-                        floor_mode: str = EXP_FLOOR) -> LossValue:
-    """Two-view batch debiased loss, averaged over all 2B anchor roles.
+                        t: float, extra_views: np.ndarray | None = None) -> LossValue:
+    """Two-view batch debiased loss with the exp floor, averaged over all 2B
+    anchor roles.
 
     Each of the 2B views is an anchor once: its partner view is the positive
     (and the first estimator positive), the other 2(B-1) primary views are
@@ -335,7 +346,7 @@ def debiased_loss_batch(view_a: np.ndarray, view_b: np.ndarray, tau_plus: float,
         m += extra_views.shape[0]
         stack.extend(extra_views)
     f = np.concatenate(stack, axis=0)
-    terms = batch_terms(f, view_a.shape[0], m, "debiased", tau_plus, t, floor_mode)
+    terms = batch_terms(f, view_a.shape[0], m, "debiased", tau_plus, t)
     return LossValue(float(terms.losses.mean()))
 
 
@@ -380,10 +391,10 @@ def _loss_grid(expvec: np.ndarray, sims_row: np.ndarray, tails: np.ndarray,
     return np.log(expvec[None, :] + tails[:, None]) + shift - sims_row[None, :]
 
 
-def _anchor_rows(embeddings: np.ndarray, marg: np.ndarray, t: float):
+def _anchor_rows(embeddings: np.ndarray, marg: np.ndarray):
     """Per anchor of positive mass: (index, sims row, shift, exp(row - shift))."""
     f = np.asarray(embeddings, dtype=np.float64)
-    sims = (f @ f.T) / t
+    sims = f @ f.T
     for a in range(marg.shape[0]):
         if marg[a] == 0.0:
             continue
@@ -392,26 +403,24 @@ def _anchor_rows(embeddings: np.ndarray, marg: np.ndarray, t: float):
 
 
 def unbiased_loss_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
-                        n_neg: int, q: float | None = None,
-                        t: float = 1.0, budget: float = DEFAULT_ENUM_BUDGET) -> LossValue:
+                        n_neg: int, budget: float = DEFAULT_ENUM_BUDGET) -> LossValue:
     """Exact expectation of the true-negative loss by full enumeration.
 
     Expectation over anchor ~ marginal, positive ~ anchor class, and N
-    i.i.d. negatives from the anchor's complement classes, with denominator
-    weight Q/N (Q defaults to N).  No Monte Carlo error.
+    i.i.d. negatives from the anchor's complement classes, whose
+    exponentials enter the denominator unweighted (Q = N).  No Monte Carlo
+    error.
     """
     if n_neg < 1:
         raise EmptyNegatives("unbiased loss needs N >= 1")
     if mix.n_classes < 2:
         raise DegenerateClass("unbiased loss needs K >= 2")
     _check_budget(mix.n_points, n_neg, budget)
-    if q is None:
-        q = float(n_neg)
     marg = marginal(mix)
     total = 0.0
-    for a, sims_row, shift, expvec in _anchor_rows(embeddings, marg, t):
+    for a, sims_row, shift, expvec in _anchor_rows(embeddings, marg):
         probs, sums = _multiset_sums(negative_dist(mix, a), expvec, n_neg)
-        grid = _loss_grid(expvec, sims_row, (q / n_neg) * sums, shift)
+        grid = _loss_grid(expvec, sims_row, sums, shift)
         total += marg[a] * float(probs @ grid @ positive_dist(mix, a))
     return LossValue(total)
 
@@ -424,8 +433,7 @@ def _debiased_inner(marg: np.ndarray, pos: np.ndarray, expvec: np.ndarray,
 
 
 def asymptotic_debiased_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
-                              q: float, tau_plus: float | None = None,
-                              t: float = 1.0) -> LossValue:
+                              q: float, tau_plus: float | None = None) -> LossValue:
     """Exact large-N limit of the debiased loss on a discrete mixture.
 
     For each anchor the inner expectation (E_p exp(s) - tau+ E_pos exp(s))
@@ -443,7 +451,7 @@ def asymptotic_debiased_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
         raise ValueError("q must be positive")
     marg = marginal(mix)
     total = 0.0
-    for a, sims_row, shift, expvec in _anchor_rows(embeddings, marg, t):
+    for a, sims_row, shift, expvec in _anchor_rows(embeddings, marg):
         pos = positive_dist(mix, a)
         inner = _debiased_inner(marg, pos, expvec, tau_plus)
         if inner <= 0.0:
@@ -456,7 +464,7 @@ def asymptotic_debiased_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
 
 
 def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,
-                    t: float = 1.0, budget: float = DEFAULT_ENUM_BUDGET) -> OracleResult:
+                    budget: float = DEFAULT_ENUM_BUDGET) -> OracleResult:
     """Inclusion-exclusion rewriting of the exact unbiased loss.
 
     value = (1/tau-)^N sum_k C(N,k) (-tau+)^k E[loss with k negatives from
@@ -476,7 +484,7 @@ def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: in
     tau_minus = mix.tau_minus
 
     inner = np.zeros(n_neg + 1)
-    for a, sims_row, shift, expvec in _anchor_rows(embeddings, marg, t):
+    for a, sims_row, shift, expvec in _anchor_rows(embeddings, marg):
         pos = positive_dist(mix, a)
         for k in range(n_neg + 1):
             probs_pos, sums_pos = _multiset_sums(pos, expvec, k)
@@ -526,11 +534,10 @@ def mean_classifier_weights(representations: np.ndarray, labels: np.ndarray,
     return w
 
 
-def mean_classifier_loss(embeddings: np.ndarray, mix: DiscreteClassMixture,
-                         t: float = 1.0) -> LossValue:
+def mean_classifier_loss(embeddings: np.ndarray, mix: DiscreteClassMixture) -> LossValue:
     """Exact supervised loss of the classifier whose rows are class means.
 
-    Logits for point x are f(x).mu_c / t with mu_c = E_{x ~ p(.|c)} f(x);
+    Logits for point x are f(x).mu_c with mu_c = E_{x ~ p(.|c)} f(x);
     the expectation over x ~ marginal is a finite sum.  Constant embeddings
     give exactly log K.
     """
@@ -538,5 +545,5 @@ def mean_classifier_loss(embeddings: np.ndarray, mix: DiscreteClassMixture,
         raise DegenerateClass("mean classifier loss needs K >= 2")
     f = np.asarray(embeddings, dtype=np.float64)
     mu = mix.class_conditionals @ f
-    ce, _ = softmax_cross_entropy((f @ mu.T) / t, mix.labels)
+    ce, _ = softmax_cross_entropy(f @ mu.T, mix.labels)
     return LossValue(float(marginal(mix) @ ce))

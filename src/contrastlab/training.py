@@ -6,7 +6,9 @@ is the schema of one run: the ``train`` command's per-run config keys are
 its fields, with its defaults.  The default optimizer is the adaptive-moment
 method at learning rate 0.001; plain SGD is kept because the single-step
 oracle test needs it.  The whole trajectory is deterministic given the
-seed: data, batches and init all come from named substreams.
+seed: data, batches and init all come from named substreams.  The
+true-negative loss's pool of fresh negatives is drawn like the dataset
+itself, by :func:`build_dataset` and one view per identity.
 """
 
 from __future__ import annotations
@@ -86,15 +88,6 @@ class TrainConfig:
                         temperature=self.temperature, floor_mode=self.floor_mode)
 
 
-def run_tau_plus(loss_kind: str, tau_plus: float) -> float:
-    """The tau+ a run of ``loss_kind`` trains with: only the debiased loss reads it.
-
-    The biased loss is the tau+ = 0 case and the true-negative loss has no
-    tau+, so their runs are labelled 0 and a tau+ sweep trains them once.
-    """
-    return tau_plus if loss_kind == "debiased" else 0.0
-
-
 @dataclass(frozen=True)
 class TrainDataset:
     """Fixed anchor identities; views are redrawn per batch.
@@ -142,24 +135,15 @@ def _draw_views(dataset: TrainDataset, idx: np.ndarray,
     return unit_rows(base + dataset.view_noise * rng.standard_normal(base.shape))
 
 
-def _fresh_views(dataset: TrainDataset, labels: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Views of freshly drawn identities with the given labels."""
-    views = sample_views(dataset.world, labels, rng)
-    if dataset.base_points is not None and dataset.view_noise > 0.0:
-        views = unit_rows(views + dataset.view_noise * rng.standard_normal(views.shape))
-    return views
-
-
 def make_batches(dataset: TrainDataset, batch_size: int, m_positives: int,
                  rng: np.random.Generator, negative_pool: int = 0) -> list[ViewBatch]:
     """One epoch of view-pair batches under a seeded permutation.
 
     Every batch carries two primary views plus (M-1) extra positive views
-    per anchor; ``negative_pool`` additionally stacks that many labeled
-    fresh views for the true-negative loss.  A trailing partial batch is
-    dropped, so batch_size == dataset size means exactly one batch per
-    epoch.
+    per anchor; ``negative_pool`` additionally stacks one view each of that
+    many freshly drawn, labeled identities for the true-negative loss.  A
+    trailing partial batch is dropped, so batch_size == dataset size means
+    exactly one batch per epoch.
     """
     if dataset.size < batch_size:
         raise BatchTooSmall(f"dataset size {dataset.size} < batch size {batch_size}")
@@ -170,8 +154,10 @@ def make_batches(dataset: TrainDataset, batch_size: int, m_positives: int,
         views = [_draw_views(dataset, idx, rng) for _ in range(m_positives + 1)]
         pool_labels = None
         if negative_pool:
-            pool_labels = sample_classes(dataset.world, negative_pool, rng)
-            views.append(_fresh_views(dataset, pool_labels, rng))
+            mode = "class" if dataset.base_points is None else "instance"
+            pool = build_dataset(dataset.world, negative_pool, rng, mode, dataset.view_noise)
+            views.append(_draw_views(pool, np.arange(negative_pool), rng))
+            pool_labels = pool.labels
         batches.append(ViewBatch(features=np.concatenate(views, axis=0),
                                  batch_size=batch_size, m_positives=m_positives,
                                  labels=dataset.labels[idx],

@@ -45,7 +45,8 @@ MIN_TRIALS = 1000
 class BoundCertificate:
     """Machine-checked record of one inequality instance.
 
-    passed <=> lhs <= rhs + slack, slack = 3 * mc_stderr + fp_tol.
+    passed <=> lhs <= rhs + slack, slack = 3 * mc_stderr + the floating-point
+    allowance ``fp_tol`` given to :func:`make_certificate`.
     """
 
     check: str
@@ -55,7 +56,6 @@ class BoundCertificate:
     trials: int
     passed: bool
     meta: dict = field(default_factory=dict)
-    fp_tol: float = 0.0
 
     def to_record(self) -> dict:
         return {
@@ -74,7 +74,7 @@ def make_certificate(check: str, lhs: float, rhs: float, mc_stderr: float, trial
     passed = lhs <= rhs + 3.0 * mc_stderr + fp_tol
     return BoundCertificate(check=check, lhs=float(lhs), rhs=float(rhs),
                             mc_stderr=float(mc_stderr), trials=trials,
-                            passed=bool(passed), meta=meta, fp_tol=fp_tol)
+                            passed=bool(passed), meta=meta)
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,13 @@ class MonteCarloDraws:
 def _draw_monte_carlo(embeddings: np.ndarray, mix: DiscreteClassMixture, trials: int,
                       stream: tuple[int, ...], *, marginal=(), negative=(),
                       positive=()) -> MonteCarloDraws:
-    """Draw a set from ``substream(*stream)`` holding the given sizes of each side."""
+    """Draw a set from ``substream(*stream)`` holding the given sizes of each side.
+
+    Fewer than ``MIN_TRIALS`` trials is an invalid configuration: the 3-sigma
+    slack of every certificate assumes the mean is near normal.
+    """
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials")
     sims, expm = _sims_and_exp(embeddings)
     rng = substream(*stream)
     anchors, positives = _draw_anchor_positive(mix, trials, rng)
@@ -242,8 +248,6 @@ def lemma1_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
     asymptotic true-negative loss is recorded in the metadata alongside the
     finite-N form actually certified.
     """
-    if trials < MIN_TRIALS:
-        raise ValueError(f"need at least {MIN_TRIALS} trials")
     if mix.n_classes < 2:
         raise DegenerateClass("certificate needs K >= 2")
     draws = _draw_monte_carlo(embeddings, mix, trials, (seed, 1),
@@ -285,8 +289,6 @@ def theorem3_draws(embeddings: np.ndarray, mix: DiscreteClassMixture, n_grid, m_
     same embeddings, mixture, trials and seed, and any N of ``n_grid`` and M
     of ``m_grid``.
     """
-    if trials < MIN_TRIALS:
-        raise ValueError(f"need at least {MIN_TRIALS} trials")
     return _draw_monte_carlo(embeddings, mix, trials, (seed, 2),
                              marginal=n_grid, positive=m_grid)
 

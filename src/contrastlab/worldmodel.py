@@ -310,16 +310,10 @@ def save_mixture(mix: DiscreteClassMixture, path) -> None:
 
 def load_mixture(path) -> DiscreteClassMixture:
     """Parse a mixture definition file written by :func:`save_mixture`."""
-    entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
+    # Imported here: config imports training, which imports this module.
+    from .config import load_config_file
+
+    entries = load_config_file(path)
     known = {"format_version", "tau_plus", "labels", "prior", "points", "conditionals"}
     unknown = set(entries) - known
     if unknown:

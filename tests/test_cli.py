@@ -32,6 +32,7 @@ INVALID_VALUES = {
     "floor-mode": ["train", "--set", "floor_mode=bogus"] + FAST_TRAIN,
     "train-tau": ["train", "--set", "tau_plus=1.5"] + FAST_TRAIN,
     "gradcheck-step": ["gradcheck", "--set", "step=1"],
+    "rate-trials": ["verify", "rate", "--set", "trials=10"],
 }
 
 
@@ -368,6 +369,15 @@ class TestGradcheckCommand:
         assert len(rows) == 13
         assert all(float(r.split(",")[5]) <= 1e-6 for r in rows[1:])
 
+    def test_rows_name_what_each_kind_computed_with(self, tmp_path):
+        # Only the debiased loss reads tau+ and the floor; the others compute
+        # at tau+ = 0 with the zero floor, and their rows must say so.
+        assert main(["gradcheck", "--out", str(tmp_path), "--set", "cases=12"]) == 0
+        rows = [r.split(",") for r in (tmp_path / "gradcheck.csv").read_text().splitlines()[1:]]
+        others = [row[2:4] for row in rows if row[1] != "debiased"]
+        assert len(others) == 8
+        assert all(cells == ["0.0", "zero_floor"] for cells in others)
+        assert {row[3] for row in rows if row[1] == "debiased"} == {"exp_floor", "zero_floor"}
 
     @pytest.mark.parametrize("seed,cases", [(6, 158), (12, 50)])
     def test_zero_loss_cases_pass(self, tmp_path, seed, cases):

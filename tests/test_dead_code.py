@@ -5,7 +5,8 @@ A private function or constant needs a reference in the package.  A public
 function, class or constant needs one too, or else a reader outside the
 package that is not a unit test: the acceptance tests, the shared test
 helpers or the benchmark.  A constant is a module-level name in UPPER_CASE,
-with or without a leading underscore.
+with or without a leading underscore.  An optional parameter needs a call,
+anywhere in the package, the tests or the benchmark, that sets it.
 """
 
 import ast
@@ -107,6 +108,68 @@ def test_every_constant_is_reached():
                  + _unreached(public, referenced, _outside_names()))
     assert not unreached, ("constants that no other package code, acceptance test or "
                            f"benchmark file reaches: {unreached}")
+
+
+def _optional_parameters():
+    """(module, function, parameter, line, index) of every parameter with a
+    default in every package function and method.  ``index`` is the
+    parameter's position among a call's positional arguments, ``None`` for
+    keyword-only ones; a method's ``self`` is not counted, and an
+    ``__init__`` is called by its class's name."""
+    optional = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        classes = {id(item): node.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            owner = classes.get(id(node))
+            name = owner if owner and node.name == "__init__" else node.name
+            positional = node.args.posonlyargs + node.args.args
+            bound = int(owner is not None)
+            for i in range(len(positional) - len(node.args.defaults), len(positional)):
+                optional.append((path.stem, name, positional[i].arg, node.lineno, i - bound))
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    optional.append((path.stem, name, arg.arg, node.lineno, None))
+    return optional
+
+
+def _calls_by_name():
+    """Every call in the package, the tests and the benchmark, keyed by the
+    name it calls: ``f(...)`` and ``x.f(...)`` both count for ``f``."""
+    calls = {}
+    for path in [*sorted(PACKAGE.glob("*.py")), *sorted(TESTS.glob("*.py")),
+                 *sorted((TESTS.parent / "perfbench").glob("*.py"))]:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call, parameter, index):
+    """Whether ``call`` passes ``parameter``: by keyword, through ``**``, or
+    positionally, by holding argument ``index`` or a ``*`` argument."""
+    if any(kw.arg in (parameter, None) for kw in call.keywords):
+        return True
+    return index is not None and any(i == index or isinstance(arg, ast.Starred)
+                                     for i, arg in enumerate(call.args))
+
+
+def test_every_optional_parameter_is_set():
+    # An option that every caller leaves at its default is a constant.
+    # Unit tests count as setters, because a reference implementation keeps
+    # parameters that only the tests comparing against it vary.
+    optional = _optional_parameters()
+    assert optional, "scan found no optional parameters; is the package path right?"
+    calls = _calls_by_name()
+    unset = [f"{module}.py:{line} {function}({parameter})"
+             for module, function, parameter, line, index in optional
+             if not any(_sets(call, parameter, index) for call in calls.get(function, []))]
+    assert not unset, f"optional parameters that no call sets: {unset}"
 
 
 def test_every_public_definition_is_reached():
