@@ -3,13 +3,15 @@
 The chain is closed-form: similarity scores -> (clamped) denominator
 estimator -> per-anchor loss -> batch mean, then back through the unit
 projection via its Jacobian and through the encoder.  One formula serves
-every kind of ``losses.LOSS_KINDS``: the biased and true-negative losses
-reach it with tau+ = 0, so the extra-positive path drops out, and the
-true-negative loss has no clamp.  On anchors where the estimator sits on
-its floor the gradient through the unlabeled and extra positive
-similarities is zero while the positive-pair path is retained; at exact
-equality with the floor we take the floored branch, matching the
-right-continuous subgradient of max and typical autodiff behavior.
+every kind of ``losses.LOSS_KINDS``, because ``batch_terms`` hands back the
+denominator as weights on the shifted exponentials: role r's loss is
+log(sum_j w_rj e_rj) - s+ (up to the shift), so its derivative in s_rj is
+w_rj e_rj / denom_r minus the partner indicator.  On anchors where the
+estimator sits on its floor the weights are the partner indicator alone, so
+the gradient through the unlabeled and extra positive similarities is zero
+while the positive-pair path is retained; at exact equality with the floor
+we take the floored branch, matching the right-continuous subgradient of
+max and typical autodiff behavior.
 
 A central-finite-difference harness verifies the whole chain; coordinates
 whose +/- step evaluations land on different sides of the clamp are
@@ -74,29 +76,14 @@ def loss_and_grad(params: EncoderParams, batch: ViewBatch,
                                spec.tau_plus, spec.temperature, spec.floor_mode,
                                batch.labels, batch.neg_pool_labels)
     twob = 2 * batch.batch_size
-    n_views = f.shape[0]
-    roles = np.arange(twob)
 
-    # d(loss_r)/d(similarity) coefficients, averaged over the 2B anchor roles.
-    grad_sims = np.zeros((n_views, n_views))
-    inv_d = 1.0 / terms.denom
-    active = terms.grad_active.astype(np.float64)
-    m = terms.m_positives
-    v_coef = active * terms.n_negatives * terms.tau_plus / ((1.0 - terms.tau_plus) * m)
-    d_pos = terms.h_pos * (1.0 - v_coef) * inv_d - 1.0
-    # A zero clamped estimate (zero_floor) makes the loss exactly 0 here;
-    # h * (1/h) - 1 would leave round-off where the derivative is 0.
-    d_pos = np.where(terms.denom == terms.h_pos, 0.0, d_pos)
-    d_neg = (active * terms.neg_scale * inv_d)[:, None] * terms.exp_shift * terms.neg_mask
-    if m > 1:
-        ext_vals = np.take_along_axis(terms.exp_shift, terms.extra_cols, axis=1)
-        d_ext = -(v_coef * inv_d)[:, None] * ext_vals
-        np.add.at(grad_sims, (roles[:, None], terms.extra_cols), d_ext / twob)
-    grad_sims[:twob, :] += d_neg / twob
-    grad_sims[roles, terms.partner] += d_pos / twob
-
-    # s_ij = f_i . f_j / t  =>  dL/dF = (G + G^T) F / t.
-    d_f = (grad_sims + grad_sims.T) @ f / terms.temperature
+    # G = d(mean loss)/d(f_r . f_j) over the 2B anchor rows r and all views j.
+    grad = terms.weights * terms.exp_shift / terms.denom[:, None]
+    grad[np.arange(twob), terms.partner] -= 1.0
+    grad /= twob * spec.temperature
+    # Each f_r . f_j moves f_j by G_rj f_r and f_r by G_rj f_j.
+    d_f = grad.T @ f[:twob]
+    d_f[:twob] += grad @ f
     # Unit projection: dL/dz = (dL/df - (dL/df . f) f) / ||z||.
     norms = np.linalg.norm(z, axis=1)
     d_z = (d_f - (d_f * f).sum(axis=1, keepdims=True) * f) / norms[:, None]

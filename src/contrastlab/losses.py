@@ -111,7 +111,10 @@ def kind_params(kind: str, tau_plus: float, floor_mode: str) -> tuple[float, str
 
     Only the debiased loss reads them: the biased loss is its tau+ = 0,
     zero-floor case, and the true-negative loss has no estimator to clamp.
+    Both are validated for every kind, so an invalid value is never mapped
+    away.
     """
+    _check_params(tau_plus, floor_mode=floor_mode)
     return (tau_plus, floor_mode) if kind == "debiased" else (0.0, ZERO_FLOOR)
 
 
@@ -207,23 +210,21 @@ class BatchTerms:
     views (or the different-class pool views), so N = 2(B-1); its positive
     set is the partner plus its own identity's extra views.  Everything is
     shifted by a per-role max c so small temperatures cannot overflow.
+
+    ``weights`` is the whole kind-specific rule: role r's denominator is
+    sum_j weights[r, j] * exp_shift[r, j], so a backward pass needs nothing
+    else.  Where the clamp binds, the row is the partner indicator.
     """
 
     losses: np.ndarray        # (2B,) per-role loss value
     floored: np.ndarray       # (2B,) raw estimate strictly below the floor
-    grad_active: np.ndarray   # (2B,) gradient flows through the estimator
-    sims: np.ndarray          # (V, V) similarity matrix
+    sims: np.ndarray          # (2B, V) similarities of the anchor rows
     h_pos: np.ndarray         # (2B,) exp(s+ - c)
     denom: np.ndarray         # (2B,) shifted denominator h + N g (or h + T)
     exp_shift: np.ndarray     # (2B, V) exp(s - c)
     neg_mask: np.ndarray      # (2B, V) negative columns per role
-    neg_scale: np.ndarray     # (2B,) weight on each negative exponential
     partner: np.ndarray       # (2B,) partner column per role
-    extra_cols: np.ndarray    # (2B, M-1) extra-positive columns per role
-    n_negatives: int
-    tau_plus: float           # 0 unless the kind is debiased
-    temperature: float
-    m_positives: int
+    weights: np.ndarray       # (2B, V) coefficient of each exp(s - c) in denom
 
 
 def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
@@ -241,8 +242,14 @@ def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
     reweighted by N / N_available so the denominator still estimates N times
     the mean true-negative exponential.  Every kind validates ``tau_plus``
     and ``floor_mode`` and computes with :func:`kind_params`.
+
+    All three are one weighted sum h + N g = sum_j w_j exp(s_j - c), with
+    tau- = 1 - tau+: w = 1/tau- on each negative (N / N_available for
+    "unbiased"), 1 - N tau+ / (tau- M) on the partner, -N tau+ / (tau- M) on
+    each extra positive and 0 elsewhere.  The clamp g >= floor is then
+    denom = max(sum, h + N floor).
     """
-    _check_params(tau_plus, t, floor_mode)
+    _check_params(t=t)
     f = np.asarray(f, dtype=np.float64)
     b = int(batch_size)
     m = int(m_positives)
@@ -262,12 +269,12 @@ def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
     twob = 2 * b
     n_views = f.shape[0]
     n_neg = twob - 2
-    sims = (f @ f.T) / t
+    sims = (f[:twob] @ f.T) / t
     roles = np.arange(twob)
     partner = (roles + b) % twob
 
     # Columns of this role's extra positive views: 2B + j*B + (r mod B).
-    extra_cols = (twob + np.arange(m - 1)[None, :] * b + (roles % b)[:, None]).astype(np.intp)
+    extra_cols = twob + np.arange(m - 1)[None, :] * b + (roles % b)[:, None]
 
     neg_mask = np.zeros((twob, n_views), dtype=bool)
     if kind == "unbiased":
@@ -283,42 +290,37 @@ def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
     neg_mask[roles, roles] = False
     neg_mask[roles, partner] = False
 
-    s_pos = sims[roles, partner]
-    shift = np.where(neg_mask, sims[:twob], -np.inf).max(axis=1)
-    shift = np.maximum(shift, s_pos)
-    if m > 1:
-        shift = np.maximum(shift, np.take_along_axis(sims[:twob], extra_cols, axis=1).max(axis=1))
-
-    # Used columns sit at or below the shift; the clip only tames unused
-    # entries (e.g. self-similarity at 1/t), which would otherwise overflow
-    # and poison the masked sums with inf * 0.
-    exp_shift = np.exp(np.minimum(sims[:twob] - shift[:, None], 700.0))
-    h_pos = exp_shift[roles, partner]
-    sum_u = (exp_shift * neg_mask).sum(axis=1)
-
     if kind == "unbiased":
         n_avail = neg_mask.sum(axis=1)
         if np.any(n_avail == 0):
             raise DegenerateClass("an anchor has no different-class negative available")
-        neg_scale = n_neg / n_avail
-        denom = h_pos + neg_scale * sum_u
-        floored, grad_active = np.zeros(twob, bool), np.ones(twob, bool)
+        neg_weight = (n_neg / n_avail)[:, None]
     else:
-        mean_u = sum_u / n_neg
-        if m > 1:
-            ext_vals = np.take_along_axis(exp_shift, extra_cols, axis=1)
-            mean_v = (h_pos + ext_vals.sum(axis=1)) / m
-        else:
-            mean_v = h_pos
-        floor = estimator_floor(floor_mode, t, shift)
-        g_scaled, raw = clamped_estimate(mean_u, mean_v, tau_plus, floor)
-        floored = raw < floor
-        grad_active = raw > floor
-        denom = h_pos + n_neg * g_scaled
-        neg_scale = np.full(twob, 1.0 / (1.0 - tau_plus))
+        neg_weight = 1.0 / (1.0 - tau_plus)
+    v_coef = n_neg * tau_plus / ((1.0 - tau_plus) * m)
+    weights = np.where(neg_mask, neg_weight, 0.0)
+    weights[roles[:, None], extra_cols] = -v_coef
+    weights[roles, partner] = 1.0 - v_coef
+
+    s_pos = sims[roles, partner]
+    shift = np.maximum(np.where(weights != 0.0, sims, -np.inf).max(axis=1), s_pos)
+
+    # Used columns sit at or below the shift; the clip only tames unused
+    # entries (e.g. self-similarity at 1/t), which would otherwise overflow
+    # and poison the weighted sums with inf * 0.
+    exp_shift = np.exp(np.minimum(sims - shift[:, None], 700.0))
+    h_pos = exp_shift[roles, partner]
+    raw = (weights * exp_shift).sum(axis=1)
+    floor = h_pos + n_neg * estimator_floor(floor_mode, t, shift)
+    floored = raw < floor
+    # At equality the floored branch is taken: the right-continuous
+    # subgradient of max, as autodiff would.
+    clamped = raw <= floor
+    weights[clamped] = 0.0
+    weights[roles[clamped], partner[clamped]] = 1.0
+    denom = np.maximum(raw, floor)
     losses = np.log(denom) + shift - s_pos
-    return BatchTerms(losses, floored, grad_active, sims, h_pos, denom, exp_shift,
-                      neg_mask, neg_scale, partner, extra_cols, n_neg, tau_plus, t, m)
+    return BatchTerms(losses, floored, sims, h_pos, denom, exp_shift, neg_mask, partner, weights)
 
 
 def debiased_loss_batch(view_a: np.ndarray, view_b: np.ndarray, tau_plus: float,
@@ -367,9 +369,8 @@ def _multiset_sums(weights: np.ndarray, values: np.ndarray, n: int) -> tuple[np.
         itertools.chain.from_iterable(itertools.combinations_with_replacement(range(support.size), n)),
         dtype=np.intp, count=n_rows * n,
     ).reshape(n_rows, n)
-    counts = np.zeros((n_rows, support.size), dtype=np.int64)
-    for j in range(n):
-        np.add.at(counts, (np.arange(n_rows), combos[:, j]), 1)
+    counts = np.bincount((np.arange(n_rows)[:, None] * support.size + combos).ravel(),
+                         minlength=n_rows * support.size).reshape(n_rows, -1)
     logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
     log_coef = logfact[n] - logfact[counts].sum(axis=1)
     log_prob = counts @ np.log(weights[support])

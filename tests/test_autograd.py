@@ -41,6 +41,20 @@ class TestLossAndGrad:
         report = finite_diff_check(params, batch, spec, step=1e-6)
         assert report.max_rel_err <= 1e-6
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_true_negative_pool_matches_finite_differences(self, m):
+        # The pool rows and the extra positives enter only as columns.
+        b, pool = 3, 5
+        for case in range(5):
+            rng = substream(zlib.crc32(repr(("pool", m, case)).encode()))
+            batch = ViewBatch(features=rng.standard_normal(((m + 1) * b + pool, 5)),
+                              batch_size=b, m_positives=m, labels=np.array([0, 1, 2]),
+                              neg_pool_labels=np.array([0, 1, 2, 0, 1]))
+            params = init_params(rng, 5, 3)
+            spec = LossSpec(kind="unbiased", temperature=0.6)
+            report = finite_diff_check(params, batch, spec, step=1e-6)
+            assert report.max_rel_err <= 1e-6
+
     def test_floored_branch_kills_negative_paths(self):
         # Engineer g to floor for every anchor: tight positive pairs, distant
         # anchors, and a large tau+ make the raw estimate negative.  The

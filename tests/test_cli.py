@@ -149,8 +149,9 @@ class TestTrainCommand:
         assert (config.loss_kind, config.tau_plus, config.seed) == ("debiased", 0.1, 2)
 
     @pytest.mark.parametrize("sets", [["loss_kinds=debiased,foo"],
-                                      ["loss_kinds=debiased", "tau_plus=0.1,1.5"]],
-                             ids=["bad-kind", "bad-tau"])
+                                      ["loss_kinds=debiased", "tau_plus=0.1,1.5"],
+                                      ["loss_kinds=biased", "tau_plus=1.5"]],
+                             ids=["bad-kind", "bad-tau", "bad-tau-biased"])
     def test_invalid_sweep_writes_nothing(self, tmp_path, sets):
         # The sweep's first run is valid; it must not train before the bad one is rejected.
         overrides = [arg for item in sets for arg in ("--set", item)]

@@ -19,6 +19,7 @@ from contrastlab.losses import (
     EXP_FLOOR,
     ZERO_FLOOR,
     asymptotic_debiased_exact,
+    batch_terms,
     biased_loss_point,
     binomial_oracle,
     clamped_estimate,
@@ -245,6 +246,31 @@ class TestDebiasedLossBatch:
         for t in (0.05, 0.01, 0.004):
             val = debiased_loss_batch(va, vb, tau_plus=0.1, t=t).value
             assert math.isfinite(val) and val >= 0.0
+
+
+class TestTrueNegativeBatch:
+    @pytest.mark.parametrize("pool", [0, 7], ids=["in-batch", "pool"])
+    def test_each_role_matches_biased_point_loss(self, pool):
+        # Role r's true-negative loss is the point loss over the views of
+        # another class (from the pool when one is stacked, else from the
+        # primary views), reweighted to Q = N = 2(B-1).  Extra positives are
+        # stacked too, and must not count.
+        gen = substream(82 + pool)
+        b, m, t = 4, 2, 0.7
+        labels = np.array([0, 1, 0, 2])
+        pool_labels = np.array([0, 1, 2, 0, 1, 2, 1])[:pool]
+        f = random_unit_rows(gen, (m + 1) * b + pool, 5)
+        terms = batch_terms(f, b, m, "unbiased", 0.0, t, labels=labels,
+                            neg_pool_labels=pool_labels if pool else None)
+        sims = f @ f.T / t
+        if pool:
+            cols, col_labels = np.arange((m + 1) * b, (m + 1) * b + pool), pool_labels
+        else:
+            cols, col_labels = np.arange(2 * b), labels[np.arange(2 * b) % b]
+        for r in range(2 * b):
+            negs = sims[r, cols[col_labels != labels[r % b]]]
+            expected = biased_loss_point(sims[r, (r + b) % (2 * b)], negs, q=2 * (b - 1)).value
+            assert terms.losses[r] == pytest.approx(expected, abs=1e-12)
 
 
 def _mc_unbiased(emb, mix, n_neg, trials, seed):
