@@ -26,24 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses
-from .encoder import EncoderParams, ViewBatch, encoder_backward, encoder_forward
+from .encoder import ViewBatch, encoder_backward, encoder_forward
 from .geometry import unit_rows
-from .losses import EXP_FLOOR, LOSS_KINDS, LossValue, _check_params
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """Which batch objective to differentiate, and its hyperparameters."""
-
-    kind: str = "debiased"
-    tau_plus: float = 0.0
-    temperature: float = 1.0
-    floor_mode: str = EXP_FLOOR
-
-    def __post_init__(self) -> None:
-        if self.kind not in LOSS_KINDS:
-            raise ValueError(f"kind must be one of {LOSS_KINDS}, got {self.kind!r}")
-        _check_params(self.tau_plus, self.temperature, self.floor_mode)
+from .losses import LossSpec
 
 
 @dataclass(frozen=True)
@@ -59,22 +44,22 @@ class GradientReport:
     excluded: tuple[int, ...] = field(default_factory=tuple)
 
 
-def batch_loss_terms(params: EncoderParams, batch: ViewBatch, spec: LossSpec) -> losses.BatchTerms:
-    """Forward pass only: per-anchor losses plus clamp flags."""
-    f = unit_rows(encoder_forward(params, batch.features))
-    return losses.batch_terms(f, batch.batch_size, batch.m_positives, spec.kind,
-                              spec.tau_plus, spec.temperature, spec.floor_mode,
-                              batch.labels, batch.neg_pool_labels)
-
-
-def loss_and_grad(params: EncoderParams, batch: ViewBatch,
-                  spec: LossSpec) -> tuple[LossValue, EncoderParams]:
-    """Batch loss and its exact gradient w.r.t. the encoder weights."""
-    z = encoder_forward(params, batch.features)
+def _forward(weights: np.ndarray, batch: ViewBatch,
+             spec: LossSpec) -> tuple[np.ndarray, np.ndarray, losses.BatchTerms]:
+    z = encoder_forward(weights, batch.features)
     f = unit_rows(z)
-    terms = losses.batch_terms(f, batch.batch_size, batch.m_positives, spec.kind,
-                               spec.tau_plus, spec.temperature, spec.floor_mode,
-                               batch.labels, batch.neg_pool_labels)
+    return z, f, losses.batch_terms(f, batch, spec)
+
+
+def batch_loss_terms(weights: np.ndarray, batch: ViewBatch, spec: LossSpec) -> losses.BatchTerms:
+    """Forward pass only: per-anchor losses plus clamp flags."""
+    return _forward(weights, batch, spec)[2]
+
+
+def loss_and_grad(weights: np.ndarray, batch: ViewBatch,
+                  spec: LossSpec) -> tuple[float, np.ndarray]:
+    """Mean batch loss and its exact gradient w.r.t. the encoder weights."""
+    z, f, terms = _forward(weights, batch, spec)
     twob = 2 * batch.batch_size
 
     # G = d(mean loss)/d(f_r . f_j) over the 2B anchor rows r and all views j.
@@ -87,10 +72,10 @@ def loss_and_grad(params: EncoderParams, batch: ViewBatch,
     # Unit projection: dL/dz = (dL/df - (dL/df . f) f) / ||z||.
     norms = np.linalg.norm(z, axis=1)
     d_z = (d_f - (d_f * f).sum(axis=1, keepdims=True) * f) / norms[:, None]
-    return LossValue(float(terms.losses.mean())), encoder_backward(batch.features, d_z)
+    return float(terms.losses.mean()), encoder_backward(batch.features, d_z)
 
 
-def finite_diff_check(params: EncoderParams, batch: ViewBatch, spec: LossSpec,
+def finite_diff_check(weights: np.ndarray, batch: ViewBatch, spec: LossSpec,
                       step: float = 1e-6) -> GradientReport:
     """Central differences per weight against the analytic gradient.
 
@@ -99,17 +84,16 @@ def finite_diff_check(params: EncoderParams, batch: ViewBatch, spec: LossSpec,
     """
     if not (1e-8 <= step <= 1e-3):
         raise ValueError("step must lie in [1e-8, 1e-3]")
-    _, grads = loss_and_grad(params, batch, spec)
-    analytic = grads.weights.flatten()
-    weights = params.weights
+    _, grad = loss_and_grad(weights, batch, spec)
+    analytic = grad.flatten()
     numeric = np.zeros(weights.size)
     excluded: list[int] = []
     for i in range(weights.size):
         bumped = weights.copy()
         bumped.flat[i] = weights.flat[i] + step
-        terms_hi = batch_loss_terms(EncoderParams(bumped), batch, spec)
+        terms_hi = batch_loss_terms(bumped, batch, spec)
         bumped.flat[i] = weights.flat[i] - step
-        terms_lo = batch_loss_terms(EncoderParams(bumped), batch, spec)
+        terms_lo = batch_loss_terms(bumped, batch, spec)
         numeric[i] = (terms_hi.losses.mean() - terms_lo.losses.mean()) / (2.0 * step)
         if not np.array_equal(terms_hi.floored, terms_lo.floored):
             excluded.append(i)

@@ -23,14 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import LossSpec, finite_diff_check
+from .autograd import finite_diff_check
 from .config import SCHEMA_VERSION, TRAIN_RUN_KEYS, config_hash, render_value, resolve
-from .encoder import EncoderParams, ViewBatch, init_params
+from .encoder import ViewBatch, init_params
 from .errors import ConfigError, ContrastLabError, NegativeDenominator
 from .evaluation import lemma4_chain_check
 from .experiments import direction_probe_accuracy
 from .geometry import unit_rows
-from .losses import LOSS_KINDS, kind_params
+from .losses import LOSS_KINDS, LossSpec, kind_params
 from .rng import substream
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 from .verification import (
@@ -134,10 +134,10 @@ def _build_world(cfg: dict):
     raise ConfigError(f"unknown world {cfg['world']!r}; expected sphere | discrete")
 
 
-def _eval_accuracy(params: EncoderParams, seed: int, world, cfg: dict) -> float:
+def _eval_accuracy(weights: np.ndarray, seed: int, world, cfg: dict) -> float:
     """Linear-probe accuracy of the frozen encoder at the config's eval sizes."""
     return direction_probe_accuracy(
-        params, seed, world, fit_size=cfg["eval_train_size"],
+        weights, seed, world, fit_size=cfg["eval_train_size"],
         replicas=cfg["eval_replicas"], test_size=cfg["eval_test_size"])
 
 
@@ -155,16 +155,16 @@ def cmd_train(cfg: dict, report: RunReport) -> int:
             for run_seed in seeds]
     probe_rows = []
     for run in runs:
-        params, log = train(run, world)
+        weights, log = train(run, world)
         kind, tau, run_seed = run.loss_kind, run.tau_plus, run.seed
         tag = f"{kind}_tau{tau:g}_seed{run_seed}"
         rows = [(rec.epoch, rec.loss, rec.wall_ms if report.timings else 0) for rec in log]
         report.csv(f"train_log_{tag}.csv", TRAIN_LOG_HEADER, rows)
         ckpt = report.out_dir / f"checkpoint_{tag}.json"
-        save_checkpoint(ckpt, params, report.hash,
+        save_checkpoint(ckpt, weights, report.hash,
                         meta={"loss_kind": kind, "tau_plus": tau, "seed": run_seed})
         report.artifacts.append(ckpt.name)
-        accuracy = _eval_accuracy(params, run_seed, world, cfg)
+        accuracy = _eval_accuracy(weights, run_seed, world, cfg)
         probe_rows.append((run_seed, kind, float(tau), accuracy))
         print(f"train {tag}: final_loss={log[-1].loss:.6f} accuracy={accuracy:.4f}")
     report.csv("probe.csv", PROBE_HEADER, probe_rows)
@@ -175,13 +175,13 @@ def cmd_probe(cfg: dict, report: RunReport) -> int:
     if not cfg["checkpoint"]:
         raise ConfigError("probe needs key 'checkpoint'")
     world = _build_world(cfg)
-    params, payload = load_checkpoint(cfg["checkpoint"])
+    weights, payload = load_checkpoint(cfg["checkpoint"])
     # The row is labelled with what the checkpoint was trained as.
     meta = payload.get("meta", {})
     missing = [key for key in ("loss_kind", "tau_plus") if key not in meta]
     if missing:
         raise ConfigError(f"checkpoint {cfg['checkpoint']} meta lacks {missing}")
-    accuracy = _eval_accuracy(params, cfg["seed"], world, cfg)
+    accuracy = _eval_accuracy(weights, cfg["seed"], world, cfg)
     report.csv("probe.csv", PROBE_HEADER,
                [(cfg["seed"], meta["loss_kind"], float(meta["tau_plus"]), accuracy)])
     print(f"probe: accuracy={accuracy:.4f}")
@@ -305,10 +305,10 @@ def cmd_gradcheck(cfg: dict, report: RunReport) -> int:
         labels = np.concatenate(([0, 1], rng.integers(0, 3, size=b - 2)))
         batch = ViewBatch(features=rng.standard_normal(((m + 1) * b, feat)),
                           batch_size=b, m_positives=m, labels=labels)
-        params = init_params(rng, feat, d)
+        weights = init_params(rng, feat, d)
         spec = LossSpec(kind=kind, tau_plus=tau, temperature=float(rng.uniform(0.2, 1.5)),
                         floor_mode=floor_mode)
-        rep = finite_diff_check(params, batch, spec, step=cfg["step"])
+        rep = finite_diff_check(weights, batch, spec, step=cfg["step"])
         rows.append((case, kind, tau, floor_mode, rep.step, rep.max_rel_err,
                      len(rep.excluded)))
         worst = max(worst, rep.max_rel_err)

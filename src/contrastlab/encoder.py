@@ -1,9 +1,9 @@
 """Trainable linear encoder and view batches.
 
-The encoder maps input features to pre-normalized representations
-z = W x; the unit projection and everything after it live in the loss
-kernel.  Its one parameter is the weight matrix W, and a gradient is an
-``EncoderParams`` of the same shape.
+The encoder is its d x m weight matrix W, a plain array mapping input
+features to pre-normalized representations z = W x; the unit projection and
+everything after it live in the loss kernel.  Weights enter the program from
+:func:`init_params` or from ``training.load_checkpoint``, which checks them.
 """
 
 from __future__ import annotations
@@ -12,37 +12,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class EncoderParams:
-    """Encoder weights: ``weights`` (d x m) maps m input features into d
-    embedding dimensions."""
-
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "weights", w)
-        if w.ndim != 2 or w.shape[0] < 2:
-            raise ValueError("weights must be 2-d with output dimension >= 2")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
+from .errors import BatchTooSmall
 
 
-def init_params(rng: np.random.Generator, feature_dim: int, embed_dim: int) -> EncoderParams:
+def init_params(rng: np.random.Generator, feature_dim: int, embed_dim: int) -> np.ndarray:
     """Gaussian init scaled by 1/sqrt(fan-in)."""
-    w = rng.standard_normal((embed_dim, feature_dim)) / np.sqrt(feature_dim)
-    return EncoderParams(weights=w)
+    return rng.standard_normal((embed_dim, feature_dim)) / np.sqrt(feature_dim)
 
 
-def encoder_forward(params: EncoderParams, x: np.ndarray) -> np.ndarray:
+def encoder_forward(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Pre-normalized representations Z = x W^T for inputs x (rows)."""
-    return np.asarray(x, dtype=np.float64) @ params.weights.T
+    return np.asarray(x, dtype=np.float64) @ weights.T
 
 
-def encoder_backward(x: np.ndarray, dz: np.ndarray) -> EncoderParams:
+def encoder_backward(x: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """The weight gradient dLoss/dW = dZ^T x, given the inputs x and dLoss/dZ."""
-    return EncoderParams(weights=dz.T @ np.asarray(x, dtype=np.float64))
+    return dz.T @ np.asarray(x, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -53,7 +38,8 @@ class ViewBatch:
     views (group j of anchor i at row 2B + j*B + i), then an optional pool
     of fresh negative views.  ``labels`` carries the B anchor classes; the
     unbiased loss needs them (and ``neg_pool_labels`` when a pool is
-    present), the others ignore them.
+    present), the others ignore them.  Construction checks B >= 2, M >= 1,
+    the row count and the label shape.
     """
 
     features: np.ndarray
@@ -63,6 +49,10 @@ class ViewBatch:
     neg_pool_labels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if self.batch_size < 2:
+            raise BatchTooSmall("need at least two anchors per batch")
+        if self.m_positives < 1:
+            raise ValueError("m_positives must be >= 1")
         feats = np.asarray(self.features, dtype=np.float64)
         object.__setattr__(self, "features", feats)
         pool = 0 if self.neg_pool_labels is None else len(self.neg_pool_labels)

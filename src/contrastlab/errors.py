@@ -9,6 +9,10 @@ class ZeroVector(ContrastLabError):
     """A vector with (numerically) zero norm cannot be normalized."""
 
 
+class NonFiniteVector(ContrastLabError):
+    """A vector whose norm is not finite (NaN, inf, overflow) cannot be normalized."""
+
+
 class InvalidTable(ContrastLabError):
     """A class-conditional table is not row-stochastic."""
 

@@ -9,20 +9,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoder import EncoderParams, encoder_forward
+from .encoder import encoder_forward
 from .evaluation import linear_probe, probe_accuracy
 from .geometry import unit_rows
 from .rng import substream
 from .worldmodel import sample_classes, sample_views
 
 
-def representations(params: EncoderParams, features: np.ndarray) -> np.ndarray:
-    return unit_rows(encoder_forward(params, features))
+def representations(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
+    return unit_rows(encoder_forward(weights, features))
 
 
-def direction_probe_accuracy(params: EncoderParams, seed: int, world, *,
+def direction_probe_accuracy(weights: np.ndarray, seed: int, world, *,
                              fit_size: int, replicas: int, test_size: int) -> float:
-    """Held-out linear-probe accuracy of a frozen encoder.
+    """Held-out linear-probe accuracy of the frozen encoder ``weights``.
 
     Each replica fits the probe on an independent labeled sample of the
     world and scores it on another.  Accuracy is averaged over ``replicas``
@@ -36,10 +36,10 @@ def direction_probe_accuracy(params: EncoderParams, seed: int, world, *,
         rng = substream(seed, 10, rep)
         fit_labels = sample_classes(world, fit_size, rng)
         fit_feats = sample_views(world, fit_labels, rng)
-        probe = linear_probe(representations(params, fit_feats), fit_labels)
+        probe = linear_probe(representations(weights, fit_feats), fit_labels)
         rng = substream(seed, 11, rep)
         test_labels = sample_classes(world, test_size, rng)
         test_feats = sample_views(world, test_labels, rng)
         accs.append(probe_accuracy(probe.probe_weights,
-                                   representations(params, test_feats), test_labels))
+                                   representations(weights, test_feats), test_labels))
     return float(np.mean(accs))

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoder import ViewBatch
 from .errors import (
-    BatchTooSmall,
     BudgetExceeded,
     DegenerateClass,
     EmptyNegatives,
@@ -102,8 +102,23 @@ def _check_params(tau_plus: float | None = None, t: float | None = None,
         raise ValueError(f"floor_mode must be one of {FLOOR_MODES}, got {floor_mode!r}")
     if tau_plus is not None and not (0.0 <= tau_plus < 1.0):
         raise ValueError("tau_plus must lie in [0, 1)")
-    if t is not None and t <= 0.0:
+    if t is not None and not t > 0.0:  # NaN fails too
         raise ValueError("temperature must be positive")
+
+
+@dataclass(frozen=True)
+class LossSpec:
+    """Which batch objective to compute, and its hyperparameters, all checked here."""
+
+    kind: str = "debiased"
+    tau_plus: float = 0.0
+    temperature: float = 1.0
+    floor_mode: str = EXP_FLOOR
+
+    def __post_init__(self) -> None:
+        if self.kind not in LOSS_KINDS:
+            raise ValueError(f"kind must be one of {LOSS_KINDS}, got {self.kind!r}")
+        _check_params(self.tau_plus, self.temperature, self.floor_mode)
 
 
 def kind_params(kind: str, tau_plus: float, floor_mode: str) -> tuple[float, str]:
@@ -227,21 +242,19 @@ class BatchTerms:
     weights: np.ndarray       # (2B, V) coefficient of each exp(s - c) in denom
 
 
-def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
-                tau_plus: float, t: float, floor_mode: str = EXP_FLOOR,
-                labels: np.ndarray | None = None,
-                neg_pool_labels: np.ndarray | None = None) -> BatchTerms:
+def batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
     """Shared forward pass for the batch losses of ``LOSS_KINDS``.
 
-    ``kind`` selects the denominator: "debiased" uses the clamped estimator
-    with the partner as first positive sample, and "biased" is its tau+ = 0,
-    zero-floor case.  "unbiased" draws on true negatives instead (requires
-    ``labels``): different-class views from the fresh pool when one is
-    stacked below the extras (``neg_pool_labels`` gives the pool's classes),
-    otherwise the different-class primary views; either way the sum is
-    reweighted by N / N_available so the denominator still estimates N times
-    the mean true-negative exponential.  Every kind validates ``tau_plus``
-    and ``floor_mode`` and computes with :func:`kind_params`.
+    ``f`` holds the unit embeddings of ``batch``'s view rows, in its layout.
+    ``spec.kind`` selects the denominator: "debiased" uses the clamped
+    estimator with the partner as first positive sample, and "biased" is its
+    tau+ = 0, zero-floor case.  "unbiased" draws on true negatives instead
+    (requires ``batch.labels``): different-class views from the fresh pool
+    when one is stacked below the extras (``batch.neg_pool_labels`` gives
+    the pool's classes), otherwise the different-class primary views; either
+    way the sum is reweighted by N / N_available so the denominator still
+    estimates N times the mean true-negative exponential.  Every kind
+    computes with the (tau+, floor) of :func:`kind_params`.
 
     All three are one weighted sum h + N g = sum_j w_j exp(s_j - c), with
     tau- = 1 - tau+: w = 1/tau- on each negative (N / N_available for
@@ -249,22 +262,14 @@ def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
     each extra positive and 0 elsewhere.  The clamp g >= floor is then
     denom = max(sum, h + N floor).
     """
-    _check_params(t=t)
     f = np.asarray(f, dtype=np.float64)
-    b = int(batch_size)
-    m = int(m_positives)
-    if b < 2:
-        raise BatchTooSmall("need at least two anchors per batch")
-    if m < 1:
-        raise ValueError("m_positives must be >= 1")
-    pool = 0 if neg_pool_labels is None else len(neg_pool_labels)
-    if f.shape[0] != (m + 1) * b + pool:
-        raise ValueError(f"expected {(m + 1) * b + pool} view rows, got {f.shape[0]}")
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"kind must be one of {LOSS_KINDS}, got {kind!r}")
+    if f.shape[0] != batch.features.shape[0]:
+        raise ValueError(f"expected {batch.features.shape[0]} view rows, got {f.shape[0]}")
+    b, m, kind, t = batch.batch_size, batch.m_positives, spec.kind, spec.temperature
+    pool = 0 if batch.neg_pool_labels is None else len(batch.neg_pool_labels)
     if pool and kind != "unbiased":
         raise ValueError("a negative pool is only meaningful for the unbiased loss")
-    tau_plus, floor_mode = kind_params(kind, tau_plus, floor_mode)
+    tau_plus, floor_mode = kind_params(kind, spec.tau_plus, spec.floor_mode)
 
     twob = 2 * b
     n_views = f.shape[0]
@@ -278,11 +283,11 @@ def batch_terms(f: np.ndarray, batch_size: int, m_positives: int, kind: str,
 
     neg_mask = np.zeros((twob, n_views), dtype=bool)
     if kind == "unbiased":
-        if labels is None:
+        if batch.labels is None:
             raise ValueError("unbiased batch loss needs anchor labels")
-        lab = np.asarray(labels)[roles % b]
+        lab = batch.labels[roles % b]
         if pool:
-            neg_mask[:, n_views - pool:] = lab[:, None] != np.asarray(neg_pool_labels)[None, :]
+            neg_mask[:, n_views - pool:] = lab[:, None] != batch.neg_pool_labels[None, :]
         else:
             neg_mask[:, :twob] = lab[:, None] != lab[None, :]
     else:
@@ -337,18 +342,15 @@ def debiased_loss_batch(view_a: np.ndarray, view_b: np.ndarray, tau_plus: float,
     view_b = np.asarray(view_b, dtype=np.float64)
     if view_a.shape != view_b.shape or view_a.ndim != 2:
         raise ValueError("view_a and view_b must both be (B, d)")
-    if view_a.shape[0] < 2:
-        raise BatchTooSmall("need at least two anchors per batch")
     stack = [view_a, view_b]
-    m = 1
     if extra_views is not None:
         extra_views = np.asarray(extra_views, dtype=np.float64)
         if extra_views.ndim != 3 or extra_views.shape[1:] != view_a.shape:
             raise ValueError("extra_views must be (M-1, B, d)")
-        m += extra_views.shape[0]
         stack.extend(extra_views)
     f = np.concatenate(stack, axis=0)
-    terms = batch_terms(f, view_a.shape[0], m, "debiased", tau_plus, t)
+    batch = ViewBatch(features=f, batch_size=view_a.shape[0], m_positives=len(stack) - 1)
+    terms = batch_terms(f, batch, LossSpec(kind="debiased", tau_plus=tau_plus, temperature=t))
     return LossValue(float(terms.losses.mean()))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import LossSpec, loss_and_grad
-from .encoder import EncoderParams, ViewBatch, init_params
+from .encoder import ViewBatch, init_params
 from .errors import BatchTooSmall, ConfigError, DivergenceDetected
 from .geometry import unit_rows
 from .rng import substream
@@ -62,7 +62,7 @@ class TrainConfig:
     embed_dim: int = 16
     anchor_mode: str = "class"  # class | instance
     view_noise: float = 0.0  # instance-mode augmentation scale
-    tail_average: int = 0  # average the params over the last k epochs
+    tail_average: int = 0  # average the weights over the last k epochs
 
     def __post_init__(self) -> None:
         if self.batch_size < 2:
@@ -75,6 +75,8 @@ class TrainConfig:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
         if self.m_positives < 1:
             raise ConfigError("m_positives must be >= 1")
+        if self.embed_dim < 2:
+            raise ConfigError("embed_dim must be >= 2")
         if self.anchor_mode not in ("class", "instance"):
             raise ConfigError("anchor_mode must be class | instance")
         if self.anchor_mode == "instance" and not self.view_noise > 0.0:
@@ -188,16 +190,17 @@ class _Optimizer:
         return weights - self.lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def train(config: TrainConfig, world) -> tuple[EncoderParams, list[EpochRecord]]:
-    """Run the configured training and return final params plus the log.
+def train(config: TrainConfig, world) -> tuple[np.ndarray, list[EpochRecord]]:
+    """Run the configured training and return the final weights plus the log.
 
     Substreams: (seed, 0) dataset, (seed, 1) parameter init, (seed, 2, epoch)
-    batches, so the trajectory is bit-reproducible.
+    batches, so the trajectory is bit-reproducible.  A non-finite step loss
+    raises :class:`DivergenceDetected`.
     """
     dataset = build_dataset(world, config.dataset_size, substream(config.seed, 0),
                             anchor_mode=config.anchor_mode,
                             view_noise=config.view_noise)
-    weights = init_params(substream(config.seed, 1), world.feature_dim, config.embed_dim).weights
+    weights = init_params(substream(config.seed, 1), world.feature_dim, config.embed_dim)
     spec = config.loss_spec()
     opt = _Optimizer(config.optimizer, config.learning_rate, weights.shape)
     # The true-negative trainer draws its negatives fresh from the world's
@@ -212,11 +215,11 @@ def train(config: TrainConfig, world) -> tuple[EncoderParams, list[EpochRecord]]
         epoch_losses = []
         for batch in make_batches(dataset, config.batch_size, config.m_positives,
                                   batch_rng, negative_pool=pool):
-            loss, grads = loss_and_grad(EncoderParams(weights), batch, spec)
-            if not np.isfinite(loss.value):
+            loss, grad = loss_and_grad(weights, batch, spec)
+            if not np.isfinite(loss):
                 raise DivergenceDetected(f"non-finite loss at epoch {epoch}")
-            weights = opt.step(weights, grads.weights)
-            epoch_losses.append(loss.value)
+            weights = opt.step(weights, grad)
+            epoch_losses.append(loss)
         if config.epochs - epoch <= config.tail_average:
             tail_sum += weights
             tail_count += 1
@@ -224,15 +227,15 @@ def train(config: TrainConfig, world) -> tuple[EncoderParams, list[EpochRecord]]
         log.append(EpochRecord(epoch=epoch, loss=float(np.mean(epoch_losses)), wall_ms=wall_ms))
     if tail_count:
         weights = tail_sum / tail_count
-    return EncoderParams(weights), log
+    return weights, log
 
 
-def save_checkpoint(path, params: EncoderParams, config_hash: str, meta: dict | None = None) -> None:
-    """Versioned JSON dump of encoder parameters plus the config hash."""
+def save_checkpoint(path, weights: np.ndarray, config_hash: str, meta: dict | None = None) -> None:
+    """Versioned JSON dump of the encoder weight matrix plus the config hash."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
-        "weights": params.weights.tolist(),
+        "weights": weights.tolist(),
         "meta": meta or {},
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -240,9 +243,17 @@ def save_checkpoint(path, params: EncoderParams, config_hash: str, meta: dict | 
         fh.write("\n")
 
 
-def load_checkpoint(path) -> tuple[EncoderParams, dict]:
+def load_checkpoint(path) -> tuple[np.ndarray, dict]:
+    """A checkpoint's payload and its weights, checked as input from outside."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"checkpoint version {payload.get('format_version')} != {CHECKPOINT_VERSION}")
-    return EncoderParams(weights=np.array(payload["weights"])), payload
+    version = payload.get("format_version") if isinstance(payload, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"checkpoint version {version} != {CHECKPOINT_VERSION}")
+    try:
+        weights = np.asarray(payload.get("weights"), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint {path} weights are not a numeric matrix") from exc
+    if weights.ndim != 2 or weights.shape[0] < 2 or not np.all(np.isfinite(weights)):
+        raise ConfigError(f"checkpoint {path} weights must be a finite d x m matrix, d >= 2")
+    return weights, payload

@@ -81,6 +81,8 @@ class DiscreteClassMixture:
 
         if points.ndim != 2:
             raise InvalidTable("points must be a (S, m) array")
+        if not np.all(np.isfinite(points)):
+            raise InvalidTable("points must be finite")
         s_points = points.shape[0]
         k = prior.shape[0]
         if labels.shape != (s_points,):
@@ -92,8 +94,10 @@ class DiscreteClassMixture:
         if labels.min() < 0 or labels.max() >= k:
             raise LabelMismatch("labels must lie in 0..K-1")
 
-        if np.any(table < 0.0):
-            raise InvalidTable("conditional probabilities must be nonnegative")
+        # Range checks are written so that NaN, which fails every comparison,
+        # fails them; +inf fails the sum checks.
+        if not np.all(table >= 0.0):
+            raise InvalidTable("conditional probabilities must be nonnegative numbers")
         rowsums = table.sum(axis=1)
         if np.any(np.abs(rowsums - 1.0) > DIST_TOL):
             raise InvalidTable(f"conditional rows must sum to 1, got {rowsums!r}")
@@ -104,7 +108,7 @@ class DiscreteClassMixture:
         if np.any((table * support).sum(axis=1) <= 0.0):
             raise LabelMismatch("every class needs at least one support point")
 
-        if np.any(prior < 0.0) or abs(prior.sum() - 1.0) > DIST_TOL:
+        if not (np.all(prior >= 0.0) and abs(prior.sum() - 1.0) <= DIST_TOL):
             raise PriorMismatch("prior must be a probability vector")
         uniform = bool(np.max(np.abs(prior - 1.0 / k)) <= DIST_TOL)
         object.__setattr__(self, "_uniform_prior", uniform)
@@ -159,11 +163,12 @@ class SphereMixture:
         prior.setflags(write=False)
         if means.ndim != 2 or means.shape[0] != prior.shape[0]:
             raise InvalidTable("class_means must be (K, m) matching the prior")
-        if np.max(np.abs(np.linalg.norm(means, axis=1) - 1.0)) > 1e-9:
-            raise InvalidTable("class means must be unit-norm")
+        # As in DiscreteClassMixture, NaN must fail each range check.
+        if not np.all(np.abs(np.linalg.norm(means, axis=1) - 1.0) <= 1e-9):
+            raise InvalidTable("class means must be finite and unit-norm")
         if not self.noise_scale > 0.0:
             raise InvalidTable("noise_scale must be positive")
-        if np.any(prior < 0.0) or abs(prior.sum() - 1.0) > DIST_TOL:
+        if not (np.all(prior >= 0.0) and abs(prior.sum() - 1.0) <= DIST_TOL):
             raise PriorMismatch("prior must be a probability vector")
 
     @property

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, artifact schemas, and byte-level determinism."""
 
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -19,8 +20,9 @@ FAST_TRAIN = [
     "--set", "eval_test_size=64",
 ]
 
-# Values each library layer rejects with ValueError, plus negative seeds,
-# which the config rejects: every one is an invalid configuration.
+# Values each library layer rejects with ValueError or a typed error, plus
+# negative seeds, which the config rejects: every one is an invalid
+# configuration.  An override after FAST_TRAIN wins over its value.
 INVALID_VALUES = {
     "negative-seed": ["verify", "oracle", "--seed", "-1"],
     "negative-run-seed": ["train", "--set", "seeds=1,-2"] + FAST_TRAIN,
@@ -33,6 +35,10 @@ INVALID_VALUES = {
     "train-tau": ["train", "--set", "tau_plus=1.5"] + FAST_TRAIN,
     "gradcheck-step": ["gradcheck", "--set", "step=1"],
     "rate-trials": ["verify", "rate", "--set", "trials=10"],
+    "embed-dim": ["train"] + FAST_TRAIN + ["--set", "embed_dim=1"],
+    # The weights overflow, and their representations' norms with them.
+    "train-overflow": ["train"] + FAST_TRAIN + ["--set", "optimizer=sgd",
+                                                "--set", "learning_rate=1e300"],
 }
 
 
@@ -250,6 +256,26 @@ class TestProbeCommand:
         assert code == 2
         assert "checkpoint version 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["non-finite", "one-d", "one-row", "not-an-object"])
+    def test_bad_checkpoint_exits_2(self, tmp_path, capsys, bad):
+        train_out = tmp_path / "t"
+        main(["train", "--out", str(train_out), "--seed", "2"] + FAST_TRAIN)
+        ckpt = next(train_out.glob("checkpoint_*.json"))
+        payload = json.loads(ckpt.read_text())
+        if bad == "non-finite":
+            payload["weights"][1][2] = float("nan")
+        elif bad == "one-d":
+            payload["weights"] = payload["weights"][0]
+        elif bad == "one-row":
+            payload["weights"] = payload["weights"][:1]
+        else:
+            payload = payload["weights"]
+        ckpt.write_text(json.dumps(payload))
+        code = main(["probe", "--out", str(tmp_path / "p"), "--set", f"checkpoint={ckpt}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("checkpoint version None" if bad == "not-an-object" else "weights") in err
+
     def test_label_keys_are_not_config(self, tmp_path, capsys):
         for key in ("loss_kind", "tau_plus"):
             assert main(["probe", "--out", str(tmp_path), "--set", f"{key}=0"]) == 2
@@ -411,3 +437,14 @@ class TestGenDataCommand:
                      "--set", f"mixture_file={tmp_path / 'mixture.txt'}",
                      "--set", "temperature=1.0"] + FAST_TRAIN)
         assert code == 0
+
+    def test_nan_in_mixture_file_exits_2(self, tmp_path, capsys):
+        main(["gen-data", "--out", str(tmp_path), "--set", "preset=paper-uniform"])
+        path = tmp_path / "mixture.txt"
+        path.write_text(re.sub(r"^points = \S+", "points = nan", path.read_text(), flags=re.M))
+        code = main(["train", "--out", str(tmp_path / "run"), "--seed", "2",
+                     "--set", "world=discrete", "--set", "preset=",
+                     "--set", f"mixture_file={path}", "--set", "temperature=1.0"] + FAST_TRAIN)
+        assert code == 2
+        assert "InvalidTable" in capsys.readouterr().err
+        assert not list((tmp_path / "run").glob("train_log_*"))

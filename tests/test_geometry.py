@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contrastlab.errors import ZeroVector
+from contrastlab.encoder import ViewBatch
+from contrastlab.errors import NonFiniteVector, ZeroVector
 from contrastlab.geometry import unit_rows
-from contrastlab.losses import batch_terms
+from contrastlab.losses import LossSpec, batch_terms
 
 from conftest import random_orthogonal
 
@@ -39,7 +40,9 @@ def similarities(rows, t) -> np.ndarray:
     computes it for a batch whose two views are those rows."""
     f = unit_rows(np.asarray(rows, dtype=np.float64))
     n = f.shape[0]
-    return batch_terms(np.concatenate([f, f]), n, 1, "biased", 0.0, t).sims[:n, :n]
+    views = np.concatenate([f, f])
+    batch = ViewBatch(features=views, batch_size=n, m_positives=1)
+    return batch_terms(views, batch, LossSpec(kind="biased", temperature=t)).sims[:n, :n]
 
 
 def similarity(a, b, t) -> float:
@@ -61,6 +64,12 @@ class TestNormalize:
             unit_rows(np.array([[1.0, 2.0], [0.0, 0.0]]))
         with pytest.raises(ZeroVector):
             unit_rows(np.array([[1e-301, 0.0]]))
+
+    def test_non_finite_norm_rejected(self):
+        # The norm of [1e300, 1e300] overflows, and x / inf would be a zero row.
+        for row in ([1e300, 1e300], [np.nan, 1.0], [np.inf, 0.0]):
+            with pytest.raises(NonFiniteVector):
+                unit_rows(np.array([[1.0, 2.0], row]))
 
     def test_idempotent(self, rng):
         once = unit_rows(rng.standard_normal((4, 8)))
@@ -127,6 +136,10 @@ class TestSimilarity:
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
             similarity([1.0, 0.0], [1.0, 0.0], 0.0)
+
+    def test_nan_temperature_rejected(self):
+        with pytest.raises(ValueError, match="temperature"):
+            similarity([1.0, 0.0], [1.0, 0.0], float("nan"))
 
     def test_bounded_by_inverse_temperature(self, rng):
         for t in (0.05, 0.5, 2.0):

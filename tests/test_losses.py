@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from contrastlab.encoder import ViewBatch
 from contrastlab.errors import (
     BudgetExceeded,
     DegenerateClass,
@@ -18,6 +19,7 @@ from contrastlab.errors import (
 from contrastlab.losses import (
     EXP_FLOOR,
     ZERO_FLOOR,
+    LossSpec,
     asymptotic_debiased_exact,
     batch_terms,
     biased_loss_point,
@@ -260,8 +262,9 @@ class TestTrueNegativeBatch:
         labels = np.array([0, 1, 0, 2])
         pool_labels = np.array([0, 1, 2, 0, 1, 2, 1])[:pool]
         f = random_unit_rows(gen, (m + 1) * b + pool, 5)
-        terms = batch_terms(f, b, m, "unbiased", 0.0, t, labels=labels,
-                            neg_pool_labels=pool_labels if pool else None)
+        batch = ViewBatch(features=f, batch_size=b, m_positives=m, labels=labels,
+                          neg_pool_labels=pool_labels if pool else None)
+        terms = batch_terms(f, batch, LossSpec(kind="unbiased", temperature=t))
         sims = f @ f.T / t
         if pool:
             cols, col_labels = np.arange((m + 1) * b, (m + 1) * b + pool), pool_labels

@@ -1,11 +1,14 @@
 """Training loop determinism and optimizer contracts."""
 
+import math
+
 import numpy as np
 import pytest
 
 from contrastlab.autograd import loss_and_grad
 from contrastlab.encoder import init_params
-from contrastlab.errors import BatchTooSmall, ConfigError
+import contrastlab.training as training
+from contrastlab.errors import BatchTooSmall, ConfigError, DivergenceDetected
 from contrastlab.rng import substream
 from contrastlab.training import (
     TrainConfig,
@@ -84,29 +87,28 @@ class TestTrain:
     def test_zero_learning_rate_is_noop(self):
         world = preset_sphere("sphere-k10")
         cfg = small_config(learning_rate=0.0, optimizer="sgd")
-        params, _ = train(cfg, world)
+        weights, _ = train(cfg, world)
         np.testing.assert_array_equal(
-            params.weights, init_params(substream(cfg.seed, 1), world.feature_dim,
-                                        cfg.embed_dim).weights)
+            weights, init_params(substream(cfg.seed, 1), world.feature_dim, cfg.embed_dim))
 
     def test_single_sgd_step_oracle(self):
         world = preset_sphere("sphere-k10")
         cfg = small_config(epochs=1, batch_size=32, dataset_size=32,
                            optimizer="sgd", learning_rate=0.05)
-        params, _ = train(cfg, world)
+        weights, _ = train(cfg, world)
         # Reassemble the single step by hand from the autograd module.
         init = init_params(substream(cfg.seed, 1), world.feature_dim, cfg.embed_dim)
         dataset = build_dataset(world, cfg.dataset_size, substream(cfg.seed, 0))
         batch = make_batches(dataset, 32, 1, substream(cfg.seed, 2, 0))[0]
-        _, grads = loss_and_grad(init, batch, cfg.loss_spec())
-        expected = init.weights - 0.05 * grads.weights
-        np.testing.assert_array_equal(params.weights, expected)
+        _, grad = loss_and_grad(init, batch, cfg.loss_spec())
+        expected = init - 0.05 * grad
+        np.testing.assert_array_equal(weights, expected)
 
     def test_seed_determinism_bit_identical(self):
         world = preset_sphere("sphere-k10")
         p1, log1 = train(small_config(), world)
         p2, log2 = train(small_config(), world)
-        np.testing.assert_array_equal(p1.weights, p2.weights)
+        np.testing.assert_array_equal(p1, p2)
         assert [r.loss for r in log1] == [r.loss for r in log2]
 
     def test_tau_zero_debiased_matches_biased_trajectory(self):
@@ -114,7 +116,7 @@ class TestTrain:
         p_deb, _ = train(small_config(loss_kind="debiased", tau_plus=0.0,
                                       floor_mode="zero_floor"), world)
         p_bia, _ = train(small_config(loss_kind="biased", tau_plus=0.0), world)
-        np.testing.assert_array_equal(p_deb.weights, p_bia.weights)
+        np.testing.assert_array_equal(p_deb, p_bia)
 
     def test_loss_decreases_on_preset(self):
         world = preset_sphere("sphere-k10")
@@ -124,21 +126,27 @@ class TestTrain:
 
     def test_adam_run(self):
         world = preset_sphere("sphere-k10")
-        params, _ = train(small_config(optimizer="adam", epochs=2), world)
-        assert np.all(np.isfinite(params.weights))
+        weights, _ = train(small_config(optimizer="adam", epochs=2), world)
+        assert np.all(np.isfinite(weights))
 
     def test_tail_average_is_mean_of_final_epochs(self):
         world = preset_sphere("sphere-k10")
         p_full, _ = train(small_config(epochs=3, tail_average=3), world)
         p_last, _ = train(small_config(epochs=1), world)
         p_none, _ = train(small_config(epochs=3), world)
-        assert not np.array_equal(p_full.weights, p_none.weights)
-        assert np.all(np.isfinite(p_full.weights))
+        assert not np.array_equal(p_full, p_none)
+        assert np.all(np.isfinite(p_full))
 
     def test_unbiased_trainer_uses_fresh_pool(self):
         world = preset_sphere("sphere-k10")
-        params, log = train(small_config(loss_kind="unbiased", tau_plus=0.0), world)
-        assert np.all(np.isfinite(params.weights))
+        weights, log = train(small_config(loss_kind="unbiased", tau_plus=0.0), world)
+        assert np.all(np.isfinite(weights))
+
+    def test_non_finite_loss_is_a_divergence(self, monkeypatch):
+        monkeypatch.setattr(training, "loss_and_grad",
+                            lambda weights, batch, spec: (math.nan, np.zeros_like(weights)))
+        with pytest.raises(DivergenceDetected):
+            train(small_config(), preset_sphere("sphere-k10"))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -155,11 +163,11 @@ class TestTrain:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         world = preset_sphere("sphere-k10")
-        params, _ = train(small_config(), world)
+        weights, _ = train(small_config(), world)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, params, "cafe" * 16, meta={"note": "test"})
+        save_checkpoint(path, weights, "cafe" * 16, meta={"note": "test"})
         loaded, payload = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.weights, params.weights)
+        np.testing.assert_array_equal(loaded, weights)
         assert payload["config_hash"] == "cafe" * 16
         assert payload["meta"]["note"] == "test"
 

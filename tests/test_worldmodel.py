@@ -11,12 +11,13 @@ from contrastlab.errors import (
     LabelMismatch,
     PriorMismatch,
 )
-from contrastlab.losses import batch_terms
+from contrastlab.losses import LossSpec, batch_terms
 from contrastlab.rng import substream
 from contrastlab.training import build_dataset, make_batches
 from conftest import single_class_mixture
 from contrastlab.worldmodel import (
     DiscreteClassMixture,
+    SphereMixture,
     load_mixture,
     marginal,
     negative_dist,
@@ -34,8 +35,7 @@ def true_negative_batch(world, seed, batch_size=4, pool=6):
     """A two-view batch with a fresh labeled pool and its true-negative terms."""
     dataset = build_dataset(world, batch_size, substream(seed, 0))
     batch = make_batches(dataset, batch_size, 1, substream(seed, 1), negative_pool=pool)[0]
-    terms = batch_terms(batch.features, batch_size, 1, "unbiased", 0.0, 1.0,
-                        labels=batch.labels, neg_pool_labels=batch.neg_pool_labels)
+    terms = batch_terms(batch.features, batch, LossSpec(kind="unbiased"))
     return batch, terms
 
 
@@ -71,6 +71,18 @@ class TestBuildDiscrete:
                                  class_conditionals=np.eye(2),
                                  prior=[0.6, 0.5], tau_plus=0.5)
 
+    @pytest.mark.parametrize("field,error", [("points", InvalidTable),
+                                             ("class_conditionals", InvalidTable),
+                                             ("prior", PriorMismatch)])
+    def test_nan_rejected(self, field, error):
+        # NaN fails every comparison, so a range check alone lets it through.
+        kwargs = dict(points=np.eye(2), labels=[0, 1], class_conditionals=np.eye(2),
+                      prior=np.array([0.5, 0.5]), tau_plus=0.5)
+        kwargs[field] = kwargs[field].copy()
+        kwargs[field].flat[0] = np.nan
+        with pytest.raises(error):
+            DiscreteClassMixture(**kwargs)
+
     def test_uniform_prior_pins_tau(self):
         with pytest.raises(PriorMismatch):
             DiscreteClassMixture(points=np.eye(2), labels=[0, 1],
@@ -86,6 +98,17 @@ class TestBuildDiscrete:
                                    class_conditionals=np.eye(3),
                                    prior=[0.5, 0.25, 0.25], tau_plus=0.25)
         assert not mix.uniform_prior
+
+
+class TestBuildSphere:
+    @pytest.mark.parametrize("field,error", [("class_means", InvalidTable),
+                                             ("prior", PriorMismatch)])
+    def test_nan_rejected(self, field, error):
+        kwargs = dict(class_means=np.eye(2), noise_scale=0.1, prior=np.array([0.5, 0.5]))
+        kwargs[field] = kwargs[field].copy()
+        kwargs[field].flat[0] = np.nan
+        with pytest.raises(error):
+            SphereMixture(**kwargs)
 
 
 class TestDistributions:
