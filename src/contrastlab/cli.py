@@ -209,7 +209,6 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
                                           _child_seed(seed, 21, inst, j))
                 cert.meta["instance"] = inst
                 report.add_certificate(cert.to_record())
-        report.json("certificates.json", report.certificates)
 
     elif check == "thm3":
         for inst in range(cfg["instances"]):
@@ -234,7 +233,6 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
                             continue
                         cert.meta["instance"] = inst
                         report.add_certificate(cert.to_record())
-        report.json("certificates.json", report.certificates)
 
     elif check == "rate":
         emb, mix = _random_instance(seed, s_points=cfg["s_points"],
@@ -264,7 +262,6 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
                     cert = lemma4_chain_check(emb, mix, n_neg, include_probe=(ei == 0))
                     cert.meta.update({"mixture": mi, "embedding": ei})
                     report.add_certificate(cert.to_record())
-        report.json("certificates.json", report.certificates)
 
     elif check == "oracle":
         for inst in range(cfg["instances"]):
@@ -278,11 +275,14 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
                                       budget=cfg["budget"])
             cert.meta["instance"] = inst
             report.add_certificate(cert.to_record())
-        report.json("certificates.json", report.certificates)
 
     else:
         raise ConfigError(f"unknown verify check {check!r}; expected one of {VERIFY_CHECKS}")
 
+    if not report.certificates:
+        raise ConfigError(f"verify {check} checked nothing; its sizes yield no certificate")
+    if check != "rate":
+        report.json("certificates.json", report.certificates)
     passed = sum(1 for c in report.certificates if c.get("passed"))
     print(f"verify {check}: {passed}/{len(report.certificates)} certificates passed")
     return report.finish()

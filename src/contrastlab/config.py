@@ -185,6 +185,10 @@ def resolve(command: str, config_path: str | None, overrides: list[str],
         resolved["seed"] = int(seed)
     if resolved["seed"] < 0 or any(s < 0 for s in resolved.get("seeds", ())):
         raise ConfigError("seeds must be >= 0")
+    # With no fitting or test samples, or no replica, a probe has no accuracy.
+    small = [key for key in _EVAL if key in resolved and resolved[key] < 1]
+    if small:
+        raise ConfigError(f"{', '.join(small)} must be >= 1")
     if resolved["format_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"config format_version {resolved['format_version']!r} != {SCHEMA_VERSION!r}"

@@ -25,7 +25,11 @@ expression over a different-class mask; :func:`kind_params` is that rule.
 Everything is evaluated with a max-subtraction shift so small temperatures
 cannot overflow, and all expectations over discrete mixtures are exact
 finite sums (multisets of i.i.d. draws are enumerated with multinomial
-weights, which regroups the tuple sum without changing its value).  The
+weights, which regroups the tuple sum without changing its value).  A
+multiset table depends only on the distribution and the number of draws,
+so each is enumerated once per distribution and size per call and every
+anchor reuses it; the loss grid is evaluated on the anchor's positive
+support only, the columns its expectation reads.  The
 exact expectations are at temperature 1 with Q = N, the convention under
 which the bounds they certify are stated; only the large-N limit, which
 has no N of its own, takes a Q.
@@ -354,16 +358,18 @@ def debiased_loss_batch(view_a: np.ndarray, view_b: np.ndarray, tau_plus: float,
     return LossValue(float(terms.losses.mean()))
 
 
-def _multiset_sums(weights: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact distribution of sum(values[i]) over n i.i.d. draws i ~ weights.
+def _multiset_table(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The multisets of n i.i.d. draws i ~ weights, with their probabilities.
 
-    Enumerates multisets over the support with multinomial coefficients,
-    which regroups (without changing) the full tuple sum.  Returns
-    (probabilities, value sums).
+    Returns (rows, probs): each row holds the n point indices of one
+    multiset of the support, and probs its multinomial probability, which
+    regroups (without changing) the full tuple sum.  The table does not
+    depend on the values drawn, so one table serves every anchor:
+    ``values[rows].sum(axis=1)`` is the matching column of sums.
     """
     support = np.flatnonzero(weights > 0.0)
     if n == 0:
-        return np.array([1.0]), np.array([0.0])
+        return np.zeros((1, 0), dtype=np.intp), np.array([1.0])
     n_rows = math.comb(support.size + n - 1, n)
     if n_rows > _MAX_MULTISETS:
         raise BudgetExceeded(f"{n_rows} multisets exceed the internal enumeration cap")
@@ -376,9 +382,7 @@ def _multiset_sums(weights: np.ndarray, values: np.ndarray, n: int) -> tuple[np.
     logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
     log_coef = logfact[n] - logfact[counts].sum(axis=1)
     log_prob = counts @ np.log(weights[support])
-    probs = np.exp(log_coef + log_prob)
-    sums = values[support][combos].sum(axis=1)
-    return probs, sums
+    return support[combos], np.exp(log_coef + log_prob)
 
 
 def _check_budget(s_points: int, n_neg: int, budget: float) -> None:
@@ -388,21 +392,28 @@ def _check_budget(s_points: int, n_neg: int, budget: float) -> None:
         )
 
 
-def _loss_grid(expvec: np.ndarray, sims_row: np.ndarray, tails: np.ndarray,
-               shift: float) -> np.ndarray:
-    """log(h+ + tail) - s+ for every (tail, positive) pair, in shifted units."""
-    return np.log(expvec[None, :] + tails[:, None]) + shift - sims_row[None, :]
-
-
-def _anchor_rows(embeddings: np.ndarray, marg: np.ndarray):
-    """Per anchor of positive mass: (index, sims row, shift, exp(row - shift))."""
+def _shifted_exps(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Similarities of every anchor row, each row's max, and exp(row - max)."""
     f = np.asarray(embeddings, dtype=np.float64)
     sims = f @ f.T
-    for a in range(marg.shape[0]):
-        if marg[a] == 0.0:
-            continue
-        shift = float(sims[a].max())
-        yield a, sims[a], shift, np.exp(sims[a] - shift)
+    shift = sims.max(axis=1)
+    return sims, shift, np.exp(sims - shift[:, None])
+
+
+def _expected_loss(probs: np.ndarray, tails: np.ndarray, expvec: np.ndarray,
+                   sims_row: np.ndarray, shift: float, pos: np.ndarray) -> float:
+    """E[log(h+ + tail) - s+] over tail ~ probs and positive ~ pos, in shifted units.
+
+    Only the positive support is evaluated: the other columns carry weight
+    0 and would only cost logs.  The grid is laid out one row per positive
+    and filled in place, so each pass over it is contiguous.
+    """
+    cols = np.flatnonzero(pos)
+    grid = np.add.outer(expvec[cols], tails)
+    np.log(grid, out=grid)
+    grid += shift
+    grid -= sims_row[cols, None]
+    return float(grid @ probs @ pos[cols])
 
 
 def unbiased_loss_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
@@ -412,7 +423,8 @@ def unbiased_loss_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
     Expectation over anchor ~ marginal, positive ~ anchor class, and N
     i.i.d. negatives from the anchor's complement classes, whose
     exponentials enter the denominator unweighted (Q = N).  No Monte Carlo
-    error.
+    error.  The negative multisets depend only on the anchor's class, so
+    each class's table is enumerated once.
     """
     if n_neg < 1:
         raise EmptyNegatives("unbiased loss needs N >= 1")
@@ -420,19 +432,30 @@ def unbiased_loss_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
         raise DegenerateClass("unbiased loss needs K >= 2")
     _check_budget(mix.n_points, n_neg, budget)
     marg = marginal(mix)
+    sims, shift, expm = _shifted_exps(embeddings)
+    tables = {}
     total = 0.0
-    for a, sims_row, shift, expvec in _anchor_rows(embeddings, marg):
-        probs, sums = _multiset_sums(negative_dist(mix, a), expvec, n_neg)
-        grid = _loss_grid(expvec, sims_row, sums, shift)
-        total += marg[a] * float(probs @ grid @ positive_dist(mix, a))
+    for a in np.flatnonzero(marg > 0.0):
+        c = mix.labels[a]
+        if c not in tables:
+            tables[c] = _multiset_table(negative_dist(mix, a), n_neg)
+        rows, probs = tables[c]
+        tails = expm[a][rows].sum(axis=1)
+        total += marg[a] * _expected_loss(probs, tails, expm[a], sims[a], shift[a],
+                                          positive_dist(mix, a))
     return LossValue(total)
 
 
-def _debiased_inner(marg: np.ndarray, pos: np.ndarray, expvec: np.ndarray,
-                    tau_plus: float) -> float:
+def _debiased_inner(mix: DiscreteClassMixture, expm: np.ndarray, tau_plus: float) -> np.ndarray:
     """Unclamped asymptotic inner expectation (E_p e^s - tau+ E+ e^s) / tau- of
-    one anchor, from its row of exponentiated similarities ``expvec``."""
-    return (float(marg @ expvec) - tau_plus * float(pos @ expvec)) / (1.0 - tau_plus)
+    every anchor, row a of ``expm`` holding anchor a's exponentiated similarities.
+
+    The two expectations are taken as one weighted sum, so where tau+ is the
+    class prior the anchor's own class cancels in the weights, exactly, and
+    not between two nearly equal sums.
+    """
+    pos = mix.class_conditionals[mix.labels]  # row a is positive_dist(mix, a)
+    return ((marginal(mix) - tau_plus * pos) * expm).sum(axis=1) / (1.0 - tau_plus)
 
 
 def asymptotic_debiased_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
@@ -443,7 +466,7 @@ def asymptotic_debiased_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
     / tau- is computed exactly; it is not clamped, and a nonpositive value
     raises :class:`NegativeDenominator` so theory checks are never silently
     distorted (this can only happen with an override tau+ above the
-    mixture's true class prior).
+    mixture's true class prior).  Anchors of zero mass are skipped.
     """
     if mix.n_classes < 2:
         raise DegenerateClass("asymptotic debiased loss needs K >= 2")
@@ -453,17 +476,17 @@ def asymptotic_debiased_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
     if q <= 0.0:
         raise ValueError("q must be positive")
     marg = marginal(mix)
-    total = 0.0
-    for a, sims_row, shift, expvec in _anchor_rows(embeddings, marg):
-        pos = positive_dist(mix, a)
-        inner = _debiased_inner(marg, pos, expvec, tau_plus)
-        if inner <= 0.0:
-            raise NegativeDenominator(
-                f"inner expectation nonpositive at anchor {a} (tau_plus={tau_plus!r})"
-            )
-        losses = np.log(expvec + q * inner) + shift - sims_row
-        total += marg[a] * float(losses @ pos)
-    return LossValue(total)
+    sims, shift, expm = _shifted_exps(embeddings)
+    inner = _debiased_inner(mix, expm, tau_plus)
+    live = marg > 0.0
+    bad = np.flatnonzero(live & (inner <= 0.0))
+    if bad.size:
+        raise NegativeDenominator(
+            f"inner expectation nonpositive at anchor {bad[0]} (tau_plus={tau_plus!r})"
+        )
+    losses = np.log(expm[live] + q * inner[live, None]) + shift[live, None] - sims[live]
+    pos = mix.class_conditionals[mix.labels[live]]
+    return LossValue(float(marg[live] @ (losses * pos).sum(axis=1)))
 
 
 def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,
@@ -476,6 +499,9 @@ def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: in
     catastrophically for large N, so N is capped at 8, terms are sorted by
     magnitude and summed with compensated arithmetic, and the condition
     number sum|term| / |sum term| is reported alongside the value.
+
+    The marginal multisets of each size are enumerated once per call and
+    the positive ones once per class; only their sums depend on the anchor.
     """
     if not (1 <= n_neg <= ORACLE_MAX_N):
         raise OracleRangeExceeded(f"oracle requires 1 <= N <= {ORACLE_MAX_N}, got {n_neg}")
@@ -485,17 +511,26 @@ def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: in
     marg = marginal(mix)
     tau_plus = mix.tau_plus
     tau_minus = mix.tau_minus
+    sims, shift, expm = _shifted_exps(embeddings)
+    marg_tables = [_multiset_table(marg, n) for n in range(n_neg + 1)]
+    # Per class and k: (positive rows, marginal rows, joint probabilities).
+    joint = {}
 
     inner = np.zeros(n_neg + 1)
-    for a, sims_row, shift, expvec in _anchor_rows(embeddings, marg):
+    for a in np.flatnonzero(marg > 0.0):
+        c = mix.labels[a]
         pos = positive_dist(mix, a)
-        for k in range(n_neg + 1):
-            probs_pos, sums_pos = _multiset_sums(pos, expvec, k)
-            probs_marg, sums_marg = _multiset_sums(marg, expvec, n_neg - k)
-            probs = np.outer(probs_pos, probs_marg).ravel()
-            sums = (sums_pos[:, None] + sums_marg[None, :]).ravel()
-            grid = _loss_grid(expvec, sims_row, sums, shift)
-            inner[k] += marg[a] * float(probs @ grid @ pos)
+        if c not in joint:
+            joint[c] = []
+            for k in range(n_neg + 1):
+                pos_rows, pos_probs = _multiset_table(pos, k)
+                marg_rows, marg_probs = marg_tables[n_neg - k]
+                joint[c].append((pos_rows, marg_rows, np.outer(pos_probs, marg_probs).ravel()))
+        expvec = expm[a]
+        for k, (pos_rows, marg_rows, probs) in enumerate(joint[c]):
+            tails = np.add.outer(expvec[pos_rows].sum(axis=1),
+                                 expvec[marg_rows].sum(axis=1)).ravel()
+            inner[k] += marg[a] * _expected_loss(probs, tails, expvec, sims[a], shift[a], pos)
 
     k = np.arange(n_neg + 1)
     coeffs = np.array([math.comb(n_neg, int(i)) for i in k], dtype=np.float64)

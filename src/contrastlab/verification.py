@@ -373,9 +373,7 @@ def rate_fit(embeddings: np.ndarray, mix: DiscreteClassMixture, sweep: SweepSpec
     # The asymptotic inner expectation per anchor, unclamped: the integrand
     # the finite-sample loss of each trial is compared against.
     _, expm = _sims_and_exp(embeddings)
-    marg = marginal(mix)
-    inner_per_anchor = np.array([_debiased_inner(marg, positive_dist(mix, a), expm[a], tau_plus)
-                                 for a in range(mix.n_points)])
+    inner_per_anchor = _debiased_inner(mix, expm, tau_plus)
     other = (sweep.other,)
     n_sizes, m_sizes = (grid, other) if sweep.variable == "N" else (other, grid)
     draws = _draw_monte_carlo(embeddings, mix, trials, (seed, 3),

@@ -39,6 +39,16 @@ INVALID_VALUES = {
     # The weights overflow, and their representations' norms with them.
     "train-overflow": ["train"] + FAST_TRAIN + ["--set", "optimizer=sgd",
                                                 "--set", "learning_rate=1e300"],
+    "eval-replicas": ["train"] + FAST_TRAIN + ["--set", "eval_replicas=0"],
+    "eval-test-size": ["train"] + FAST_TRAIN + ["--set", "eval_test_size=0"],
+    "eval-train-size": ["train"] + FAST_TRAIN + ["--set", "eval_train_size=0"],
+    # A run that yields no certificate checks nothing, so it cannot pass.
+    "lemma1-empty": ["verify", "lemma1", "--set", "instances=0"],
+    "thm3-empty": ["verify", "thm3", "--set", "instances=0"],
+    "oracle-empty": ["verify", "oracle", "--set", "instances=0"],
+    "lemma4-no-embeddings": ["verify", "lemma4", "--set", "embeddings=0"],
+    "lemma4-no-mixtures": ["verify", "lemma4", "--set", "mixtures=0"],
+    "lemma4-no-n": ["verify", "lemma4", "--set", "n_max_factor=0"],
 }
 
 
@@ -123,6 +133,7 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.strip() and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
 
 class TestTrainCommand:
@@ -156,12 +167,13 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("sets", [["loss_kinds=debiased,foo"],
                                       ["loss_kinds=debiased", "tau_plus=0.1,1.5"],
-                                      ["loss_kinds=biased", "tau_plus=1.5"]],
-                             ids=["bad-kind", "bad-tau", "bad-tau-biased"])
+                                      ["loss_kinds=biased", "tau_plus=1.5"],
+                                      ["eval_train_size=0"]],
+                             ids=["bad-kind", "bad-tau", "bad-tau-biased", "bad-eval-size"])
     def test_invalid_sweep_writes_nothing(self, tmp_path, sets):
         # The sweep's first run is valid; it must not train before the bad one is rejected.
         overrides = [arg for item in sets for arg in ("--set", item)]
-        assert main(["train", "--out", str(tmp_path)] + overrides + FAST_TRAIN) == 2
+        assert main(["train", "--out", str(tmp_path)] + FAST_TRAIN + overrides) == 2
         assert not list(tmp_path.glob("train_log_*"))
         assert not list(tmp_path.glob("checkpoint_*"))
 

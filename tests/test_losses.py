@@ -1,6 +1,7 @@
 """Contrastive loss family: frozen arithmetic oracles, exact enumeration,
 Monte Carlo cross-checks, and structural properties."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from contrastlab import losses
 from contrastlab.encoder import ViewBatch
 from contrastlab.errors import (
     BudgetExceeded,
@@ -34,6 +36,7 @@ from contrastlab.losses import (
 )
 from contrastlab.rng import substream
 from contrastlab.worldmodel import (
+    DiscreteClassMixture,
     marginal,
     negative_dist,
     positive_dist,
@@ -416,6 +419,120 @@ class TestAsymptoticDebiased:
         # inner difference negative.
         with pytest.raises(NegativeDenominator):
             asymptotic_debiased_exact(np.eye(2), mix, q=2.0, tau_plus=0.9)
+
+
+def _zero_mass_mixture():
+    """Two classes on a circle; point 1 is in class 1's support with no mass.
+
+    Row a of the unit embeddings is at angle (-60, 0, 60, 175, 190)[a]
+    degrees, so anchor 1's own class lies closest to it.
+    """
+    mix = DiscreteClassMixture(
+        points=np.eye(5), labels=np.array([1, 1, 1, 0, 0]),
+        class_conditionals=np.array([[0.0, 0.0, 0.0, 0.6, 0.4], [0.5, 0.0, 0.5, 0.0, 0.0]]),
+        prior=np.array([0.5, 0.5]), tau_plus=0.5)
+    angles = np.radians([-60.0, 0.0, 60.0, 175.0, 190.0])
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1), mix
+
+
+def _tuple_sum(emb, mix, draws):
+    """E[log(e^s+ + sum_j e^s_j) - s+] by a direct sum over every (anchor,
+    positive, draw tuple); ``draws(a)`` lists one distribution per draw."""
+    sims = emb @ emb.T
+    marg = marginal(mix)
+    total = 0.0
+    for a in range(mix.n_points):
+        pos = positive_dist(mix, a)
+        dists = draws(a)
+        for b in range(mix.n_points):
+            for tup in itertools.product(range(mix.n_points), repeat=len(dists)):
+                p = marg[a] * pos[b] * math.prod(d[j] for d, j in zip(dists, tup))
+                if p:
+                    tail = sum(math.exp(sims[a, j]) for j in tup)
+                    total += p * (math.log(math.exp(sims[a, b]) + tail) - sims[a, b])
+    return total
+
+
+class TestExactLayerBruteForce:
+    """The enumerated losses against direct tuple sums on tiny mixtures."""
+
+    @staticmethod
+    def instances():
+        yield _zero_mass_mixture()
+        for seed in range(4):
+            gen = substream(4100 + seed)
+            k = int(gen.integers(2, 4))
+            s = int(gen.integers(k + 1, 6))
+            mix = random_mixture(gen, s, k)
+            yield 2.0 * random_unit_rows(gen, s, 3), mix
+
+    @pytest.mark.parametrize("n_neg", [1, 2, 3])
+    def test_unbiased_and_oracle_match_tuple_sums(self, n_neg):
+        for emb, mix in self.instances():
+            direct = _tuple_sum(emb, mix, lambda a: [negative_dist(mix, a)] * n_neg)
+            assert unbiased_loss_exact(emb, mix, n_neg).value == pytest.approx(direct, rel=1e-12)
+            res = binomial_oracle(emb, mix, n_neg)
+            assert res.loss.value == pytest.approx(direct, rel=1e-12)
+            # Each series term: k draws from the positive class, N - k from the marginal.
+            for k, term in enumerate(res.terms):
+                inner = _tuple_sum(emb, mix, lambda a: [positive_dist(mix, a)] * k
+                                   + [marginal(mix)] * (n_neg - k))
+                expect = math.comb(n_neg, k) * (-mix.tau_plus) ** k * inner / mix.tau_minus ** n_neg
+                assert term == pytest.approx(expect, rel=1e-12)
+
+    def test_tables_built_once_per_call(self, monkeypatch):
+        built = []
+        real = losses._multiset_table
+
+        def counting(weights, n):
+            built.append((weights.copy(), n))
+            return real(weights, n)
+
+        monkeypatch.setattr(losses, "_multiset_table", counting)
+        n_neg = 3
+        for emb, mix in [_zero_mass_mixture(), random_instance(31, s_points=7, k_classes=3)]:
+            marg = marginal(mix)
+            built.clear()
+            binomial_oracle(emb, mix, n_neg)
+            sizes = sorted(n for w, n in built if np.array_equal(w, marg))
+            assert sizes == list(range(n_neg + 1))
+            per_class = sorted(n for w, n in built if not np.array_equal(w, marg))
+            assert per_class == sorted(list(range(n_neg + 1)) * mix.n_classes)
+            built.clear()
+            unbiased_loss_exact(emb, mix, n_neg)
+            assert [n for _, n in built] == [n_neg] * mix.n_classes
+
+    @staticmethod
+    def reference_inner(emb, mix, tau_plus):
+        """Per-anchor loop over the inner expectation; None for zero mass."""
+        marg = marginal(mix)
+        expm = np.exp(emb @ emb.T)
+        return [None if marg[a] == 0.0 else
+                (marg @ expm[a] - tau_plus * positive_dist(mix, a) @ expm[a]) / (1.0 - tau_plus)
+                for a in range(mix.n_points)]
+
+    def test_negative_denominator_names_first_live_anchor(self):
+        emb, mix = _zero_mass_mixture()
+        inner = self.reference_inner(emb, mix, 0.685)
+        first = next(a for a, v in enumerate(inner) if v is not None and v <= 0.0)
+        # The zero-mass anchor 1 and anchor 0 come first but must not be named.
+        assert first == 2 and inner[0] > 0.0
+        with pytest.raises(NegativeDenominator, match=f"at anchor {first} "):
+            asymptotic_debiased_exact(emb, mix, q=3.0, tau_plus=0.685)
+
+    def test_zero_mass_anchor_never_raises(self):
+        emb, mix = _zero_mass_mixture()
+        live = [v for v in self.reference_inner(emb, mix, 0.613) if v is not None]
+        assert min(live) > 0.0
+        assert np.exp(emb[1] @ emb.T) @ (marginal(mix) - 0.613 * positive_dist(mix, 1)) <= 0.0
+        got = asymptotic_debiased_exact(emb, mix, q=3.0, tau_plus=0.613).value
+        sims = emb @ emb.T
+        marg = marginal(mix)
+        expect = sum(marg[a] * positive_dist(mix, a)[b]
+                     * (math.log(math.exp(sims[a, b]) + 3.0 * inner) - sims[a, b])
+                     for a, inner in enumerate(self.reference_inner(emb, mix, 0.613))
+                     if inner is not None for b in range(mix.n_points))
+        assert got == pytest.approx(expect, rel=1e-12)
 
 
 class TestSupervisedLosses:
