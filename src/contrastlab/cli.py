@@ -153,11 +153,15 @@ def cmd_train(cfg: dict, report: RunReport) -> int:
             for tau in dict.fromkeys(kind_params(kind, tau, cfg["floor_mode"])[0]
                                      for tau in cfg["tau_plus"])
             for run_seed in seeds]
+    # A repeated tag would overwrite an earlier run's log and checkpoint.
+    tags = [f"{run.loss_kind}_tau{run.tau_plus:g}_seed{run.seed}" for run in runs]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise ConfigError(f"two runs of the sweep share the artifact tag {tag}")
     probe_rows = []
-    for run in runs:
+    for run, tag in zip(runs, tags):
         weights, log = train(run, world)
         kind, tau, run_seed = run.loss_kind, run.tau_plus, run.seed
-        tag = f"{kind}_tau{tau:g}_seed{run_seed}"
         rows = [(rec.epoch, rec.loss, rec.wall_ms if report.timings else 0) for rec in log]
         report.csv(f"train_log_{tag}.csv", TRAIN_LOG_HEADER, rows)
         ckpt = report.out_dir / f"checkpoint_{tag}.json"

@@ -107,7 +107,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "instances": Field("int", 50, ""),
         "s_max": Field("int", 10, ""),
         "n_max": Field("int", 6, ""),
-        "budget": Field("float", 1e9, "enumeration budget"),
+        "budget": Field("float", 1e9, "enumeration budget: rows evaluated, summed over anchors"),
         "tolerance": Field("float", 1e-9, "relative error threshold"),
         "embed_dim": Field("int", 8, ""),
     },

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import BoundPreconditionViolated, SingleClassData
 from .losses import (
+    _mean_classifier_ce,
     asymptotic_debiased_exact,
     mean_classifier_loss,
     mean_classifier_weights,
@@ -122,21 +123,6 @@ def probe_accuracy(probe_weights: np.ndarray, representations: np.ndarray,
     return float((preds == np.asarray(labels)).mean())
 
 
-def _subtask_mean_classifier_loss(embeddings: np.ndarray, mix: DiscreteClassMixture,
-                                  classes: tuple[int, ...]) -> float:
-    """Exact mean-classifier loss on the classification task restricted to
-    ``classes``: anchors conditioned on membership, logits over those
-    classes' mean embeddings only."""
-    emb = np.asarray(embeddings, dtype=np.float64)
-    mu = np.array([mix.class_conditionals[c] @ emb for c in classes])
-    member = np.isin(mix.labels, classes)
-    weights = marginal(mix)[member]
-    weights = weights / weights.sum()
-    own = np.array([classes.index(int(c)) for c in mix.labels[member]])
-    ce, _ = softmax_cross_entropy(emb[member] @ mu.T, own)
-    return float(weights @ ce)
-
-
 def lemma4_chain_check(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,
                        include_probe: bool = True) -> BoundCertificate:
     """Certify the supervised bound chain on a discrete mixture.
@@ -166,10 +152,8 @@ def lemma4_chain_check(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
         gen = substream(0, 4)  # fixed: every check with K classes samples the same sub-tasks
         subtasks = {}
         for _ in range(3):
-            classes = tuple(sorted(int(c) for c in
-                                   gen.choice(mix.n_classes, size=3, replace=False)))
-            subtasks[",".join(map(str, classes))] = \
-                _subtask_mean_classifier_loss(embeddings, mix, classes)
+            classes = np.sort(gen.choice(mix.n_classes, size=3, replace=False))
+            subtasks[",".join(map(str, classes))] = _mean_classifier_ce(embeddings, mix, classes)
         meta["subtask_mean_classifier_losses"] = subtasks
     if include_probe:
         probe = linear_probe(np.asarray(embeddings, dtype=np.float64), mix.labels,

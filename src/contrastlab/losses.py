@@ -13,9 +13,9 @@ h+ = exp(s+) and a denominator D built from negative-sample exponentials:
                inner difference is reported, never silently floored).
 * inclusion-exclusion oracle: the alternating binomial rewriting of the
                unbiased loss in terms of marginal and positive samples only;
-               numerically delicate, so terms are sorted by magnitude,
-               summed with compensated arithmetic, and the condition number
-               is reported.
+               numerically delicate, so the terms are summed exactly
+               rounded with ``math.fsum`` and the condition number is
+               reported.
 
 On a two-view training batch the first three are ``LOSS_KINDS``, computed
 by one forward pass, :func:`batch_terms`: the biased loss is the debiased
@@ -135,21 +135,6 @@ def kind_params(kind: str, tau_plus: float, floor_mode: str) -> tuple[float, str
     """
     _check_params(tau_plus, floor_mode=floor_mode)
     return (tau_plus, floor_mode) if kind == "debiased" else (0.0, ZERO_FLOOR)
-
-
-def _neumaier_sum(values: np.ndarray) -> float:
-    """Compensated (error-free-transformation) summation."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        v = float(v)
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
 
 
 def biased_loss_point(sim_pos: float, sims_neg, q: float | None = None) -> LossValue:
@@ -385,11 +370,16 @@ def _multiset_table(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     return support[combos], np.exp(log_coef + log_prob)
 
 
-def _check_budget(s_points: int, n_neg: int, budget: float) -> None:
-    if s_points ** n_neg * s_points ** 2 > budget:
-        raise BudgetExceeded(
-            f"S^N * S^2 = {s_points}^{n_neg} * {s_points}^2 exceeds budget {budget:g}"
-        )
+def _check_budget(mix: DiscreteClassMixture, marg: np.ndarray, budget: float,
+                  anchor_rows) -> None:
+    """Refuse, before any table is built, a call whose anchors of positive mass
+    evaluate more than ``budget`` rows; ``anchor_rows(s_pos, s_marg)`` counts
+    one anchor's from the support sizes of its class and of the marginal."""
+    # One entry per point of the marginal's support: its class's support size.
+    s_pos = np.count_nonzero(mix.class_conditionals > 0.0, axis=1)[mix.labels[marg > 0.0]]
+    rows = sum(anchor_rows(int(s), s_pos.size) for s in s_pos)
+    if rows > budget:
+        raise BudgetExceeded(f"{rows} enumerated rows exceed budget {budget:g}")
 
 
 def _shifted_exps(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -430,8 +420,11 @@ def unbiased_loss_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
         raise EmptyNegatives("unbiased loss needs N >= 1")
     if mix.n_classes < 2:
         raise DegenerateClass("unbiased loss needs K >= 2")
-    _check_budget(mix.n_points, n_neg, budget)
     marg = marginal(mix)
+    # Classes own disjoint points, so an anchor's negatives range over the
+    # marginal support less its own class's.
+    _check_budget(mix, marg, budget,
+                  lambda s_pos, s_marg: math.comb(s_marg - s_pos + n_neg - 1, n_neg))
     sims, shift, expm = _shifted_exps(embeddings)
     tables = {}
     total = 0.0
@@ -448,14 +441,25 @@ def unbiased_loss_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
 
 def _debiased_inner(mix: DiscreteClassMixture, expm: np.ndarray, tau_plus: float) -> np.ndarray:
     """Unclamped asymptotic inner expectation (E_p e^s - tau+ E+ e^s) / tau- of
-    every anchor, row a of ``expm`` holding anchor a's exponentiated similarities.
+    every anchor, row a of ``expm`` holding anchor a's exponentiated
+    similarities under any positive scale.
 
     The two expectations are taken as one weighted sum, so where tau+ is the
     class prior the anchor's own class cancels in the weights, exactly, and
-    not between two nearly equal sums.
+    not between two nearly equal sums.  tau+ must lie in [0, 1), and the first
+    anchor of positive mass whose inner is nonpositive (possible only above
+    its class prior) raises :class:`NegativeDenominator`.
     """
+    _check_params(tau_plus)
+    marg = marginal(mix)
     pos = mix.class_conditionals[mix.labels]  # row a is positive_dist(mix, a)
-    return ((marginal(mix) - tau_plus * pos) * expm).sum(axis=1) / (1.0 - tau_plus)
+    inner = ((marg - tau_plus * pos) * expm).sum(axis=1) / (1.0 - tau_plus)
+    bad = np.flatnonzero((marg > 0.0) & (inner <= 0.0))
+    if bad.size:
+        raise NegativeDenominator(
+            f"inner expectation nonpositive at anchor {bad[0]} (tau_plus={tau_plus!r})"
+        )
+    return inner
 
 
 def asymptotic_debiased_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
@@ -463,27 +467,18 @@ def asymptotic_debiased_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
     """Exact large-N limit of the debiased loss on a discrete mixture.
 
     For each anchor the inner expectation (E_p exp(s) - tau+ E_pos exp(s))
-    / tau- is computed exactly; it is not clamped, and a nonpositive value
-    raises :class:`NegativeDenominator` so theory checks are never silently
-    distorted (this can only happen with an override tau+ above the
-    mixture's true class prior).  Anchors of zero mass are skipped.
+    / tau- is computed exactly by :func:`_debiased_inner`, which raises
+    rather than clamp it, so theory checks are never silently distorted.
+    tau+ defaults to the class prior; anchors of zero mass are skipped.
     """
     if mix.n_classes < 2:
         raise DegenerateClass("asymptotic debiased loss needs K >= 2")
-    if tau_plus is None:
-        tau_plus = mix.tau_plus
-    _check_params(tau_plus)
     if q <= 0.0:
         raise ValueError("q must be positive")
     marg = marginal(mix)
     sims, shift, expm = _shifted_exps(embeddings)
-    inner = _debiased_inner(mix, expm, tau_plus)
+    inner = _debiased_inner(mix, expm, mix.tau_plus if tau_plus is None else tau_plus)
     live = marg > 0.0
-    bad = np.flatnonzero(live & (inner <= 0.0))
-    if bad.size:
-        raise NegativeDenominator(
-            f"inner expectation nonpositive at anchor {bad[0]} (tau_plus={tau_plus!r})"
-        )
     losses = np.log(expm[live] + q * inner[live, None]) + shift[live, None] - sims[live]
     pos = mix.class_conditionals[mix.labels[live]]
     return LossValue(float(marg[live] @ (losses * pos).sum(axis=1)))
@@ -496,9 +491,9 @@ def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: in
     value = (1/tau-)^N sum_k C(N,k) (-tau+)^k E[loss with k negatives from
     the positive distribution and N-k from the marginal], every inner
     expectation enumerated exactly.  The alternating series cancels
-    catastrophically for large N, so N is capped at 8, terms are sorted by
-    magnitude and summed with compensated arithmetic, and the condition
-    number sum|term| / |sum term| is reported alongside the value.
+    catastrophically for large N, so N is capped at 8, the terms are summed
+    exactly rounded with ``math.fsum``, and the condition number
+    sum|term| / |sum term| is reported alongside the value.
 
     The marginal multisets of each size are enumerated once per call and
     the positive ones once per class; only their sums depend on the anchor.
@@ -507,8 +502,10 @@ def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: in
         raise OracleRangeExceeded(f"oracle requires 1 <= N <= {ORACLE_MAX_N}, got {n_neg}")
     if mix.n_classes < 2:
         raise DegenerateClass("oracle needs K >= 2")
-    _check_budget(mix.n_points, n_neg, budget)
     marg = marginal(mix)
+    _check_budget(mix, marg, budget, lambda s_pos, s_marg: sum(
+        math.comb(s_pos + k - 1, k) * math.comb(s_marg + n_neg - k - 1, n_neg - k)
+        for k in range(n_neg + 1)))
     tau_plus = mix.tau_plus
     tau_minus = mix.tau_minus
     sims, shift, expm = _shifted_exps(embeddings)
@@ -535,8 +532,7 @@ def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: in
     k = np.arange(n_neg + 1)
     coeffs = np.array([math.comb(n_neg, int(i)) for i in k], dtype=np.float64)
     terms = coeffs * (-tau_plus) ** k * inner / tau_minus ** n_neg
-    order = np.argsort(np.abs(terms))
-    value = _neumaier_sum(terms[order])
+    value = math.fsum(terms)
     abs_sum = float(np.abs(terms).sum())
     cond = abs_sum / abs(value) if value != 0.0 else math.inf
     return OracleResult(LossValue(value), cond, tuple(terms))
@@ -572,6 +568,24 @@ def mean_classifier_weights(representations: np.ndarray, labels: np.ndarray,
     return w
 
 
+def _mean_classifier_ce(embeddings: np.ndarray, mix: DiscreteClassMixture,
+                        classes: np.ndarray) -> float:
+    """Exact mean-classifier cross entropy on the task of the sorted ``classes``.
+
+    Anchors x ~ marginal are conditioned on membership in ``classes``, and
+    the logits f(x).mu_c range over those classes' means only.
+    """
+    f = np.asarray(embeddings, dtype=np.float64)
+    column = np.full(mix.n_classes, -1)
+    column[classes] = np.arange(classes.size)
+    own = column[mix.labels]  # each point's logit column; -1 outside the task
+    member = own >= 0
+    mu = mix.class_conditionals[classes] @ f
+    ce, _ = softmax_cross_entropy(f[member] @ mu.T, own[member])
+    weights = marginal(mix)[member]
+    return float(weights @ ce / weights.sum())
+
+
 def mean_classifier_loss(embeddings: np.ndarray, mix: DiscreteClassMixture) -> LossValue:
     """Exact supervised loss of the classifier whose rows are class means.
 
@@ -581,7 +595,4 @@ def mean_classifier_loss(embeddings: np.ndarray, mix: DiscreteClassMixture) -> L
     """
     if mix.n_classes < 2:
         raise DegenerateClass("mean classifier loss needs K >= 2")
-    f = np.asarray(embeddings, dtype=np.float64)
-    mu = mix.class_conditionals @ f
-    ce, _ = softmax_cross_entropy(f @ mu.T, mix.labels)
-    return LossValue(float(marginal(mix) @ ce))
+    return LossValue(_mean_classifier_ce(embeddings, mix, np.arange(mix.n_classes)))

@@ -370,8 +370,8 @@ def rate_fit(embeddings: np.ndarray, mix: DiscreteClassMixture, sweep: SweepSpec
         raise InsufficientGrid("non-swept size must be >= 10x the largest swept value")
     tau_plus = mix.tau_plus if sweep.tau_plus is None else sweep.tau_plus
 
-    # The asymptotic inner expectation per anchor, unclamped: the integrand
-    # the finite-sample loss of each trial is compared against.
+    # The unclamped asymptotic inner per anchor, the integrand each trial's
+    # loss is compared against; it checks tau+ and its sign before any draw.
     _, expm = _sims_and_exp(embeddings)
     inner_per_anchor = _debiased_inner(mix, expm, tau_plus)
     other = (sweep.other,)

@@ -35,6 +35,10 @@ INVALID_VALUES = {
     "train-tau": ["train", "--set", "tau_plus=1.5"] + FAST_TRAIN,
     "gradcheck-step": ["gradcheck", "--set", "step=1"],
     "rate-trials": ["verify", "rate", "--set", "trials=10"],
+    # Rejected before the sweep draws: out of range, and above the class prior
+    # (the inner expectation goes nonpositive).
+    "rate-tau-range": ["verify", "rate", "--set", "tau_plus=1.5"],
+    "rate-tau-above-prior": ["verify", "rate", "--set", "tau_plus=0.5"],
     "embed-dim": ["train"] + FAST_TRAIN + ["--set", "embed_dim=1"],
     # The weights overflow, and their representations' norms with them.
     "train-overflow": ["train"] + FAST_TRAIN + ["--set", "optimizer=sgd",
@@ -168,10 +172,16 @@ class TestTrainCommand:
     @pytest.mark.parametrize("sets", [["loss_kinds=debiased,foo"],
                                       ["loss_kinds=debiased", "tau_plus=0.1,1.5"],
                                       ["loss_kinds=biased", "tau_plus=1.5"],
-                                      ["eval_train_size=0"]],
-                             ids=["bad-kind", "bad-tau", "bad-tau-biased", "bad-eval-size"])
+                                      ["eval_train_size=0"],
+                                      ["seeds=1,1"],
+                                      ["loss_kinds=biased,biased"],
+                                      ["loss_kinds=debiased", "tau_plus=0.1,0.1000001"]],
+                             ids=["bad-kind", "bad-tau", "bad-tau-biased", "bad-eval-size",
+                                  "repeated-seed", "repeated-kind", "same-tau-tag"])
     def test_invalid_sweep_writes_nothing(self, tmp_path, sets):
-        # The sweep's first run is valid; it must not train before the bad one is rejected.
+        # The sweep's first run is valid; it must not train before the bad one
+        # is rejected.  Runs whose artifact tags coincide would overwrite each
+        # other's log and checkpoint.
         overrides = [arg for item in sets for arg in ("--set", item)]
         assert main(["train", "--out", str(tmp_path)] + FAST_TRAIN + overrides) == 2
         assert not list(tmp_path.glob("train_log_*"))

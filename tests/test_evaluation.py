@@ -16,7 +16,7 @@ from contrastlab.evaluation import (
 from contrastlab.geometry import unit_rows
 from contrastlab.losses import softmax_cross_entropy
 from contrastlab.rng import substream
-from contrastlab.worldmodel import random_mixture
+from contrastlab.worldmodel import marginal, random_mixture
 
 from conftest import random_instance, random_unit_rows
 
@@ -129,6 +129,32 @@ class TestChainCheck:
         assert "supervised_probe_loss" in cert.meta
         assert cert.meta["supervised_probe_loss"] <= cert.meta["mean_classifier_loss"] + 1e-9
         assert "approximate" in cert.meta["supervised_probe_loss_note"]
+
+    def test_subtask_losses_match_reference_sum(self):
+        # K = 5: lemma4 records three 3-class sub-tasks.  Each is the mean
+        # classifier's cross entropy over the task's classes, with anchors
+        # drawn from the marginal conditioned on membership.
+        mix = random_mixture(substream(7), 12, 5)
+        emb = random_unit_rows(substream(8), 12, 4)
+        cert = lemma4_chain_check(emb, mix, n_neg=4, include_probe=False)
+        subtasks = cert.meta["subtask_mean_classifier_losses"]
+        assert len(subtasks) == 3
+        marg = marginal(mix)
+        scattered = False
+        for key, got in subtasks.items():
+            classes = [int(c) for c in key.split(",")]
+            points = [x for x in range(mix.n_points) if mix.labels[x] in classes]
+            scattered |= points != list(range(points[0], points[-1] + 1))
+            means = {c: sum(mix.class_conditionals[c, x] * emb[x] for x in points)
+                     for c in classes}
+            mass = sum(marg[x] for x in points)
+            expect = 0.0
+            for x in points:
+                logits = {c: float(emb[x] @ means[c]) for c in classes}
+                log_norm = math.log(sum(math.exp(v) for v in logits.values()))
+                expect += marg[x] / mass * (log_norm - logits[int(mix.labels[x])])
+            assert got == pytest.approx(expect, rel=1e-12), key
+        assert scattered  # some task's points are not one contiguous index block
 
     def test_certificate_records_prior_shape(self):
         emb, mix = random_instance(9, s_points=8, k_classes=4, embed_dim=6)

@@ -319,9 +319,10 @@ class TestUnbiasedLossExact:
         assert abs(exact - mc) <= 3 * se
 
     def test_budget_guard(self):
+        # At N = 8 the call evaluates 23166 multiset rows over its anchors.
         emb, mix = random_instance(5, s_points=10, k_classes=3)
         with pytest.raises(BudgetExceeded):
-            unbiased_loss_exact(emb, mix, 8, budget=1e6)
+            unbiased_loss_exact(emb, mix, 8, budget=1e4)
 
     def test_degenerate_class(self):
         from conftest import single_class_mixture
@@ -501,6 +502,30 @@ class TestExactLayerBruteForce:
             built.clear()
             unbiased_loss_exact(emb, mix, n_neg)
             assert [n for _, n in built] == [n_neg] * mix.n_classes
+
+    @staticmethod
+    def rows_evaluated(mix, n_neg):
+        """Rows each function evaluates: per anchor of positive mass, the
+        multisets of every draw side it enumerates, from their supports."""
+        def multisets(dist, n):
+            return math.comb(int(np.count_nonzero(dist > 0.0)) + n - 1, n)
+
+        marg = marginal(mix)
+        live = [a for a in range(mix.n_points) if marg[a] > 0.0]
+        return {
+            "unbiased": sum(multisets(negative_dist(mix, a), n_neg) for a in live),
+            "oracle": sum(multisets(positive_dist(mix, a), k) * multisets(marg, n_neg - k)
+                          for a in live for k in range(n_neg + 1)),
+        }
+
+    @pytest.mark.parametrize("name, fn", [("unbiased", unbiased_loss_exact),
+                                          ("oracle", binomial_oracle)], ids=["unbiased", "oracle"])
+    def test_budget_counts_rows_evaluated(self, name, fn):
+        for emb, mix in [_zero_mass_mixture(), random_instance(5, s_points=10, k_classes=3)]:
+            rows = self.rows_evaluated(mix, 4)[name]
+            fn(emb, mix, 4, budget=rows)
+            with pytest.raises(BudgetExceeded, match=f"^{rows} enumerated rows exceed"):
+                fn(emb, mix, 4, budget=rows - 1)
 
     @staticmethod
     def reference_inner(emb, mix, tau_plus):

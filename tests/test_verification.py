@@ -242,6 +242,22 @@ class TestRateFit:
         rate_fit(emb, mix, sweep, trials=2000, seed=10)
         assert drawn == sizes
 
+    @pytest.mark.parametrize("tau_plus, error, match", [
+        (0.5, NegativeDenominator, "at anchor 3 "), (1.5, ValueError, "tau_plus must lie"),
+    ], ids=["above-prior", "out-of-range"])
+    def test_invalid_tau_rejected_before_drawing(self, monkeypatch, tau_plus, error, match):
+        # K = 4: tau+ = 0.5 lies above the class prior, and anchor 3 is the
+        # first whose inner expectation goes nonpositive; 1.5 is out of range.
+        drawn = _count_side_means(monkeypatch)
+        emb, mix = random_instance(20, k_classes=4)
+        with pytest.raises(error, match=match) as exact:
+            asymptotic_debiased_exact(emb, mix, q=4.0, tau_plus=tau_plus)
+        sweep = SweepSpec(variable="N", grid=(4, 16, 64, 400), other=4000, tau_plus=tau_plus)
+        with pytest.raises(error) as fitted:
+            rate_fit(emb, mix, sweep, trials=2000, seed=9)
+        assert str(fitted.value) == str(exact.value)
+        assert drawn == []
+
     def test_grid_points_recorded(self):
         emb, mix = random_instance(22, k_classes=4)
         sweep = SweepSpec(variable="N", grid=(4, 16, 64, 400), other=4000)
