@@ -1,17 +1,14 @@
 """Analytic gradients of batch losses w.r.t. the encoder weight matrix.
 
-The chain is closed-form: similarity scores -> (clamped) denominator
-estimator -> per-anchor loss -> batch mean, then back through the unit
-projection via its Jacobian and through the encoder.  One formula serves
-every kind of ``losses.LOSS_KINDS``, because ``batch_terms`` hands back the
-denominator as weights on the shifted exponentials: role r's loss is
-log(sum_j w_rj e_rj) - s+ (up to the shift), so its derivative in s_rj is
-w_rj e_rj / denom_r minus the partner indicator.  On anchors where the
-estimator sits on its floor the weights are the partner indicator alone, so
-the gradient through the unlabeled and extra positive similarities is zero
-while the positive-pair path is retained; at exact equality with the floor
-we take the floored branch, matching the right-continuous subgradient of
-max and typical autodiff behavior.
+The chain is closed-form.  ``losses.batch_terms`` owns the loss end of it:
+it hands back G = d(mean loss)/d(f_r . f_j) for every kind of
+``losses.LOSS_KINDS``, with the clamp already applied (where the estimator
+sits on its floor only the positive-pair path is retained; at exact
+equality with the floor the floored branch is taken, matching the
+right-continuous subgradient of max and typical autodiff behavior).  This
+module only carries G back through the dot products, the unit projection
+via its Jacobian and the encoder, so it knows nothing of the batch layout
+beyond the anchor rows coming first.
 
 A central-finite-difference harness verifies the whole chain; coordinates
 whose +/- step evaluations land on different sides of the clamp are
@@ -52,7 +49,7 @@ def _forward(weights: np.ndarray, batch: ViewBatch,
 
 
 def batch_loss_terms(weights: np.ndarray, batch: ViewBatch, spec: LossSpec) -> losses.BatchTerms:
-    """Forward pass only: per-anchor losses plus clamp flags."""
+    """Forward pass only: per-anchor losses, clamp flags and similarity gradient."""
     return _forward(weights, batch, spec)[2]
 
 
@@ -60,15 +57,11 @@ def loss_and_grad(weights: np.ndarray, batch: ViewBatch,
                   spec: LossSpec) -> tuple[float, np.ndarray]:
     """Mean batch loss and its exact gradient w.r.t. the encoder weights."""
     z, f, terms = _forward(weights, batch, spec)
-    twob = 2 * batch.batch_size
-
-    # G = d(mean loss)/d(f_r . f_j) over the 2B anchor rows r and all views j.
-    grad = terms.weights * terms.exp_shift / terms.denom[:, None]
-    grad[np.arange(twob), terms.partner] -= 1.0
-    grad /= twob * spec.temperature
+    grad = terms.grad
+    anchors = grad.shape[0]
     # Each f_r . f_j moves f_j by G_rj f_r and f_r by G_rj f_j.
-    d_f = grad.T @ f[:twob]
-    d_f[:twob] += grad @ f
+    d_f = grad.T @ f[:anchors]
+    d_f[:anchors] += grad @ f
     # Unit projection: dL/dz = (dL/df - (dL/df . f) f) / ||z||.
     norms = np.linalg.norm(z, axis=1)
     d_z = (d_f - (d_f * f).sum(axis=1, keepdims=True) * f) / norms[:, None]

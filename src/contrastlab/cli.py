@@ -153,6 +153,8 @@ def cmd_train(cfg: dict, report: RunReport) -> int:
             for tau in dict.fromkeys(kind_params(kind, tau, cfg["floor_mode"])[0]
                                      for tau in cfg["tau_plus"])
             for run_seed in seeds]
+    if not runs:
+        raise ConfigError("the sweep has no run: loss_kinds and tau_plus each need a value")
     # A repeated tag would overwrite an earlier run's log and checkpoint.
     tags = [f"{run.loss_kind}_tau{run.tau_plus:g}_seed{run.seed}" for run in runs]
     for i, tag in enumerate(tags):
@@ -293,6 +295,8 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
 
 
 def cmd_gradcheck(cfg: dict, report: RunReport) -> int:
+    if cfg["cases"] < 1:
+        raise ConfigError("gradcheck checked nothing; cases must be >= 1")
     floors = ("exp_floor", "zero_floor")
     taus = (0.0, 0.05, 0.1, 0.2)
     rows = []

@@ -1,9 +1,10 @@
 """Flat ``key = value`` experiment configs with typed schemas and hashing.
 
 A config is a text file of ``key = value`` lines plus command-line
-overrides (later wins).  Unknown keys are rejected, the ``format_version``
-tag must match the schema version built into the binary, and every run
-report embeds the hash of the resolved config so any emitted number can be
+overrides (later wins).  Unknown keys are rejected, and the error lists
+every valid key with its default and help.  The ``format_version`` tag must
+match the schema version built into the binary, and every run report
+embeds the hash of the resolved config so any emitted number can be
 re-derived.
 
 The ``train`` schema's per-run keys are the fields of ``TrainConfig``, with
@@ -66,50 +67,51 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     } | _EVAL,
     "verify.lemma1": _COMMON | {
         "instances": Field("int", 20, "random (embedding, mixture) instances"),
-        "trials": Field("int", 100000, ""),
+        "trials": Field("int", 100000, "Monte Carlo trials, >= 1000"),
         "n_list": Field("int_list", (1, 4, 16), "negative sample sizes"),
-        "s_points": Field("int", 8, ""),
-        "k_classes": Field("int", 4, ""),
-        "embed_dim": Field("int", 8, ""),
+        "s_points": Field("int", 8, "points per random mixture"),
+        "k_classes": Field("int", 4, "classes per random mixture"),
+        "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
     },
     "verify.thm3": _COMMON | {
-        "instances": Field("int", 10, ""),
-        "trials": Field("int", 100000, ""),
-        "n_grid": Field("int_list", (4, 16, 64, 256), ""),
-        "m_grid": Field("int_list", (4, 16, 64, 256), ""),
+        "instances": Field("int", 10, "random (embedding, mixture) instances"),
+        "trials": Field("int", 100000, "Monte Carlo trials, >= 1000"),
+        "n_grid": Field("int_list", (4, 16, 64, 256), "negative sample sizes N"),
+        "m_grid": Field("int_list", (4, 16, 64, 256), "positive sample sizes M"),
         "tau_list": Field("float_list", (0.05, 0.1, 0.2), "override tau+ values"),
-        "s_points": Field("int", 8, ""),
+        "s_points": Field("int", 8, "points per random mixture"),
         "k_classes": Field("int", 5, "true tau+ = 1/K should dominate tau_list"),
-        "embed_dim": Field("int", 8, ""),
+        "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
     },
     "verify.rate": _COMMON | {
-        "trials": Field("int", 100000, ""),
+        "trials": Field("int", 100000, "Monte Carlo trials, >= 1000"),
         "sweep_variable": Field("str", "N", "N | M"),
-        "sweep_grid": Field("int_list", (4, 16, 64, 256, 1024), ""),
+        "sweep_grid": Field("int_list", (4, 16, 64, 256, 1024),
+                            "swept sizes, spanning two decades or more"),
         "other_size": Field("int", 10240, "non-swept sample size"),
         "tau_plus": Field("float", -1.0, "negative means the mixture's own"),
-        "s_points": Field("int", 8, ""),
-        "k_classes": Field("int", 5, ""),
-        "embed_dim": Field("int", 8, ""),
-        "slope_min": Field("float", -0.65, ""),
-        "slope_max": Field("float", -0.35, ""),
-        "r2_min": Field("float", 0.9, ""),
+        "s_points": Field("int", 8, "points per random mixture"),
+        "k_classes": Field("int", 5, "classes per random mixture"),
+        "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
+        "slope_min": Field("float", -0.65, "lowest passing fitted slope"),
+        "slope_max": Field("float", -0.35, "highest passing fitted slope"),
+        "r2_min": Field("float", 0.9, "lowest passing fit r^2"),
     },
     "verify.lemma4": _COMMON | {
         "embeddings": Field("int", 100, "random embeddings per mixture"),
-        "mixtures": Field("int", 3, ""),
+        "mixtures": Field("int", 3, "random mixtures"),
         "k_list": Field("int_list", (2, 3, 5), "class counts cycled over mixtures"),
-        "s_points": Field("int", 10, ""),
-        "embed_dim": Field("int", 8, ""),
+        "s_points": Field("int", 10, "points per random mixture"),
+        "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
         "n_max_factor": Field("int", 4, "sweep N = K-1 .. factor*K"),
     },
     "verify.oracle": _COMMON | {
-        "instances": Field("int", 50, ""),
-        "s_max": Field("int", 10, ""),
-        "n_max": Field("int", 6, ""),
+        "instances": Field("int", 50, "random (embedding, mixture, N) instances"),
+        "s_max": Field("int", 10, "largest number of points"),
+        "n_max": Field("int", 6, "largest negative sample size N"),
         "budget": Field("float", 1e9, "enumeration budget: rows evaluated, summed over anchors"),
         "tolerance": Field("float", 1e-9, "relative error threshold"),
-        "embed_dim": Field("int", 8, ""),
+        "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
     },
     "gradcheck": _COMMON | {
         "cases": Field("int", 200, "random configurations"),
@@ -118,10 +120,10 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
     "gen-data": _COMMON | {
         "preset": Field("str", "", "named mixture preset; empty = random"),
-        "s_points": Field("int", 8, ""),
-        "k_classes": Field("int", 4, ""),
-        "feature_dim": Field("int", 4, ""),
-        "filename": Field("str", "mixture.txt", ""),
+        "s_points": Field("int", 8, "points per random mixture"),
+        "k_classes": Field("int", 4, "classes per random mixture"),
+        "feature_dim": Field("int", 4, "dimension of the mixture points"),
+        "filename": Field("str", "mixture.txt", "output file in the out directory"),
     },
 }
 
@@ -147,16 +149,21 @@ def _parse_value(key: str, field: Field, raw: str):
 
 
 def load_config_file(path) -> dict[str, str]:
+    """The ``key = value`` entries of a config or mixture file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        entries[key.strip()] = value.strip()
     return entries
 
 
@@ -177,7 +184,11 @@ def resolve(command: str, config_path: str | None, overrides: list[str],
 
     unknown = set(raw) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown config keys for {command!r}: {sorted(unknown)}")
+        valid = "".join(f"\n  {key} = {render_value(field.default)}"
+                        + (f"  ({field.help})" if field.help else "")
+                        for key, field in schema.items())
+        raise ConfigError(f"unknown config keys for {command!r}: {sorted(unknown)}; "
+                          f"valid keys and defaults:{valid}")
     resolved = {key: field.default for key, field in schema.items()}
     for key, value in raw.items():
         resolved[key] = _parse_value(key, schema[key], value)

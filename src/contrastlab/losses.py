@@ -21,6 +21,10 @@ On a two-view training batch the first three are ``LOSS_KINDS``, computed
 by one forward pass, :func:`batch_terms`: the biased loss is the debiased
 one at tau+ = 0 with a zero floor, and the true-negative loss is the same
 expression over a different-class mask; :func:`kind_params` is that rule.
+The pass also returns the gradient of the mean loss in the similarity
+scores, so a backward pass needs none of the batch layout.  Every other
+loss, Monte Carlo or exact, is computed by one kernel,
+:func:`_contrastive_losses`.
 
 Everything is evaluated with a max-subtraction shift so small temperatures
 cannot overflow, and all expectations over discrete mixtures are exact
@@ -137,6 +141,23 @@ def kind_params(kind: str, tau_plus: float, floor_mode: str) -> tuple[float, str
     return (tau_plus, floor_mode) if kind == "debiased" else (0.0, ZERO_FLOOR)
 
 
+def _contrastive_losses(s_pos, h_pos, tail, shift=0.0) -> np.ndarray:
+    """The loss kernel: -log(h+ / (h+ + D)) = log(h+ + D) + shift - s+, per row.
+
+    ``h_pos`` is e^(s+ - shift) and ``tail`` is D in the same shifted units;
+    the arguments broadcast into one output array, filled in place.  Every
+    Monte Carlo and exact loss calls it.  Two forms stay outside:
+    :func:`biased_loss_point` is the independent reference the batch losses
+    are tested against, and :func:`batch_terms` builds its denominator as
+    one weighted sum, because its gradient reads the weights.
+    """
+    out = np.asarray(h_pos + tail)
+    np.log(out, out=out)
+    out += shift
+    out -= s_pos
+    return out
+
+
 def biased_loss_point(sim_pos: float, sims_neg, q: float | None = None) -> LossValue:
     """Per-sample loss with marginal-drawn negatives.
 
@@ -199,13 +220,27 @@ def debiased_loss_point(sim_pos: float, sims_u, sims_v, tau_plus: float,
                                    tau_plus, estimator_floor(floor_mode, t, c))
     if g_scaled <= 0.0:
         return LossValue(0.0)
-    value = math.log(math.exp(sim_pos - c) + n * g_scaled) + c - sim_pos
-    return LossValue(value)
+    return LossValue(float(_contrastive_losses(sim_pos, math.exp(sim_pos - c),
+                                               n * g_scaled, c)))
 
 
 @dataclass(frozen=True)
 class BatchTerms:
-    """Per-anchor-role pieces of a two-view batch loss.
+    """What a two-view batch loss hands on: per-role losses, clamp flags, and
+    the gradient of the mean loss in the anchor rows' dot products.
+
+    ``grad[r, j]`` is d(mean loss)/d(f_r . f_j) for the 2B anchor rows r and
+    every view row j, so a backward pass needs nothing of the batch layout.
+    """
+
+    losses: np.ndarray        # (2B,) per-role loss value
+    floored: np.ndarray       # (2B,) raw estimate strictly below the floor
+    grad: np.ndarray          # (2B, V) d(mean loss)/d(f_r . f_j)
+
+
+def batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
+    """Shared forward pass, and similarity gradient, of the batch losses of
+    ``LOSS_KINDS``.
 
     The layout has V = (M+1) B + P rows: the B first views, the B second
     views, (M-1) groups of B extra positive views, then an optional pool of
@@ -214,25 +249,6 @@ class BatchTerms:
     views (or the different-class pool views), so N = 2(B-1); its positive
     set is the partner plus its own identity's extra views.  Everything is
     shifted by a per-role max c so small temperatures cannot overflow.
-
-    ``weights`` is the whole kind-specific rule: role r's denominator is
-    sum_j weights[r, j] * exp_shift[r, j], so a backward pass needs nothing
-    else.  Where the clamp binds, the row is the partner indicator.
-    """
-
-    losses: np.ndarray        # (2B,) per-role loss value
-    floored: np.ndarray       # (2B,) raw estimate strictly below the floor
-    sims: np.ndarray          # (2B, V) similarities of the anchor rows
-    h_pos: np.ndarray         # (2B,) exp(s+ - c)
-    denom: np.ndarray         # (2B,) shifted denominator h + N g (or h + T)
-    exp_shift: np.ndarray     # (2B, V) exp(s - c)
-    neg_mask: np.ndarray      # (2B, V) negative columns per role
-    partner: np.ndarray       # (2B,) partner column per role
-    weights: np.ndarray       # (2B, V) coefficient of each exp(s - c) in denom
-
-
-def batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
-    """Shared forward pass for the batch losses of ``LOSS_KINDS``.
 
     ``f`` holds the unit embeddings of ``batch``'s view rows, in its layout.
     ``spec.kind`` selects the denominator: "debiased" uses the clamped
@@ -249,7 +265,10 @@ def batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
     tau- = 1 - tau+: w = 1/tau- on each negative (N / N_available for
     "unbiased"), 1 - N tau+ / (tau- M) on the partner, -N tau+ / (tau- M) on
     each extra positive and 0 elsewhere.  The clamp g >= floor is then
-    denom = max(sum, h + N floor).
+    denom = max(sum, h + N floor), and where it binds the row's weights
+    become the partner indicator.  Role r's loss is log(denom_r) + c - s+,
+    so its derivative in s_rj is w_rj e_rj / denom_r less the partner
+    indicator; ``grad`` is that, over the mean's 2B and s = f.f / t.
     """
     f = np.asarray(f, dtype=np.float64)
     if f.shape[0] != batch.features.shape[0]:
@@ -314,7 +333,11 @@ def batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
     weights[roles[clamped], partner[clamped]] = 1.0
     denom = np.maximum(raw, floor)
     losses = np.log(denom) + shift - s_pos
-    return BatchTerms(losses, floored, sims, h_pos, denom, exp_shift, neg_mask, partner, weights)
+    grad = weights * exp_shift
+    grad /= denom[:, None]
+    grad[roles, partner] -= 1.0
+    grad /= twob * t
+    return BatchTerms(losses, floored, grad)
 
 
 def debiased_loss_batch(view_a: np.ndarray, view_b: np.ndarray, tau_plus: float,
@@ -399,10 +422,7 @@ def _expected_loss(probs: np.ndarray, tails: np.ndarray, expvec: np.ndarray,
     and filled in place, so each pass over it is contiguous.
     """
     cols = np.flatnonzero(pos)
-    grid = np.add.outer(expvec[cols], tails)
-    np.log(grid, out=grid)
-    grid += shift
-    grid -= sims_row[cols, None]
+    grid = _contrastive_losses(sims_row[cols, None], expvec[cols, None], tails, shift)
     return float(grid @ probs @ pos[cols])
 
 
@@ -479,7 +499,8 @@ def asymptotic_debiased_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
     sims, shift, expm = _shifted_exps(embeddings)
     inner = _debiased_inner(mix, expm, mix.tau_plus if tau_plus is None else tau_plus)
     live = marg > 0.0
-    losses = np.log(expm[live] + q * inner[live, None]) + shift[live, None] - sims[live]
+    losses = _contrastive_losses(sims[live], expm[live], q * inner[live, None],
+                                 shift[live, None])
     pos = mix.class_conditionals[mix.labels[live]]
     return LossValue(float(marg[live] @ (losses * pos).sum(axis=1)))
 

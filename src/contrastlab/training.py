@@ -245,8 +245,11 @@ def save_checkpoint(path, weights: np.ndarray, config_hash: str, meta: dict | No
 
 def load_checkpoint(path) -> tuple[np.ndarray, dict]:
     """A checkpoint's payload and its weights, checked as input from outside."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"checkpoint version {version} != {CHECKPOINT_VERSION}")

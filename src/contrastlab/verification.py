@@ -28,6 +28,7 @@ from .losses import (
     DEFAULT_ENUM_BUDGET,
     EXP_FLOOR,
     _check_params,
+    _contrastive_losses,
     _debiased_inner,
     asymptotic_debiased_exact,
     binomial_oracle,
@@ -219,10 +220,14 @@ def _draw_monte_carlo(embeddings: np.ndarray, mix: DiscreteClassMixture, trials:
     """Draw a set from ``substream(*stream)`` holding the given sizes of each side.
 
     Fewer than ``MIN_TRIALS`` trials is an invalid configuration: the 3-sigma
-    slack of every certificate assumes the mean is near normal.
+    slack of every certificate assumes the mean is near normal.  So is a size
+    below 1, a mean over no draws; both are refused before anything is drawn.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials")
+    small = sorted({int(n) for n in (*marginal, *negative, *positive) if n < 1})
+    if small:
+        raise ValueError(f"Monte Carlo sample sizes must be >= 1, got {small}")
     sims, expm = _sims_and_exp(embeddings)
     rng = substream(*stream)
     anchors, positives = _draw_anchor_positive(mix, trials, rng)
@@ -252,8 +257,9 @@ def lemma1_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
         raise DegenerateClass("certificate needs K >= 2")
     draws = _draw_monte_carlo(embeddings, mix, trials, (seed, 1),
                               marginal=(n_neg,), negative=(n_neg,))
-    loss_biased = np.log(draws.h_pos + draws.marginal[n_neg] * n_neg) - draws.s_pos
-    loss_unbiased = np.log(draws.h_pos + draws.negative[n_neg] * n_neg) - draws.s_pos
+    loss_biased = _contrastive_losses(draws.s_pos, draws.h_pos, draws.marginal[n_neg] * n_neg)
+    loss_unbiased = _contrastive_losses(draws.s_pos, draws.h_pos,
+                                        draws.negative[n_neg] * n_neg)
 
     _, expm = _sims_and_exp(embeddings)
     marg = marginal(mix)
@@ -342,7 +348,7 @@ def _debiased_mc_losses(draws: MonteCarloDraws, n_neg: int, m_pos: int,
     positive side at M."""
     g, _ = clamped_estimate(draws.marginal[n_neg], draws.positive[m_pos], tau_plus,
                             estimator_floor(EXP_FLOOR, t=1.0))
-    return np.log(draws.h_pos + n_neg * g) - draws.s_pos
+    return _contrastive_losses(draws.s_pos, draws.h_pos, n_neg * g)
 
 
 def rate_fit(embeddings: np.ndarray, mix: DiscreteClassMixture, sweep: SweepSpec,
@@ -383,7 +389,7 @@ def rate_fit(embeddings: np.ndarray, mix: DiscreteClassMixture, sweep: SweepSpec
     for size in grid:
         n_neg, m_pos = (size, sweep.other) if sweep.variable == "N" else (sweep.other, size)
         losses = _debiased_mc_losses(draws, n_neg, m_pos, tau_plus)
-        integrand = np.log(draws.h_pos + n_neg * integrand_inner) - draws.s_pos
+        integrand = _contrastive_losses(draws.s_pos, draws.h_pos, n_neg * integrand_inner)
         gaps = np.abs(losses - integrand)
         points.append(GridPoint(size=size, mean_gap=float(gaps.mean()),
                                 stderr=float(gaps.std(ddof=1) / math.sqrt(trials))))

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from contrastlab.autograd import LossSpec, batch_loss_terms, finite_diff_check, loss_and_grad
-from contrastlab.encoder import ViewBatch, init_params
+from contrastlab.encoder import ViewBatch, encoder_forward, init_params
 from contrastlab.errors import BatchTooSmall
+from contrastlab.geometry import unit_rows
 from contrastlab.rng import substream
 
 def make_batch(rng, b=3, m=1, feat=4, labels=None):
@@ -95,7 +96,12 @@ class TestLossAndGrad:
         spec = LossSpec(kind="debiased", tau_plus=0.9, floor_mode="zero_floor")
         terms = batch_loss_terms(weights, batch, spec)
         assert terms.floored.all()
-        assert np.any(terms.h_pos < 1.0)
+        # h+ = e^(s+ - c) < 1: some role's partner is not its most similar view.
+        f = unit_rows(encoder_forward(weights, batch.features))
+        sims = f @ f.T
+        np.fill_diagonal(sims, -np.inf)
+        roles = np.arange(4)
+        assert np.any(sims[roles, (roles + 2) % 4] < sims.max(axis=1))
         _, grad = loss_and_grad(weights, batch, spec)
         assert np.all(grad == 0.0)
 

@@ -8,7 +8,7 @@ import pytest
 
 import contrastlab.cli as cli
 from contrastlab.cli import _child_seed, _random_instance, main
-from contrastlab.config import SCHEMA_VERSION, config_hash, resolve
+from contrastlab.config import SCHEMA_VERSION, SCHEMAS, config_hash, render_value, resolve
 from contrastlab.errors import ConfigError
 from contrastlab.training import TrainConfig, train
 from contrastlab.verification import make_certificate, theorem3_certificate, theorem3_draws
@@ -53,6 +53,25 @@ INVALID_VALUES = {
     "lemma4-no-embeddings": ["verify", "lemma4", "--set", "embeddings=0"],
     "lemma4-no-mixtures": ["verify", "lemma4", "--set", "mixtures=0"],
     "lemma4-no-n": ["verify", "lemma4", "--set", "n_max_factor=0"],
+    "gradcheck-no-cases": ["gradcheck", "--set", "cases=0"],
+    "train-no-kinds": ["train", "--set", "loss_kinds="] + FAST_TRAIN,
+    "train-no-tau": ["train", "--set", "tau_plus="] + FAST_TRAIN,
+}
+
+# Input files that do not exist, one per kind of file the commands read.
+MISSING_FILES = {
+    "config": ["train", "--config", "no-such-dir/nope.txt"] + FAST_TRAIN,
+    "mixture": ["train", "--set", "world=discrete",
+                "--set", "mixture_file=no-such-dir/nope.txt"] + FAST_TRAIN,
+    "checkpoint": ["probe", "--set", "checkpoint=no-such-dir/nope.json"],
+}
+
+# A Monte Carlo sample size below 1 in each certificate that draws.
+SIZES_BELOW_ONE = {
+    "lemma1-n": ["verify", "lemma1", "--set", "n_list=0"],
+    "thm3-n": ["verify", "thm3", "--set", "n_grid=0"],
+    "thm3-m": ["verify", "thm3", "--set", "m_grid=0"],
+    "rate-grid": ["verify", "rate", "--set", "sweep_grid=0,1,2,3", "--set", "other_size=100"],
 }
 
 
@@ -72,6 +91,14 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
             resolve("train", None, ["bogus=1"], None)
+
+    def test_unknown_key_error_lists_valid_keys(self, tmp_path, capsys):
+        assert main(["verify", "oracle", "--out", str(tmp_path), "--set", "nmax=3"]) == 2
+        err = capsys.readouterr().err
+        assert "['nmax']" in err
+        assert "n_max = 6  (largest negative sample size N)" in err
+        for key, field in SCHEMAS["verify.oracle"].items():
+            assert f"{key} = {render_value(field.default)}  ({field.help})" in err
 
     def test_file_then_set_later_wins(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -137,6 +164,29 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.strip() and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", list(MISSING_FILES.values()), ids=list(MISSING_FILES))
+    def test_missing_input_file_exits_2(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "no-such-dir/nope." in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", list(SIZES_BELOW_ONE.values()), ids=list(SIZES_BELOW_ONE))
+    def test_sample_size_below_one_exits_2_before_drawing(self, tmp_path, capsys,
+                                                           monkeypatch, argv):
+        import contrastlab.verification as verification
+
+        streams = []
+        real = verification.substream
+        monkeypatch.setattr(verification, "substream",
+                            lambda *path: streams.append(path) or real(*path))
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "sample sizes must be >= 1" in err and "Traceback" not in err
+        assert not streams
         assert not list(tmp_path.iterdir())
 
 

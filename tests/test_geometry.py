@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contrastlab.encoder import ViewBatch
 from contrastlab.errors import NonFiniteVector, ZeroVector
 from contrastlab.geometry import unit_rows
-from contrastlab.losses import LossSpec, batch_terms
+from contrastlab.losses import LossSpec
 
 from conftest import random_orthogonal
 
@@ -36,13 +35,12 @@ def projection_jacobian_numeric(v, step=1e-6) -> np.ndarray:
 
 
 def similarities(rows, t) -> np.ndarray:
-    """Similarity matrix of the (n >= 2) projected rows, as ``batch_terms``
-    computes it for a batch whose two views are those rows."""
+    """Similarity matrix f f^T / t of the projected rows, at a temperature
+    that ``LossSpec`` accepts.  ``batch_terms`` scores a batch the same way;
+    the batch-loss tests that compare it with ``biased_loss_point`` check
+    that to 1e-12."""
     f = unit_rows(np.asarray(rows, dtype=np.float64))
-    n = f.shape[0]
-    views = np.concatenate([f, f])
-    batch = ViewBatch(features=views, batch_size=n, m_positives=1)
-    return batch_terms(views, batch, LossSpec(kind="biased", temperature=t)).sims[:n, :n]
+    return f @ f.T / LossSpec(temperature=t).temperature
 
 
 def similarity(a, b, t) -> float:

@@ -6,10 +6,19 @@ import numpy as np
 import pytest
 
 from contrastlab.errors import InsufficientGrid, NegativeDenominator
-from contrastlab.losses import asymptotic_debiased_exact
+from contrastlab.losses import (
+    _contrastive_losses,
+    _expected_loss,
+    _multiset_table,
+    _shifted_exps,
+    asymptotic_debiased_exact,
+    unbiased_loss_exact,
+)
+from contrastlab.rng import substream
 from contrastlab.verification import (
     GridPoint,
     SweepSpec,
+    _draw_monte_carlo,
     lemma1_certificate,
     oracle_certificate,
     rate_fit,
@@ -17,9 +26,9 @@ from contrastlab.verification import (
     theorem3_draws,
     theorem5_constants,
 )
-from contrastlab.worldmodel import preset_mixture
+from contrastlab.worldmodel import marginal, positive_dist, preset_mixture, random_mixture
 
-from conftest import random_instance
+from conftest import random_instance, random_unit_rows
 
 
 def _count_side_means(monkeypatch):
@@ -86,6 +95,46 @@ class TestLemma1Certificate:
         emb, mix = random_instance(31)
         lemma1_certificate(emb, mix, 4, trials=2000, seed=5)
         assert sizes == [4, 4]
+
+
+def _exact_marginal_negative_loss(emb, mix, n_neg):
+    """Exact finite-N loss with N marginal negatives, at Q = N and t = 1: the
+    marginal multiset table is enumerated once, and each anchor's
+    expectation taken by the enumerated losses' own kernel."""
+    sims, shift, expm = _shifted_exps(emb)
+    marg = marginal(mix)
+    rows, probs = _multiset_table(marg, n_neg)
+    return sum(marg[a] * _expected_loss(probs, expm[a][rows].sum(axis=1), expm[a], sims[a],
+                                        shift[a], positive_dist(mix, a))
+               for a in np.flatnonzero(marg > 0.0))
+
+
+class TestLemma1AgainstExact:
+    # Criterion 5's first three instances and seeds, at N = 1 and 4.
+    @pytest.mark.parametrize("n_neg", [1, 4])
+    @pytest.mark.parametrize("inst", [0, 1, 2])
+    def test_each_side_within_four_sigma_of_exact(self, inst, n_neg):
+        gen = substream(60_000 + inst)
+        k = int(gen.integers(2, 6))
+        mix = random_mixture(gen, max(6, k + 1), k)
+        emb = random_unit_rows(gen, mix.n_points, 8)
+        seed, trials = int(substream(61_000, inst, n_neg).integers(2 ** 62)), 100_000
+        cert = lemma1_certificate(emb, mix, n_neg, trials, seed)
+        draws = _draw_monte_carlo(emb, mix, trials, (seed, 1),
+                                  marginal=(n_neg,), negative=(n_neg,))
+        sides = {"marginal": _exact_marginal_negative_loss(emb, mix, n_neg),
+                 "negative": unbiased_loss_exact(emb, mix, n_neg).value}
+        means = {}
+        for side, exact in sides.items():
+            tail = getattr(draws, side)[n_neg] * n_neg
+            losses = _contrastive_losses(draws.s_pos, draws.h_pos, tail)
+            means[side] = float(losses.mean())
+            stderr = float(losses.std(ddof=1)) / math.sqrt(trials)
+            assert abs(means[side] - exact) <= 4.0 * stderr, (side, means[side], exact, stderr)
+        # The certificate reads the same draws: its rhs is the marginal side,
+        # and its lhs the true-negative side less the margin plus the gap term.
+        assert cert.rhs == means["marginal"]
+        assert cert.lhs == means["negative"] + cert.meta["gap_term"] - cert.meta["margin"]
 
 
 class TestTheorem3Certificate:

@@ -32,11 +32,20 @@ from contrastlab.worldmodel import (
 
 
 def true_negative_batch(world, seed, batch_size=4, pool=6):
-    """A two-view batch with a fresh labeled pool and its true-negative terms."""
+    """A two-view batch with a fresh labeled pool, and each role's negative
+    columns in it under the true-negative loss.
+
+    A role's loss moves with exactly its negatives and its partner, so its
+    negative columns are where its similarity gradient is nonzero, less the
+    partner column.
+    """
     dataset = build_dataset(world, batch_size, substream(seed, 0))
     batch = make_batches(dataset, batch_size, 1, substream(seed, 1), negative_pool=pool)[0]
-    terms = batch_terms(batch.features, batch, LossSpec(kind="unbiased"))
-    return batch, terms
+    neg_mask = batch_terms(batch.features, batch, LossSpec(kind="unbiased")).grad != 0.0
+    roles = np.arange(2 * batch_size)
+    assert neg_mask[roles, (roles + batch_size) % (2 * batch_size)].all()
+    neg_mask[roles, (roles + batch_size) % (2 * batch_size)] = False
+    return batch, neg_mask
 
 
 class TestBuildDiscrete:
@@ -147,9 +156,9 @@ class TestSampling:
     def test_two_point_true_negatives_deterministic(self):
         # In the two-point world every true negative of a point is the other point.
         mix = preset_mixture("two-point")
-        batch, terms = true_negative_batch(mix, 1)
+        batch, neg_mask = true_negative_batch(mix, 1)
         for r, label in enumerate(batch.labels[np.arange(8) % 4]):
-            negatives = batch.features[terms.neg_mask[r]]
+            negatives = batch.features[neg_mask[r]]
             assert negatives.shape[0] > 0
             np.testing.assert_array_equal(negatives, np.tile(mix.points[1 - label], (len(negatives), 1)))
 
@@ -180,11 +189,11 @@ class TestSampling:
 
     def test_true_negative_classes_differ(self):
         mix = preset_mixture("paper-uniform")
-        batch, terms = true_negative_batch(mix, 11, batch_size=8, pool=50)
+        batch, neg_mask = true_negative_batch(mix, 11, batch_size=8, pool=50)
         anchor = batch.labels[np.arange(16) % 8]
-        pool = terms.neg_mask[:, 16:]
+        pool = neg_mask[:, 16:]
         np.testing.assert_array_equal(pool, anchor[:, None] != batch.neg_pool_labels[None, :])
-        assert not terms.neg_mask[:, :16].any()
+        assert not neg_mask[:, :16].any()
 
     def test_seed_determinism(self):
         mix = preset_mixture("paper-uniform")
