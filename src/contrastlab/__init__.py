@@ -8,7 +8,7 @@ finite-sample error and supervised-loss bounds.
 
 from .autograd import GradientReport, LossSpec, finite_diff_check, loss_and_grad
 from .encoder import ViewBatch, init_params
-from .evaluation import ProbeResult, lemma4_chain_check, linear_probe
+from .evaluation import ProbeResult, lemma4_chain_check, lemma4_terms, linear_probe
 from .experiments import direction_probe_accuracy
 from .losses import (
     LossValue,

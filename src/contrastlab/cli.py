@@ -27,7 +27,7 @@ from .autograd import finite_diff_check
 from .config import SCHEMA_VERSION, TRAIN_RUN_KEYS, config_hash, render_value, resolve
 from .encoder import ViewBatch, init_params
 from .errors import ConfigError, ContrastLabError, NegativeDenominator
-from .evaluation import lemma4_chain_check
+from .evaluation import lemma4_chain_check, lemma4_terms
 from .experiments import direction_probe_accuracy
 from .geometry import unit_rows
 from .losses import LOSS_KINDS, LossSpec, kind_params
@@ -202,10 +202,25 @@ def _random_instance(seed: int, *, s_points: int, k_classes: int, embed_dim: int
     return emb, mix
 
 
+def _require_values(cfg: dict, check: str, key: str, low: int | None = None,
+                    what: str = "Monte Carlo sample sizes") -> None:
+    """Refuse an empty list under ``key``, or one holding a value below ``low``.
+
+    Each list is checked before the check's first draw, so a bad value late
+    in a list is refused before the values ahead of it are certified.
+    """
+    if not cfg[key]:
+        raise ConfigError(f"{key} is empty; verify {check} would check nothing")
+    small = sorted({v for v in cfg[key] if low is not None and v < low})
+    if small:
+        raise ConfigError(f"{key}: {what} must be >= {low}, got {small}")
+
+
 def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
     seed = cfg["seed"]
 
     if check == "lemma1":
+        _require_values(cfg, check, "n_list", 1)
         for inst in range(cfg["instances"]):
             emb, mix = _random_instance(seed, s_points=cfg["s_points"],
                                         k_classes=cfg["k_classes"],
@@ -217,6 +232,9 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
                 report.add_certificate(cert.to_record())
 
     elif check == "thm3":
+        _require_values(cfg, check, "n_grid", 1)
+        _require_values(cfg, check, "m_grid", 1)
+        _require_values(cfg, check, "tau_list")
         for inst in range(cfg["instances"]):
             emb, mix = _random_instance(seed, s_points=cfg["s_points"],
                                         k_classes=cfg["k_classes"],
@@ -257,6 +275,10 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
         print(f"rate: slope={fit.slope:.4f} r2={fit.r2:.4f} status={fit.status}")
 
     elif check == "lemma4":
+        _require_values(cfg, check, "k_list", 2, what="class counts")
+        # N runs over K-1 .. factor*K, which is empty for every K when factor < 1.
+        if cfg["n_max_factor"] < 1:
+            raise ConfigError("n_max_factor must be >= 1; verify lemma4 would check nothing")
         for mi in range(cfg["mixtures"]):
             k = cfg["k_list"][mi % len(cfg["k_list"])]
             rng = substream(seed, 50, mi)
@@ -264,12 +286,20 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
             for ei in range(cfg["embeddings"]):
                 emb = unit_rows(substream(seed, 51, mi, ei)
                                 .standard_normal((mix.n_points, cfg["embed_dim"])))
+                # The probe is fitted on each mixture's first embedding only.
+                include_probe = ei == 0
+                terms = lemma4_terms(emb, mix, include_probe)
                 for n_neg in range(k - 1, cfg["n_max_factor"] * k + 1):
-                    cert = lemma4_chain_check(emb, mix, n_neg, include_probe=(ei == 0))
+                    cert = lemma4_chain_check(emb, mix, n_neg, include_probe, terms=terms)
                     cert.meta.update({"mixture": mi, "embedding": ei})
                     report.add_certificate(cert.to_record())
 
     elif check == "oracle":
+        # An instance draws K in 2..5 and then S in max(K, 4)..s_max.
+        if cfg["s_max"] < 5:
+            raise ConfigError(f"s_max must be >= 5, the largest K drawn; got {cfg['s_max']}")
+        if cfg["n_max"] < 1:
+            raise ConfigError(f"n_max must be >= 1; got {cfg['n_max']}")
         for inst in range(cfg["instances"]):
             rng = substream(seed, 60, inst)
             k = int(rng.integers(2, 6))

@@ -41,6 +41,7 @@ __all__ = [
     "probe_accuracy",
     "mean_classifier_weights",
     "mean_classifier_loss",
+    "lemma4_terms",
     "lemma4_chain_check",
 ]
 
@@ -123,8 +124,49 @@ def probe_accuracy(probe_weights: np.ndarray, representations: np.ndarray,
     return float((preds == np.asarray(labels)).mean())
 
 
+@dataclass(frozen=True, eq=False)
+class Lemma4Terms:
+    """The N-free part of every lemma4 certificate on one (embeddings, mixture).
+
+    ``lhs`` is the certified mean-classifier loss; ``subtasks`` maps each
+    sampled 3-class sub-task (K > 3 only) to its mean-classifier loss, and
+    ``probe`` is the fitted probe when it was asked for.  Terms belong to
+    the (embeddings, mixture) objects they were built from.
+    """
+
+    embeddings: np.ndarray
+    mix: DiscreteClassMixture
+    lhs: float
+    subtasks: dict[str, float]
+    probe: ProbeResult | None
+
+
+def lemma4_terms(embeddings: np.ndarray, mix: DiscreteClassMixture,
+                 include_probe: bool) -> Lemma4Terms:
+    """Build the terms that every N of :func:`lemma4_chain_check` shares.
+
+    Pass the result as ``terms=`` to each N's check on these embeddings and
+    this mixture, so the mean classifier, the sub-tasks and the probe are
+    computed once rather than once per N.
+    """
+    lhs = mean_classifier_loss(embeddings, mix).value
+    subtasks = {}
+    if mix.n_classes > 3:
+        gen = substream(0, 4)  # fixed: every check with K classes samples the same sub-tasks
+        for _ in range(3):
+            classes = np.sort(gen.choice(mix.n_classes, size=3, replace=False))
+            subtasks[",".join(map(str, classes))] = _mean_classifier_ce(embeddings, mix, classes)
+    probe = None
+    if include_probe:
+        probe = linear_probe(np.asarray(embeddings, dtype=np.float64), mix.labels,
+                             sample_weights=marginal(mix))
+    return Lemma4Terms(embeddings=embeddings, mix=mix, lhs=lhs, subtasks=subtasks,
+                       probe=probe)
+
+
 def lemma4_chain_check(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,
-                       include_probe: bool = True) -> BoundCertificate:
+                       include_probe: bool = True, *,
+                       terms: Lemma4Terms | None = None) -> BoundCertificate:
     """Certify the supervised bound chain on a discrete mixture.
 
     Checks (exactly) that the mean-classifier loss is at most the asymptotic
@@ -139,26 +181,31 @@ def lemma4_chain_check(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
     recorded (not certified) in the metadata with their class tuples.  Both
     losses are exact and at temperature 1, so the only slack is
     ``LEMMA4_FP_TOL``.
+
+    Only the rhs depends on N.  The rest, the mean-classifier loss, the
+    sub-tasks and the probe, is built once per (embeddings, mixture) by
+    :func:`lemma4_terms` and passed as ``terms``; without it the check
+    builds its own.  Terms built for other embeddings, another mixture or
+    another ``include_probe`` raise ``ValueError``.
     """
     if n_neg < mix.n_classes - 1:
         raise BoundPreconditionViolated(
             f"chain needs N >= K-1 = {mix.n_classes - 1}, got {n_neg}"
         )
-    lhs = mean_classifier_loss(embeddings, mix).value
+    if terms is None:
+        terms = lemma4_terms(embeddings, mix, include_probe)
+    if terms.embeddings is not embeddings or terms.mix is not mix:
+        raise ValueError("terms were built for other embeddings or another mixture")
+    if (terms.probe is not None) != include_probe:
+        raise ValueError(f"terms were built with include_probe={not include_probe}")
     rhs = asymptotic_debiased_exact(embeddings, mix, q=float(n_neg)).value
-    meta = mixture_tag(mix) | {"n_neg": n_neg, "mean_classifier_loss": lhs,
+    # Each record gets its own meta; no nested dict is shared between N.
+    meta = mixture_tag(mix) | {"n_neg": n_neg, "mean_classifier_loss": terms.lhs,
                                 "task": "all-classes"}
-    if mix.n_classes > 3:
-        gen = substream(0, 4)  # fixed: every check with K classes samples the same sub-tasks
-        subtasks = {}
-        for _ in range(3):
-            classes = np.sort(gen.choice(mix.n_classes, size=3, replace=False))
-            subtasks[",".join(map(str, classes))] = _mean_classifier_ce(embeddings, mix, classes)
-        meta["subtask_mean_classifier_losses"] = subtasks
-    if include_probe:
-        probe = linear_probe(np.asarray(embeddings, dtype=np.float64), mix.labels,
-                             sample_weights=marginal(mix))
-        meta["supervised_probe_loss"] = probe.softmax_loss
+    if terms.subtasks:
+        meta["subtask_mean_classifier_losses"] = dict(terms.subtasks)
+    if terms.probe is not None:
+        meta["supervised_probe_loss"] = terms.probe.softmax_loss
         meta["supervised_probe_loss_note"] = "approximate (optimized infimum)"
-        meta["probe_accuracy"] = probe.accuracy
-    return make_certificate("lemma4", lhs, rhs, 0.0, 0, meta, fp_tol=LEMMA4_FP_TOL)
+        meta["probe_accuracy"] = terms.probe.accuracy
+    return make_certificate("lemma4", terms.lhs, rhs, 0.0, 0, meta, fp_tol=LEMMA4_FP_TOL)

@@ -56,6 +56,13 @@ INVALID_VALUES = {
     "gradcheck-no-cases": ["gradcheck", "--set", "cases=0"],
     "train-no-kinds": ["train", "--set", "loss_kinds="] + FAST_TRAIN,
     "train-no-tau": ["train", "--set", "tau_plus="] + FAST_TRAIN,
+    # Refused before the first mixture: no class count, or one below 2.
+    "lemma4-no-k": ["verify", "lemma4", "--set", "k_list="],
+    "lemma4-k-below-2": ["verify", "lemma4", "--set", "k_list=2,1", "--set", "embeddings=3"],
+    # Refused before the first instance: no N to draw, or room for fewer
+    # points than the largest K (5) an instance draws.
+    "oracle-n-max": ["verify", "oracle", "--set", "n_max=0"],
+    "oracle-s-max": ["verify", "oracle", "--set", "s_max=4"],
 }
 
 # Input files that do not exist, one per kind of file the commands read.
@@ -66,12 +73,20 @@ MISSING_FILES = {
     "checkpoint": ["probe", "--set", "checkpoint=no-such-dir/nope.json"],
 }
 
-# A Monte Carlo sample size below 1 in each certificate that draws.
+# A Monte Carlo sample size below 1 in each certificate that draws, one
+# after a valid size, and each empty list of thm3: (argv, the error's text).
 SIZES_BELOW_ONE = {
-    "lemma1-n": ["verify", "lemma1", "--set", "n_list=0"],
-    "thm3-n": ["verify", "thm3", "--set", "n_grid=0"],
-    "thm3-m": ["verify", "thm3", "--set", "m_grid=0"],
-    "rate-grid": ["verify", "rate", "--set", "sweep_grid=0,1,2,3", "--set", "other_size=100"],
+    "lemma1-n": (["verify", "lemma1", "--set", "n_list=0"],
+                 "sample sizes must be >= 1"),
+    "thm3-n": (["verify", "thm3", "--set", "n_grid=0"], "sample sizes must be >= 1"),
+    "thm3-m": (["verify", "thm3", "--set", "m_grid=0"], "sample sizes must be >= 1"),
+    "rate-grid": (["verify", "rate", "--set", "sweep_grid=0,1,2,3", "--set", "other_size=100"],
+                  "sample sizes must be >= 1"),
+    "lemma1-n-after-valid": (["verify", "lemma1", "--set", "n_list=4,0"],
+                             "n_list: Monte Carlo sample sizes must be >= 1, got [0]"),
+    "thm3-no-tau": (["verify", "thm3", "--set", "tau_list="], "tau_list is empty"),
+    "thm3-no-n": (["verify", "thm3", "--set", "n_grid="], "n_grid is empty"),
+    "thm3-no-m": (["verify", "thm3", "--set", "m_grid="], "m_grid is empty"),
 }
 
 
@@ -166,6 +181,17 @@ class TestExitCodes:
         assert err.strip() and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(("case", "key"), [("lemma4-no-k", "k_list"),
+                                               ("lemma4-k-below-2", "k_list"),
+                                               ("oracle-n-max", "n_max"),
+                                               ("oracle-s-max", "s_max")])
+    def test_bad_size_is_named_before_any_mixture(self, tmp_path, capsys, monkeypatch,
+                                                  case, key):
+        monkeypatch.setattr(cli, "random_mixture",
+                            lambda *args: pytest.fail("a mixture was drawn"))
+        assert main(INVALID_VALUES[case] + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}")
+
     @pytest.mark.parametrize("argv", list(MISSING_FILES.values()), ids=list(MISSING_FILES))
     def test_missing_input_file_exits_2(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -174,9 +200,10 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("argv", list(SIZES_BELOW_ONE.values()), ids=list(SIZES_BELOW_ONE))
+    @pytest.mark.parametrize(("argv", "message"), list(SIZES_BELOW_ONE.values()),
+                             ids=list(SIZES_BELOW_ONE))
     def test_sample_size_below_one_exits_2_before_drawing(self, tmp_path, capsys,
-                                                           monkeypatch, argv):
+                                                           monkeypatch, argv, message):
         import contrastlab.verification as verification
 
         streams = []
@@ -185,7 +212,7 @@ class TestExitCodes:
                             lambda *path: streams.append(path) or real(*path))
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "sample sizes must be >= 1" in err and "Traceback" not in err
+        assert message in err and "Traceback" not in err
         assert not streams
         assert not list(tmp_path.iterdir())
 
@@ -438,6 +465,26 @@ class TestVerifyCommand:
                      "--set", "embeddings=2", "--set", "mixtures=1",
                      "--set", "k_list=3", "--set", "s_points=6"])
         assert code == 0
+
+    def test_lemma4_builds_n_free_terms_once_per_embedding(self, tmp_path, monkeypatch):
+        # Only the rhs depends on N: the mean classifier runs once per
+        # (mixture, embedding) and the probe once per mixture, on its first
+        # embedding.
+        import contrastlab.evaluation as evaluation
+
+        calls = {"linear_probe": 0, "mean_classifier_loss": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(evaluation, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(evaluation, name, counted)
+        code = main(["verify", "lemma4", "--out", str(tmp_path), "--set", "embeddings=3"])
+        assert code == 0
+        certs = json.loads((tmp_path / "certificates.json").read_text())
+        # N = K-1 .. 4K at the default K = 2, 3, 5: 8 + 11 + 17 per embedding.
+        assert len(certs) == 3 * 36
+        assert calls == {"linear_probe": 3, "mean_classifier_loss": 9}
 
     def test_rate_emits_fit_record(self, tmp_path):
         code = main(["verify", "rate", "--out", str(tmp_path), "--seed", "3",

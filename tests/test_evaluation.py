@@ -8,6 +8,7 @@ import pytest
 from contrastlab.errors import BoundPreconditionViolated, SingleClassData
 from contrastlab.evaluation import (
     lemma4_chain_check,
+    lemma4_terms,
     linear_probe,
     mean_classifier_loss,
     mean_classifier_weights,
@@ -161,3 +162,36 @@ class TestChainCheck:
         cert = lemma4_chain_check(emb, mix, n_neg=5, include_probe=False)
         assert cert.meta["prior_uniform"] is True
         assert cert.check == "lemma4"
+
+    @pytest.mark.parametrize("include_probe", [True, False])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_shared_terms_give_the_same_record_at_every_n(self, k, include_probe):
+        mix = random_mixture(substream(11, k), 10, k)
+        emb = random_unit_rows(substream(12, k), 10, 6)
+        terms = lemma4_terms(emb, mix, include_probe)
+        records = []
+        for n_neg in range(k - 1, 4 * k + 1):
+            shared = lemma4_chain_check(emb, mix, n_neg, include_probe, terms=terms).to_record()
+            assert shared == lemma4_chain_check(emb, mix, n_neg, include_probe).to_record()
+            records.append(shared)
+        assert ("subtask_mean_classifier_losses" in records[0]["meta"]) == (k > 3)
+        assert ("supervised_probe_loss" in records[0]["meta"]) == include_probe
+        # No record shares its meta, or a dict nested in it, with another
+        # record or with the terms.
+        dicts = [terms.subtasks] + [d for rec in records for d in
+                                    (rec["meta"], *(v for v in rec["meta"].values()
+                                                    if isinstance(v, dict)))]
+        assert len({id(d) for d in dicts}) == len(dicts)
+
+    def test_terms_for_other_arguments_raise(self):
+        mix = random_mixture(substream(13), 8, 4)
+        emb = random_unit_rows(substream(14), 8, 6)
+        terms = lemma4_terms(emb, mix, include_probe=False)
+        with pytest.raises(ValueError, match="other embeddings"):
+            lemma4_chain_check(emb.copy(), mix, 4, False, terms=terms)
+        with pytest.raises(ValueError, match="another mixture"):
+            lemma4_chain_check(emb, random_mixture(substream(13), 8, 4), 4, False, terms=terms)
+        with pytest.raises(ValueError, match="include_probe=False"):
+            lemma4_chain_check(emb, mix, 4, True, terms=terms)
+        with pytest.raises(ValueError, match="include_probe=True"):
+            lemma4_chain_check(emb, mix, 4, False, terms=lemma4_terms(emb, mix, True))
