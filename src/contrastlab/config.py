@@ -2,10 +2,12 @@
 
 A config is a text file of ``key = value`` lines plus command-line
 overrides (later wins).  Unknown keys are rejected, and the error lists
-every valid key with its default and help.  The ``format_version`` tag must
-match the schema version built into the binary, and every run report
-embeds the hash of the resolved config so any emitted number can be
-re-derived.
+every valid key with its default, help and valid range.  Each key's valid
+range is its schema entry's ``bounds``; ``resolve`` checks every key of
+the command against it, so a bad value is refused before any command
+runs.  The ``format_version`` tag must match the schema version built into
+the binary, and every run report embeds the hash of the resolved config so
+any emitted number can be re-derived.
 
 The ``train`` schema's per-run keys are the fields of ``TrainConfig``, with
 its types and defaults, so a train default is written in one place.
@@ -27,11 +29,14 @@ class Field:
     kind: str  # int | float | str | int_list | float_list | str_list
     default: object
     help: str = ""
+    # (low, high): low <= v < high for the value, or for each item of a list;
+    # None leaves a side open.  A list whose default is not empty needs an item.
+    bounds: tuple = (None, None)
 
 
 _COMMON = {
     "format_version": Field("str", SCHEMA_VERSION, "config schema version tag"),
-    "seed": Field("int", 0, "master seed"),
+    "seed": Field("int", 0, "master seed", (0, None)),
 }
 
 _WORLD = {
@@ -41,9 +46,9 @@ _WORLD = {
 }
 
 _EVAL = {
-    "eval_train_size": Field("int", 2048, "probe fitting samples"),
-    "eval_test_size": Field("int", 2048, "probe accuracy samples"),
-    "eval_replicas": Field("int", 1, "average accuracy over fresh eval sets"),
+    "eval_train_size": Field("int", 2048, "probe fitting samples", (1, None)),
+    "eval_test_size": Field("int", 2048, "probe accuracy samples", (1, None)),
+    "eval_replicas": Field("int", 1, "average accuracy over fresh eval sets", (1, None)),
 }
 
 # The TrainConfig fields that the train command sweeps rather than reads.
@@ -56,7 +61,7 @@ TRAIN_RUN_KEYS = {f.name: Field(f.type, f.default) for f in fields(TrainConfig)
 
 SCHEMAS: dict[str, dict[str, Field]] = {
     "train": _COMMON | _WORLD | {
-        "seeds": Field("int_list", (), "run seeds; empty means [seed]"),
+        "seeds": Field("int_list", (), "run seeds; empty means [seed]", (0, None)),
         "loss_kinds": Field("str_list", (TrainConfig.loss_kind,),
                             "biased | debiased | unbiased"),
         "tau_plus": Field("float_list", (TrainConfig.tau_plus,),
@@ -68,7 +73,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "verify.lemma1": _COMMON | {
         "instances": Field("int", 20, "random (embedding, mixture) instances"),
         "trials": Field("int", 100000, "Monte Carlo trials, >= 1000"),
-        "n_list": Field("int_list", (1, 4, 16), "negative sample sizes"),
+        "n_list": Field("int_list", (1, 4, 16), "negative sample sizes", (1, None)),
         "s_points": Field("int", 8, "points per random mixture"),
         "k_classes": Field("int", 4, "classes per random mixture"),
         "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
@@ -76,9 +81,9 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "verify.thm3": _COMMON | {
         "instances": Field("int", 10, "random (embedding, mixture) instances"),
         "trials": Field("int", 100000, "Monte Carlo trials, >= 1000"),
-        "n_grid": Field("int_list", (4, 16, 64, 256), "negative sample sizes N"),
-        "m_grid": Field("int_list", (4, 16, 64, 256), "positive sample sizes M"),
-        "tau_list": Field("float_list", (0.05, 0.1, 0.2), "override tau+ values"),
+        "n_grid": Field("int_list", (4, 16, 64, 256), "negative sample sizes N", (1, None)),
+        "m_grid": Field("int_list", (4, 16, 64, 256), "positive sample sizes M", (1, None)),
+        "tau_list": Field("float_list", (0.05, 0.1, 0.2), "override tau+ values", (0, 1)),
         "s_points": Field("int", 8, "points per random mixture"),
         "k_classes": Field("int", 5, "true tau+ = 1/K should dominate tau_list"),
         "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
@@ -100,23 +105,25 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "verify.lemma4": _COMMON | {
         "embeddings": Field("int", 100, "random embeddings per mixture"),
         "mixtures": Field("int", 3, "random mixtures"),
-        "k_list": Field("int_list", (2, 3, 5), "class counts cycled over mixtures"),
+        "k_list": Field("int_list", (2, 3, 5), "class counts cycled over mixtures", (2, None)),
         "s_points": Field("int", 10, "points per random mixture"),
         "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
-        "n_max_factor": Field("int", 4, "sweep N = K-1 .. factor*K"),
+        "n_max_factor": Field("int", 4, "sweep N = K-1 .. factor*K", (1, None)),
     },
     "verify.oracle": _COMMON | {
         "instances": Field("int", 50, "random (embedding, mixture, N) instances"),
-        "s_max": Field("int", 10, "largest number of points"),
-        "n_max": Field("int", 6, "largest negative sample size N"),
-        "budget": Field("float", 1e9, "enumeration budget: rows evaluated, summed over anchors"),
-        "tolerance": Field("float", 1e-9, "relative error threshold"),
+        # An instance draws K in 2..5 and then S in max(K, 4)..s_max.
+        "s_max": Field("int", 10, "largest number of points", (5, None)),
+        "n_max": Field("int", 6, "largest negative sample size N", (1, None)),
+        "budget": Field("float", 1e9, "enumeration budget: rows evaluated, summed over anchors",
+                        (1, None)),
+        "tolerance": Field("float", 1e-9, "relative error threshold", (0, None)),
         "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
     },
     "gradcheck": _COMMON | {
-        "cases": Field("int", 200, "random configurations"),
+        "cases": Field("int", 200, "random configurations", (1, None)),
         "step": Field("float", 1e-6, "central difference step"),
-        "tolerance": Field("float", 1e-5, "exit-1 threshold on max_rel_err"),
+        "tolerance": Field("float", 1e-5, "exit-1 threshold on max_rel_err", (0, None)),
     },
     "gen-data": _COMMON | {
         "preset": Field("str", "", "named mixture preset; empty = random"),
@@ -146,6 +153,26 @@ def _parse_value(key: str, field: Field, raw: str):
     except ValueError as exc:
         raise ConfigError(f"bad value for key {key!r}: {raw!r}") from exc
     raise ConfigError(f"unknown field kind {field.kind!r} for key {key!r}")
+
+
+def _rule(field: Field) -> str:
+    """A key's valid values, as its error and the unknown-key help state them."""
+    low, high = field.bounds
+    parts = ["non-empty"] if field.kind.endswith("_list") and field.default else []
+    if low is not None:
+        parts.append(f">= {low}")
+    if high is not None:
+        parts.append(f"< {high}")
+    return ", ".join(parts)
+
+
+def _check(key: str, field: Field, value) -> None:
+    low, high = field.bounds
+    values = value if field.kind.endswith("_list") else (value,)
+    # Each comparison is written so that NaN fails it.
+    if (field.default and not values) or not all(
+            (low is None or v >= low) and (high is None or v < high) for v in values):
+        raise ConfigError(f"{key} must be {_rule(field)}; got {render_value(value)!r}")
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -186,6 +213,7 @@ def resolve(command: str, config_path: str | None, overrides: list[str],
     if unknown:
         valid = "".join(f"\n  {key} = {render_value(field.default)}"
                         + (f"  ({field.help})" if field.help else "")
+                        + (f"  valid: {rule}" if (rule := _rule(field)) else "")
                         for key, field in schema.items())
         raise ConfigError(f"unknown config keys for {command!r}: {sorted(unknown)}; "
                           f"valid keys and defaults:{valid}")
@@ -194,12 +222,8 @@ def resolve(command: str, config_path: str | None, overrides: list[str],
         resolved[key] = _parse_value(key, schema[key], value)
     if seed is not None:
         resolved["seed"] = int(seed)
-    if resolved["seed"] < 0 or any(s < 0 for s in resolved.get("seeds", ())):
-        raise ConfigError("seeds must be >= 0")
-    # With no fitting or test samples, or no replica, a probe has no accuracy.
-    small = [key for key in _EVAL if key in resolved and resolved[key] < 1]
-    if small:
-        raise ConfigError(f"{', '.join(small)} must be >= 1")
+    for key, field in schema.items():
+        _check(key, field, resolved[key])
     if resolved["format_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"config format_version {resolved['format_version']!r} != {SCHEMA_VERSION!r}"

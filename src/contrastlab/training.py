@@ -69,7 +69,7 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 2")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.learning_rate < 0.0:
+        if not self.learning_rate >= 0.0:  # NaN fails too
             raise ConfigError("learning_rate must be >= 0")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")

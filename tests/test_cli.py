@@ -1,6 +1,7 @@
 """CLI contract: exit codes, artifact schemas, and byte-level determinism."""
 
 import json
+import math
 import re
 from dataclasses import fields
 
@@ -21,8 +22,9 @@ FAST_TRAIN = [
 ]
 
 # Values each library layer rejects with ValueError or a typed error, plus
-# negative seeds, which the config rejects: every one is an invalid
-# configuration.  An override after FAST_TRAIN wins over its value.
+# values outside a key's schema bounds, which the config rejects: every one
+# is an invalid configuration.  An override after FAST_TRAIN wins over its
+# value.
 INVALID_VALUES = {
     "negative-seed": ["verify", "oracle", "--seed", "-1"],
     "negative-run-seed": ["train", "--set", "seeds=1,-2"] + FAST_TRAIN,
@@ -63,6 +65,10 @@ INVALID_VALUES = {
     # points than the largest K (5) an instance draws.
     "oracle-n-max": ["verify", "oracle", "--set", "n_max=0"],
     "oracle-s-max": ["verify", "oracle", "--set", "s_max=4"],
+    # NaN fails every bound, so none of these runs with a threshold it ignores.
+    "gradcheck-nan-tolerance": ["gradcheck", "--set", "tolerance=nan"],
+    "oracle-nan-budget": ["verify", "oracle", "--set", "budget=nan"],
+    "oracle-nan-tolerance": ["verify", "oracle", "--set", "tolerance=nan"],
 }
 
 # Input files that do not exist, one per kind of file the commands read.
@@ -74,20 +80,50 @@ MISSING_FILES = {
 }
 
 # A Monte Carlo sample size below 1 in each certificate that draws, one
-# after a valid size, and each empty list of thm3: (argv, the error's text).
+# after a valid size, each empty list of thm3, and a tau+ out of range after
+# a valid one on an instance grid: (argv, the error's text).
 SIZES_BELOW_ONE = {
     "lemma1-n": (["verify", "lemma1", "--set", "n_list=0"],
-                 "sample sizes must be >= 1"),
-    "thm3-n": (["verify", "thm3", "--set", "n_grid=0"], "sample sizes must be >= 1"),
-    "thm3-m": (["verify", "thm3", "--set", "m_grid=0"], "sample sizes must be >= 1"),
+                 "n_list must be non-empty, >= 1; got '0'"),
+    "thm3-n": (["verify", "thm3", "--set", "n_grid=0"],
+               "n_grid must be non-empty, >= 1; got '0'"),
+    "thm3-m": (["verify", "thm3", "--set", "m_grid=0"],
+               "m_grid must be non-empty, >= 1; got '0'"),
     "rate-grid": (["verify", "rate", "--set", "sweep_grid=0,1,2,3", "--set", "other_size=100"],
                   "sample sizes must be >= 1"),
     "lemma1-n-after-valid": (["verify", "lemma1", "--set", "n_list=4,0"],
-                             "n_list: Monte Carlo sample sizes must be >= 1, got [0]"),
-    "thm3-no-tau": (["verify", "thm3", "--set", "tau_list="], "tau_list is empty"),
-    "thm3-no-n": (["verify", "thm3", "--set", "n_grid="], "n_grid is empty"),
-    "thm3-no-m": (["verify", "thm3", "--set", "m_grid="], "m_grid is empty"),
+                             "n_list must be non-empty, >= 1; got '4,0'"),
+    "thm3-no-tau": (["verify", "thm3", "--set", "tau_list="],
+                    "tau_list must be non-empty, >= 0, < 1; got ''"),
+    "thm3-no-n": (["verify", "thm3", "--set", "n_grid="],
+                  "n_grid must be non-empty, >= 1; got ''"),
+    "thm3-no-m": (["verify", "thm3", "--set", "m_grid="],
+                  "m_grid must be non-empty, >= 1; got ''"),
+    "thm3-tau-after-valid": (["verify", "thm3", "--set", "instances=3",
+                              "--set", "tau_list=0.05,1.5"],
+                             "tau_list must be non-empty, >= 0, < 1; got '0.05,1.5'"),
 }
+
+
+def _outside(field):
+    """A value just outside each closed side of a key's bounds, and the empty
+    list where the key needs an item, each rendered as --set writes it."""
+    low, high = field.bounds
+    is_int = field.kind.startswith("int")
+    values = []
+    if low is not None:
+        values.append(low - 1 if is_int else math.nextafter(low, -math.inf))
+    if high is not None:
+        values.append(high)
+    rendered = [render_value(value) for value in values]
+    if field.kind.endswith("_list") and field.default:
+        rendered.append("")
+    return rendered
+
+
+# (command, key, value) for every value of every key that its schema refuses.
+OUT_OF_RANGE = [(command, key, value) for command, schema in SCHEMAS.items()
+                for key, field in schema.items() for value in _outside(field)]
 
 
 def read_artifacts(out_dir):
@@ -115,6 +151,13 @@ class TestConfig:
         for key, field in SCHEMAS["verify.oracle"].items():
             assert f"{key} = {render_value(field.default)}  ({field.help})" in err
 
+    def test_unknown_key_error_lists_each_range(self, tmp_path, capsys):
+        assert main(["verify", "thm3", "--out", str(tmp_path), "--set", "nx=1"]) == 2
+        err = capsys.readouterr().err
+        assert "seed = 0  (master seed)  valid: >= 0\n" in err
+        assert "tau_list = 0.05,0.1,0.2  (override tau+ values)  valid: non-empty, >= 0, < 1" in err
+        assert "instances = 10  (random (embedding, mixture) instances)\n" in err
+
     def test_file_then_set_later_wins(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("epochs = 7\nseed = 3\n")
@@ -135,6 +178,28 @@ class TestConfig:
     def test_bad_value_diagnostic_names_key(self):
         with pytest.raises(ConfigError, match="epochs"):
             resolve("train", None, ["epochs=three"], None)
+
+    def test_every_default_lies_inside_its_bounds(self):
+        for schema in SCHEMAS.values():
+            for key, field in schema.items():
+                low, high = field.bounds
+                values = field.default if field.kind.endswith("_list") else (field.default,)
+                for value in values:
+                    assert low is None or value >= low, key
+                    assert high is None or value < high, key
+
+    @pytest.mark.parametrize(("command", "key", "value"), OUT_OF_RANGE,
+                             ids=[f"{c}-{k}={v}" for c, k, v in OUT_OF_RANGE])
+    def test_out_of_range_is_refused_before_any_command(self, tmp_path, capsys, monkeypatch,
+                                                        command, key, value):
+        for name in dir(cli):
+            if name.startswith("cmd_"):
+                monkeypatch.setattr(cli, name, lambda *args, name=name: pytest.fail(name))
+        out = tmp_path / "out"
+        argv = command.replace(".", " ").split() + ["--set", f"{key}={value}", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}")
+        assert not out.exists()
 
     def test_hash_stable_and_sensitive(self):
         a = resolve("train", None, [], None)
@@ -263,6 +328,13 @@ class TestTrainCommand:
         assert main(["train", "--out", str(tmp_path)] + FAST_TRAIN + overrides) == 2
         assert not list(tmp_path.glob("train_log_*"))
         assert not list(tmp_path.glob("checkpoint_*"))
+
+    def test_nan_learning_rate_is_refused_before_training(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("a run trained"))
+        code = main(["train", "--out", str(tmp_path), "--set", "learning_rate=nan"] + FAST_TRAIN)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: learning_rate")
 
     def test_emits_expected_artifacts(self, tmp_path):
         code = main(["train", "--out", str(tmp_path), "--seed", "2"] + FAST_TRAIN)
