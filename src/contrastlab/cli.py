@@ -31,7 +31,7 @@ from .errors import ConfigError, ContrastLabError, NegativeDenominator
 from .evaluation import lemma4_chain_check, lemma4_terms
 from .experiments import direction_probe_accuracy
 from .geometry import unit_rows
-from .losses import LOSS_KINDS, LossSpec, kind_params
+from .losses import EXP_FLOOR, LOSS_KINDS, LossSpec, kind_params
 from .rng import substream
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 from .verification import (
@@ -151,7 +151,7 @@ def cmd_train(cfg: dict, report: RunReport) -> int:
     runs = [TrainConfig(loss_kind=kind, tau_plus=tau, seed=run_seed,
                         **{key: cfg[key] for key in TRAIN_RUN_KEYS})
             for kind in cfg["loss_kinds"]
-            for tau in dict.fromkeys(kind_params(kind, tau, cfg["floor_mode"])[0]
+            for tau in dict.fromkeys(kind_params(kind, tau, EXP_FLOOR)[0]
                                      for tau in cfg["tau_plus"])
             for run_seed in seeds]
     # A repeated tag would overwrite an earlier run's log and checkpoint.
@@ -240,6 +240,9 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
                         report.add_certificate(cert.to_record())
 
     elif check == "rate":
+        if cfg["slope_min"] > cfg["slope_max"]:
+            raise ConfigError(f"slope_min {cfg['slope_min']!r} > slope_max "
+                              f"{cfg['slope_max']!r}: no fitted slope could pass")
         emb, mix = _random_instance(seed, s_points=cfg["s_points"],
                                     k_classes=cfg["k_classes"],
                                     embed_dim=cfg["embed_dim"], path=(40,))

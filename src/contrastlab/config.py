@@ -98,9 +98,11 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "s_points": Field("int", 8, "points per random mixture"),
         "k_classes": Field("int", 5, "classes per random mixture"),
         "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
-        "slope_min": Field("float", -0.65, "lowest passing fitted slope"),
-        "slope_max": Field("float", -0.35, "highest passing fitted slope"),
-        "r2_min": Field("float", 0.9, "lowest passing fit r^2"),
+        # A decaying gap fits a negative slope; slope_min <= slope_max is
+        # checked by the command, before the sweep draws.
+        "slope_min": Field("float", -0.65, "lowest passing fitted slope", (None, 0)),
+        "slope_max": Field("float", -0.35, "highest passing fitted slope", (None, 0)),
+        "r2_min": Field("float", 0.9, "lowest passing fit r^2", (0, 1)),
     },
     "verify.lemma4": _COMMON | {
         "embeddings": Field("int", 100, "random embeddings per mixture"),

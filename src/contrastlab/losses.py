@@ -54,6 +54,7 @@ from .errors import (
     EmptyNegatives,
     NegativeDenominator,
     OracleRangeExceeded,
+    PriorMismatch,
 )
 from .worldmodel import DiscreteClassMixture, marginal, negative_dist, positive_dist
 
@@ -341,27 +342,20 @@ def batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
 
 
 def debiased_loss_batch(view_a: np.ndarray, view_b: np.ndarray, tau_plus: float,
-                        t: float, extra_views: np.ndarray | None = None) -> LossValue:
+                        t: float) -> LossValue:
     """Two-view batch debiased loss with the exp floor, averaged over all 2B
     anchor roles.
 
     Each of the 2B views is an anchor once: its partner view is the positive
-    (and the first estimator positive), the other 2(B-1) primary views are
-    the unlabeled negatives, and ``extra_views`` (shape (M-1, B, d)) supply
-    the remaining positive samples.  Permutation-invariant over batch order.
+    and the one estimator positive (M = 1), and the other 2(B-1) views are
+    the unlabeled negatives.  Permutation-invariant over batch order.
     """
     view_a = np.asarray(view_a, dtype=np.float64)
     view_b = np.asarray(view_b, dtype=np.float64)
     if view_a.shape != view_b.shape or view_a.ndim != 2:
         raise ValueError("view_a and view_b must both be (B, d)")
-    stack = [view_a, view_b]
-    if extra_views is not None:
-        extra_views = np.asarray(extra_views, dtype=np.float64)
-        if extra_views.ndim != 3 or extra_views.shape[1:] != view_a.shape:
-            raise ValueError("extra_views must be (M-1, B, d)")
-        stack.extend(extra_views)
-    f = np.concatenate(stack, axis=0)
-    batch = ViewBatch(features=f, batch_size=view_a.shape[0], m_positives=len(stack) - 1)
+    f = np.concatenate([view_a, view_b], axis=0)
+    batch = ViewBatch(features=f, batch_size=view_a.shape[0], m_positives=1)
     terms = batch_terms(f, batch, LossSpec(kind="debiased", tau_plus=tau_plus, temperature=t))
     return LossValue(float(terms.losses.mean()))
 
@@ -516,6 +510,9 @@ def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: in
     exactly rounded with ``math.fsum``, and the condition number
     sum|term| / |sum term| is reported alongside the value.
 
+    The rewriting splits the marginal as tau+ positive + tau- negative for
+    every anchor, with one scalar tau+; that split is exact only under a
+    uniform class prior, so any other prior raises :class:`PriorMismatch`.
     The marginal multisets of each size are enumerated once per call and
     the positive ones once per class; only their sums depend on the anchor.
     """
@@ -523,6 +520,8 @@ def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: in
         raise OracleRangeExceeded(f"oracle requires 1 <= N <= {ORACLE_MAX_N}, got {n_neg}")
     if mix.n_classes < 2:
         raise DegenerateClass("oracle needs K >= 2")
+    if not mix.uniform_prior:
+        raise PriorMismatch("oracle needs a uniform class prior; use unbiased_loss_exact")
     marg = marginal(mix)
     _check_budget(mix, marg, budget, lambda s_pos, s_marg: sum(
         math.comb(s_pos + k - 1, k) * math.comb(s_marg + n_neg - k - 1, n_neg - k)
@@ -573,13 +572,10 @@ def softmax_cross_entropy(logits: np.ndarray,
 
 
 def mean_classifier_weights(representations: np.ndarray, labels: np.ndarray,
-                            n_classes: int,
-                            sample_weights: np.ndarray | None = None) -> np.ndarray:
-    """K x d matrix whose row c is the (weighted) mean representation of class c."""
+                            n_classes: int, sample_weights: np.ndarray) -> np.ndarray:
+    """K x d matrix whose row c is the weighted mean representation of class c."""
     reps = np.asarray(representations, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
-    if sample_weights is None:
-        sample_weights = np.ones(labels.shape[0])
     w = np.zeros((n_classes, reps.shape[1]))
     for c in range(n_classes):
         mask = labels == c

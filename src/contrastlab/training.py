@@ -3,12 +3,12 @@
 The encoder is deliberately small (linear): what is under study is the
 loss, and exact gradients matter more here than capacity.  ``TrainConfig``
 is the schema of one run: the ``train`` command's per-run config keys are
-its fields, with its defaults.  The default optimizer is the adaptive-moment
-method at learning rate 0.001; plain SGD is kept because the single-step
-oracle test needs it.  The whole trajectory is deterministic given the
-seed: data, batches and init all come from named substreams.  The
-true-negative loss's pool of fresh negatives is drawn like the dataset
-itself, by :func:`build_dataset` and one view per identity.
+its fields, with its defaults.  The optimizer is the adaptive-moment
+method, at learning rate 0.001 by default.  The whole trajectory is
+deterministic given the seed: data, batches and init all come from named
+substreams.  The true-negative loss's pool of fresh negatives is drawn
+like the dataset itself, by :func:`build_dataset` and one view per
+identity.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from .errors import BatchTooSmall, ConfigError, DivergenceDetected
 from .geometry import unit_rows
 from .rng import substream
 from .worldmodel import SphereMixture, sample_classes, sample_views
-
-OPTIMIZERS = ("sgd", "adam")
 
 CHECKPOINT_VERSION = 2
 
@@ -52,11 +50,9 @@ class TrainConfig:
     tau_plus: float = 0.1  # class prior the debiased loss corrects for
     temperature: float = 0.5
     m_positives: int = 1  # positive samples per anchor
-    floor_mode: str = "exp_floor"  # exp_floor | zero_floor
     batch_size: int = 64
     epochs: int = 200
     learning_rate: float = 0.001
-    optimizer: str = "adam"  # sgd | adam
     seed: int = 0
     dataset_size: int = 512  # anchor identities
     embed_dim: int = 16
@@ -71,8 +67,6 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if not self.learning_rate >= 0.0:  # NaN fails too
             raise ConfigError("learning_rate must be >= 0")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}")
         if self.m_positives < 1:
             raise ConfigError("m_positives must be >= 1")
         if self.embed_dim < 2:
@@ -83,11 +77,11 @@ class TrainConfig:
             raise ConfigError("instance mode needs view_noise > 0")
         if not (0 <= self.tail_average <= self.epochs):
             raise ConfigError("tail_average must lie in [0, epochs]")
-        self.loss_spec()  # rejects a bad loss_kind, tau_plus, temperature or floor_mode
+        self.loss_spec()  # rejects a bad loss_kind, tau_plus or temperature
 
     def loss_spec(self) -> LossSpec:
         return LossSpec(kind=self.loss_kind, tau_plus=self.tau_plus,
-                        temperature=self.temperature, floor_mode=self.floor_mode)
+                        temperature=self.temperature)
 
 
 @dataclass(frozen=True)
@@ -168,18 +162,15 @@ def make_batches(dataset: TrainDataset, batch_size: int, m_positives: int,
 
 
 class _Optimizer:
-    """First-order updates on the encoder weight matrix."""
+    """Adaptive-moment updates on the encoder weight matrix."""
 
-    def __init__(self, name: str, learning_rate: float, shape: tuple[int, ...]) -> None:
-        self.name = name
+    def __init__(self, learning_rate: float, shape: tuple[int, ...]) -> None:
         self.lr = learning_rate
         self.momentum = np.zeros(shape)
         self.second = np.zeros(shape)
         self.t = 0
 
     def step(self, weights: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        if self.name == "sgd":
-            return weights - self.lr * grad
         # adaptive-moment estimation with standard constants
         b1, b2, eps = 0.9, 0.999, 1e-8
         self.t += 1
@@ -202,7 +193,7 @@ def train(config: TrainConfig, world) -> tuple[np.ndarray, list[EpochRecord]]:
                             view_noise=config.view_noise)
     weights = init_params(substream(config.seed, 1), world.feature_dim, config.embed_dim)
     spec = config.loss_spec()
-    opt = _Optimizer(config.optimizer, config.learning_rate, weights.shape)
+    opt = _Optimizer(config.learning_rate, weights.shape)
     # The true-negative trainer draws its negatives fresh from the world's
     # complement classes rather than reusing in-batch views.
     pool = 2 * (config.batch_size - 1) if config.loss_kind == "unbiased" else 0

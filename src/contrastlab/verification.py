@@ -250,8 +250,9 @@ def lemma1_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
     positive, count) structure and compared with the paired-difference
     standard error.  The exact gap term is
     E_x[ min(0, log(E_pos exp s / E_neg exp s)) ], enumerated; the
-    asymptotic true-negative loss is recorded in the metadata alongside the
-    finite-N form actually certified.
+    asymptotic true-negative loss E[ log(exp s+ + N E_neg exp s) - s+ ],
+    enumerated from the same E_neg exp s, is recorded in the metadata
+    alongside the finite-N form actually certified.
     """
     if mix.n_classes < 2:
         raise DegenerateClass("certificate needs K >= 2")
@@ -261,15 +262,19 @@ def lemma1_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
     loss_unbiased = _contrastive_losses(draws.s_pos, draws.h_pos,
                                         draws.negative[n_neg] * n_neg)
 
-    _, expm = _sims_and_exp(embeddings)
+    sims, expm = _sims_and_exp(embeddings)
     marg = marginal(mix)
     gap_term = 0.0
+    asymptotic = 0.0
     for a in range(mix.n_points):
         if marg[a] == 0.0:
             continue
-        num = float(positive_dist(mix, a) @ expm[a])
+        pos = positive_dist(mix, a)
+        num = float(pos @ expm[a])
         den = float(negative_dist(mix, a) @ expm[a])
         gap_term += marg[a] * min(0.0, math.log(num / den))
+        asymptotic += marg[a] * float(
+            pos @ _contrastive_losses(sims[a], expm[a], n_neg * den))
     margin = math.exp(1.5) * math.sqrt(math.pi / (2.0 * n_neg))
 
     diff = loss_biased - loss_unbiased
@@ -282,7 +287,7 @@ def lemma1_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
         "gap_term": gap_term,
         "margin": margin,
         "stderr_kind": "paired",
-        "asymptotic_unbiased": asymptotic_debiased_exact(embeddings, mix, q=float(n_neg)).value,
+        "asymptotic_unbiased": asymptotic,
     }
     return make_certificate("lemma1", lhs, rhs, stderr, trials, meta)
 
@@ -301,19 +306,16 @@ def theorem3_draws(embeddings: np.ndarray, mix: DiscreteClassMixture, n_grid, m_
 
 def theorem3_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,
                          m_pos: int, tau_plus: float, trials: int,
-                         seed: int, *, draws: MonteCarloDraws | None = None) -> BoundCertificate:
+                         seed: int, *, draws: MonteCarloDraws) -> BoundCertificate:
     """Certify the finite-sample estimation error of the debiased loss.
 
     lhs = | exact asymptotic value - MC mean of the clamped finite-(N, M)
     loss |; rhs = (e^{3/2}/tau-) sqrt(pi/2N) + (e^{3/2} tau+/tau-)
-    sqrt(pi/2M).  Q is fixed to N and t to 1.  Without ``draws`` the
-    certificate draws a one-point set of its own from ``seed``; with draws
-    from :func:`theorem3_draws` it reads theirs, and draws made for other
-    arguments raise ``ValueError``.
+    sqrt(pi/2M).  Q is fixed to N and t to 1.  The certificate reads
+    ``draws`` from :func:`theorem3_draws`; draws made for other arguments
+    raise ``ValueError``.
     """
     _check_params(tau_plus)
-    if draws is None:
-        draws = theorem3_draws(embeddings, mix, (n_neg,), (m_pos,), trials, seed)
     if draws.embeddings is not embeddings or draws.mix is not mix:
         raise ValueError("draws were made for other embeddings or another mixture")
     if draws.stream != (seed, 2) or draws.trials != trials:

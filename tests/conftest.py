@@ -43,3 +43,21 @@ def single_class_mixture():
         prior=np.array([1.0]),
         tau_plus=1.0,
     )
+
+
+def skewed_instance(seed: int = 0):
+    """A (unit embedding table, mixture) pair whose class prior (0.5, 0.3,
+    0.2) is not uniform, so the marginal is no scalar-tau+ split of each
+    anchor's positive and negative distributions."""
+    from contrastlab.worldmodel import DiscreteClassMixture
+
+    mix = DiscreteClassMixture(
+        points=np.eye(6),
+        labels=np.array([0, 0, 1, 1, 2, 2]),
+        class_conditionals=np.array([[0.6, 0.4, 0.0, 0.0, 0.0, 0.0],
+                                     [0.0, 0.0, 0.3, 0.7, 0.0, 0.0],
+                                     [0.0, 0.0, 0.0, 0.0, 0.5, 0.5]]),
+        prior=np.array([0.5, 0.3, 0.2]),
+        tau_plus=0.38,  # sum of squared priors: a second draw shares the class
+    )
+    return random_unit_rows(substream(seed), 6, 8), mix

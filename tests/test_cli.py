@@ -4,6 +4,7 @@ import json
 import math
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +34,6 @@ INVALID_VALUES = {
     "thm3-tau": ["verify", "thm3", "--set", "instances=1", "--set", "trials=1000",
                  "--set", "tau_list=1.5"],
     "loss-kind": ["train", "--set", "loss_kinds=foo"] + FAST_TRAIN,
-    "floor-mode": ["train", "--set", "floor_mode=bogus"] + FAST_TRAIN,
     "train-tau": ["train", "--set", "tau_plus=1.5"] + FAST_TRAIN,
     "gradcheck-step": ["gradcheck", "--set", "step=1"],
     "rate-trials": ["verify", "rate", "--set", "trials=10"],
@@ -43,8 +43,7 @@ INVALID_VALUES = {
     "rate-tau-above-prior": ["verify", "rate", "--set", "tau_plus=0.5"],
     "embed-dim": ["train"] + FAST_TRAIN + ["--set", "embed_dim=1"],
     # The weights overflow, and their representations' norms with them.
-    "train-overflow": ["train"] + FAST_TRAIN + ["--set", "optimizer=sgd",
-                                                "--set", "learning_rate=1e300"],
+    "train-overflow": ["train"] + FAST_TRAIN + ["--set", "learning_rate=1e300"],
     "eval-replicas": ["train"] + FAST_TRAIN + ["--set", "eval_replicas=0"],
     "eval-test-size": ["train"] + FAST_TRAIN + ["--set", "eval_test_size=0"],
     "eval-train-size": ["train"] + FAST_TRAIN + ["--set", "eval_train_size=0"],
@@ -103,6 +102,21 @@ SIZES_BELOW_ONE = {
                               "--set", "tau_list=0.05,1.5"],
                              "tau_list must be non-empty, >= 0, < 1; got '0.05,1.5'"),
 }
+
+# verify rate gates that no fitted slope or r^2 could pass: (argv, the
+# error's text).
+RATE_GATES = {
+    "rate-nan-slope-min": (["verify", "rate", "--set", "slope_min=nan"],
+                           "slope_min must be < 0; got 'nan'"),
+    "rate-nan-r2-min": (["verify", "rate", "--set", "r2_min=nan"],
+                        "r2_min must be >= 0, < 1; got 'nan'"),
+    "rate-slope-min-above-max": (["verify", "rate", "--set", "slope_min=-0.3"],
+                                 "slope_min -0.3 > slope_max -0.35"),
+}
+
+# The command that reads each config file shipped in configs/.
+CONFIG_COMMANDS = {"direction.txt": "train"}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _outside(field):
@@ -201,6 +215,11 @@ class TestConfig:
         assert capsys.readouterr().err.startswith(f"config error: {key}")
         assert not out.exists()
 
+    def test_every_shipped_config_resolves(self):
+        assert sorted(path.name for path in CONFIGS.glob("*.txt")) == sorted(CONFIG_COMMANDS)
+        for name, command in CONFIG_COMMANDS.items():
+            resolve(command, str(CONFIGS / name), [], None)
+
     def test_hash_stable_and_sensitive(self):
         a = resolve("train", None, [], None)
         b = resolve("train", None, ["epochs=9"], None)
@@ -257,6 +276,10 @@ class TestExitCodes:
         assert main(INVALID_VALUES[case] + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}")
 
+    def test_train_overflow_is_a_non_finite_vector(self, tmp_path, capsys):
+        assert main(INVALID_VALUES["train-overflow"] + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("NonFiniteVector: ")
+
     @pytest.mark.parametrize("argv", list(MISSING_FILES.values()), ids=list(MISSING_FILES))
     def test_missing_input_file_exits_2(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -269,24 +292,34 @@ class TestExitCodes:
                              ids=list(SIZES_BELOW_ONE))
     def test_sample_size_below_one_exits_2_before_drawing(self, tmp_path, capsys,
                                                            monkeypatch, argv, message):
-        import contrastlab.verification as verification
+        _assert_exits_2_before_drawing(tmp_path, capsys, monkeypatch, argv, message)
 
-        streams = []
-        real = verification.substream
-        monkeypatch.setattr(verification, "substream",
-                            lambda *path: streams.append(path) or real(*path))
-        assert main(argv + ["--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert message in err and "Traceback" not in err
-        assert not streams
-        assert not list(tmp_path.iterdir())
+    @pytest.mark.parametrize(("argv", "message"), list(RATE_GATES.values()),
+                             ids=list(RATE_GATES))
+    def test_unpassable_rate_gate_exits_2_before_drawing(self, tmp_path, capsys,
+                                                         monkeypatch, argv, message):
+        _assert_exits_2_before_drawing(tmp_path, capsys, monkeypatch, argv, message)
+
+
+def _assert_exits_2_before_drawing(tmp_path, capsys, monkeypatch, argv, message):
+    import contrastlab.verification as verification
+
+    streams = []
+    real = verification.substream
+    monkeypatch.setattr(verification, "substream",
+                        lambda *path: streams.append(path) or real(*path))
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not streams
+    assert not list(tmp_path.iterdir())
 
 
 class TestTrainCommand:
     # A valid non-default value for every TrainConfig field the command reads
     # from its config rather than sweeping.
-    RUN_VALUES = {"temperature": 0.7, "m_positives": 2, "floor_mode": "zero_floor",
-                  "batch_size": 4, "epochs": 3, "learning_rate": 0.01, "optimizer": "sgd",
+    RUN_VALUES = {"temperature": 0.7, "m_positives": 2,
+                  "batch_size": 4, "epochs": 3, "learning_rate": 0.01,
                   "dataset_size": 12, "embed_dim": 3, "anchor_mode": "instance",
                   "view_noise": 0.3, "tail_average": 1}
 

@@ -25,7 +25,8 @@ from conftest import random_instance, random_unit_rows
 def mean_classifier_data_loss(reps, labels):
     """Mean softmax loss on (reps, labels) of the classifier whose rows are
     the class means: the probe's warm start."""
-    weights = mean_classifier_weights(reps, labels, int(labels.max()) + 1)
+    weights = mean_classifier_weights(reps, labels, int(labels.max()) + 1,
+                                      np.ones(labels.shape[0]))
     ce, _ = softmax_cross_entropy(reps @ weights.T, labels)
     return float(ce.mean())
 

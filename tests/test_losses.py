@@ -17,6 +17,7 @@ from contrastlab.errors import (
     EmptyNegatives,
     NegativeDenominator,
     OracleRangeExceeded,
+    PriorMismatch,
 )
 from contrastlab.losses import (
     EXP_FLOOR,
@@ -44,7 +45,7 @@ from contrastlab.worldmodel import (
     random_mixture,
 )
 
-from conftest import random_instance, random_orthogonal, random_unit_rows
+from conftest import random_instance, random_orthogonal, random_unit_rows, skewed_instance
 
 
 class TestBiasedLossPoint:
@@ -215,8 +216,10 @@ class TestDebiasedLossBatch:
         b, m, d, tau, t = 3, 3, 4, 0.15, 0.8
         va, vb = random_unit_rows(gen, b, d), random_unit_rows(gen, b, d)
         extras = np.stack([random_unit_rows(gen, b, d) for _ in range(m - 1)])
-        got = debiased_loss_batch(va, vb, tau_plus=tau, t=t, extra_views=extras).value
         f = np.concatenate([va, vb, *extras])
+        terms = batch_terms(f, ViewBatch(features=f, batch_size=b, m_positives=m),
+                            LossSpec(kind="debiased", tau_plus=tau, temperature=t))
+        got = float(terms.losses.mean())
         sims = f @ f.T / t
         vals = []
         for r in range(2 * b):
@@ -359,6 +362,16 @@ class TestBinomialOracle:
             binomial_oracle(emb, mix, 0)
         with pytest.raises(OracleRangeExceeded):
             binomial_oracle(emb, mix, 9)
+
+    def test_non_uniform_prior_refused_before_any_table(self, monkeypatch):
+        # One scalar tau+ splits the marginal into each anchor's positive and
+        # negative distributions only under a uniform prior; on this mixture
+        # the series would silently miss the enumerated loss.
+        emb, mix = skewed_instance(3)
+        monkeypatch.setattr(losses, "_multiset_table",
+                            lambda *args: pytest.fail("a table was built"))
+        with pytest.raises(PriorMismatch, match="uniform class prior"):
+            binomial_oracle(emb, mix, 3)
 
     def test_condition_number_grows_with_n(self):
         emb, mix = random_instance(8, s_points=6, k_classes=3, embed_dim=4)

@@ -26,9 +26,15 @@ from contrastlab.verification import (
     theorem3_draws,
     theorem5_constants,
 )
-from contrastlab.worldmodel import marginal, positive_dist, preset_mixture, random_mixture
+from contrastlab.worldmodel import (
+    marginal,
+    negative_dist,
+    positive_dist,
+    preset_mixture,
+    random_mixture,
+)
 
-from conftest import random_instance, random_unit_rows
+from conftest import random_instance, random_unit_rows, skewed_instance
 
 
 def _count_side_means(monkeypatch):
@@ -90,6 +96,31 @@ class TestLemma1Certificate:
         with pytest.raises(ValueError):
             lemma1_certificate(emb, mix, 4, trials=10, seed=0)
 
+    @pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
+    def test_asymptotic_unbiased_is_the_negative_sum(self, skewed):
+        # E[log(e^{s+} + N E_neg e^s) - s+], summed term by term.  Under a
+        # uniform prior it is the asymptotic debiased loss at the class
+        # prior; under another prior it is not.
+        emb, mix = skewed_instance(3) if skewed else random_instance(32)
+        n_neg = 4
+        sims = emb @ emb.T
+        marg = marginal(mix)
+        expected = 0.0
+        for a in range(mix.n_points):
+            den = sum(q * math.exp(sims[a, j]) for j, q in enumerate(negative_dist(mix, a)))
+            for p, w in enumerate(positive_dist(mix, a)):
+                if marg[a] > 0.0 and w > 0.0:
+                    expected += marg[a] * w * (math.log(math.exp(sims[a, p]) + n_neg * den)
+                                               - sims[a, p])
+        cert = lemma1_certificate(emb, mix, n_neg, trials=1000, seed=6)
+        got = cert.meta["asymptotic_unbiased"]
+        assert got == pytest.approx(expected, rel=1e-12)
+        debiased = asymptotic_debiased_exact(emb, mix, q=float(n_neg)).value
+        if skewed:
+            assert got != pytest.approx(debiased, rel=1e-3)
+        else:
+            assert got == pytest.approx(debiased, rel=1e-12)
+
     def test_draws_one_marginal_and_one_negative_mean(self, monkeypatch):
         sizes = _count_side_means(monkeypatch)
         emb, mix = random_instance(31)
@@ -137,17 +168,23 @@ class TestLemma1AgainstExact:
         assert cert.lhs == means["negative"] + cert.meta["gap_term"] - cert.meta["margin"]
 
 
+def _one_cell_certificate(emb, mix, n_neg, m_pos, tau_plus, trials, seed):
+    """A thm3 certificate read from draws made for its (N, M) cell alone."""
+    draws = theorem3_draws(emb, mix, (n_neg,), (m_pos,), trials, seed)
+    return theorem3_certificate(emb, mix, n_neg, m_pos, tau_plus, trials, seed, draws=draws)
+
+
 class TestTheorem3Certificate:
     def test_rhs_formula_frozen(self):
         # N=100, M=10, tau+=0.1: frozen from direct evaluation.
         emb, mix = random_instance(15, k_classes=5)
-        cert = theorem3_certificate(emb, mix, 100, 10, 0.1, trials=1000, seed=2)
+        cert = _one_cell_certificate(emb, mix, 100, 10, 0.1, trials=1000, seed=2)
         assert cert.rhs == pytest.approx(0.8214671482324881, abs=1e-12)
 
     def test_tau_zero_kills_m_term(self):
         emb, mix = random_instance(16, k_classes=5)
-        a = theorem3_certificate(emb, mix, 50, 1, 0.0, trials=1000, seed=3)
-        b = theorem3_certificate(emb, mix, 50, 1000, 0.0, trials=1000, seed=3)
+        a = _one_cell_certificate(emb, mix, 50, 1, 0.0, trials=1000, seed=3)
+        b = _one_cell_certificate(emb, mix, 50, 1000, 0.0, trials=1000, seed=3)
         expect = math.exp(1.5) * math.sqrt(math.pi / 100)
         assert a.rhs == pytest.approx(expect, abs=1e-12)
         assert b.rhs == pytest.approx(expect, abs=1e-12)
@@ -156,14 +193,14 @@ class TestTheorem3Certificate:
         emb, mix = random_instance(17, k_classes=5)
         for n_neg in (4, 64):
             for m_pos in (4, 64):
-                cert = theorem3_certificate(emb, mix, n_neg, m_pos, 0.1,
-                                            trials=20000, seed=n_neg + m_pos)
+                cert = _one_cell_certificate(emb, mix, n_neg, m_pos, 0.1,
+                                             trials=20000, seed=n_neg + m_pos)
                 assert cert.passed, cert
 
     def test_negative_denominator_propagates(self):
         mix = preset_mixture("two-point")
         with pytest.raises(NegativeDenominator):
-            theorem3_certificate(np.eye(2), mix, 4, 4, 0.9, trials=1000, seed=0)
+            _one_cell_certificate(np.eye(2), mix, 4, 4, 0.9, trials=1000, seed=0)
 
     def test_gap_shrinks_with_n(self):
         # Monotone decrease of the mean gap in N (with M held large).
@@ -177,13 +214,6 @@ class TestTheorem3Certificate:
 
 
 class TestTheorem3Draws:
-    def test_one_point_draws_reproduce_the_unshared_record(self):
-        emb, mix = random_instance(24, k_classes=5)
-        draws = theorem3_draws(emb, mix, (16,), (64,), trials=2000, seed=11)
-        shared = theorem3_certificate(emb, mix, 16, 64, 0.1, 2000, 11, draws=draws)
-        alone = theorem3_certificate(emb, mix, 16, 64, 0.1, 2000, 11)
-        assert shared.to_record() == alone.to_record()
-
     def test_draw_order_pairs_then_each_n_then_each_m(self):
         # One stream: (anchor, positive) pairs, the marginal side per N, then
         # the positive side per M.  A grid therefore shares its pairs and first
