@@ -13,7 +13,10 @@ beyond the anchor rows coming first.
 A central-finite-difference harness verifies the whole chain; coordinates
 whose +/- step evaluations land on different sides of the clamp are
 excluded from the error aggregate (the loss is nonsmooth there) and counted
-instead.
+instead.  The harness stacks its perturbed weight matrices and evaluates
+them in one forward pass over a leading axis, in chunks whose (P, 2B, V)
+similarity block stays below a fixed size; each perturbation's loss is the
+one a lone forward pass computes, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,22 +44,27 @@ class GradientReport:
     excluded: tuple[int, ...] = field(default_factory=tuple)
 
 
-def _forward(weights: np.ndarray, batch: ViewBatch,
-             spec: LossSpec) -> tuple[np.ndarray, np.ndarray, losses.BatchTerms]:
-    z = encoder_forward(weights, batch.features)
-    f = unit_rows(z)
-    return z, f, losses.batch_terms(f, batch, spec)
+# Entries of the largest stacked array finite_diff_check builds at once: the
+# (P, 2B, V) similarity block or the (P, d, m) perturbed weights.
+_FD_BLOCK = 2 ** 20
 
 
 def batch_loss_terms(weights: np.ndarray, batch: ViewBatch, spec: LossSpec) -> losses.BatchTerms:
-    """Forward pass only: per-anchor losses, clamp flags and similarity gradient."""
-    return _forward(weights, batch, spec)[2]
+    """Forward pass only: per-anchor losses, clamp flags and similarity gradient.
+
+    ``weights`` may be a stack (..., d, m) of weight matrices; every field of
+    the result then carries the same leading axes.
+    """
+    f = unit_rows(encoder_forward(weights, batch.features))
+    return losses._batch_terms(f, batch, spec)
 
 
 def loss_and_grad(weights: np.ndarray, batch: ViewBatch,
                   spec: LossSpec) -> tuple[float, np.ndarray]:
     """Mean batch loss and its exact gradient w.r.t. the encoder weights."""
-    z, f, terms = _forward(weights, batch, spec)
+    z = encoder_forward(weights, batch.features)
+    f = unit_rows(z)
+    terms = losses.batch_terms(f, batch, spec)
     grad = terms.grad
     anchors = grad.shape[0]
     # Each f_r . f_j moves f_j by G_rj f_r and f_r by G_rj f_j.
@@ -79,22 +87,27 @@ def finite_diff_check(weights: np.ndarray, batch: ViewBatch, spec: LossSpec,
         raise ValueError("step must lie in [1e-8, 1e-3]")
     _, grad = loss_and_grad(weights, batch, spec)
     analytic = grad.flatten()
-    numeric = np.zeros(weights.size)
-    excluded: list[int] = []
-    for i in range(weights.size):
-        bumped = weights.copy()
-        bumped.flat[i] = weights.flat[i] + step
-        terms_hi = batch_loss_terms(bumped, batch, spec)
-        bumped.flat[i] = weights.flat[i] - step
-        terms_lo = batch_loss_terms(bumped, batch, spec)
-        numeric[i] = (terms_hi.losses.mean() - terms_lo.losses.mean()) / (2.0 * step)
-        if not np.array_equal(terms_hi.floored, terms_lo.floored):
-            excluded.append(i)
-    keep = np.ones(weights.size, dtype=bool)
-    keep[excluded] = False
+    size = weights.size
+    flat = weights.ravel()
+    chunk = max(1, _FD_BLOCK // (2 * max(2 * batch.batch_size * batch.features.shape[0], size)))
+    numeric = np.empty(size)
+    straddles = np.empty(size, dtype=bool)
+    for lo in range(0, size, chunk):
+        coord = np.arange(lo, min(lo + chunk, size))
+        rows = np.arange(coord.size)
+        # Matrix (i, 0) moves weight coord[i] by +step and matrix (i, 1) by -step.
+        bumped = np.tile(flat, (coord.size, 2, 1))
+        bumped[rows, 0, coord] += step
+        bumped[rows, 1, coord] -= step
+        terms = batch_loss_terms(bumped.reshape((coord.size, 2) + weights.shape), batch, spec)
+        means = terms.losses.mean(axis=-1)
+        numeric[coord] = (means[:, 0] - means[:, 1]) / (2.0 * step)
+        straddles[coord] = (terms.floored[:, 0] != terms.floored[:, 1]).any(axis=-1)
+    keep = ~straddles
     if keep.any():
         denom = float(np.abs(numeric[keep]).max()) + 1e-12
         max_rel_err = float(np.abs(analytic[keep] - numeric[keep]).max()) / denom
     else:
         max_rel_err = 0.0
-    return GradientReport(max_rel_err=max_rel_err, step=step, excluded=tuple(excluded))
+    return GradientReport(max_rel_err=max_rel_err, step=step,
+                          excluded=tuple(np.flatnonzero(straddles).tolist()))

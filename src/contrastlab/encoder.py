@@ -21,8 +21,12 @@ def init_params(rng: np.random.Generator, feature_dim: int, embed_dim: int) -> n
 
 
 def encoder_forward(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Pre-normalized representations Z = x W^T for inputs x (rows)."""
-    return np.asarray(x, dtype=np.float64) @ weights.T
+    """Pre-normalized representations Z = x W^T for inputs x (rows).
+
+    ``weights`` may carry leading axes, (..., d, m); Z then has the same
+    leading axes, one (n, d) block per weight matrix.
+    """
+    return np.asarray(x, dtype=np.float64) @ np.swapaxes(weights, -1, -2)
 
 
 def encoder_backward(x: np.ndarray, dz: np.ndarray) -> np.ndarray:

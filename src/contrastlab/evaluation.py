@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundPreconditionViolated, SingleClassData
+from .errors import BoundPreconditionViolated, PriorMismatch, SingleClassData
 from .losses import (
     _mean_classifier_ce,
     asymptotic_debiased_exact,
@@ -75,6 +75,8 @@ def linear_probe(representations: np.ndarray, labels: np.ndarray,
     Damped Newton with backtracking on the convex objective, warm-started
     at the mean-classifier weights; stops when the max-abs gradient entry
     falls below ``PROBE_GRAD_TOL`` or after ``PROBE_MAX_ITER`` steps.
+    ``sample_weights`` (uniform by default) are normalized to sum 1; a
+    negative or non-finite entry, or a zero sum, raises ``ValueError``.
     """
     reps = np.asarray(representations, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
@@ -84,21 +86,23 @@ def linear_probe(representations: np.ndarray, labels: np.ndarray,
     k = int(labels.max()) + 1
     n, d = reps.shape
     weights = np.ones(n) if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
+    if not (np.all(np.isfinite(weights)) and np.all(weights >= 0.0) and weights.sum() > 0.0):
+        raise ValueError("sample_weights must be finite, nonnegative and of positive sum")
     weights = weights / weights.sum()
 
+    scaled = reps * np.sqrt(weights)[:, None]
     w = mean_classifier_weights(reps, labels, k, weights)
     loss, grad, probs = _softmax_objective(w, reps, labels, weights)
     iterations = 0
     while float(np.abs(grad).max()) > PROBE_GRAD_TOL and iterations < PROBE_MAX_ITER:
-        hess = np.zeros((k * d, k * d))
-        # H[(c,a),(c',b)] = sum_i w_i f_ia f_ib (P_ic [c=c'] - P_ic P_ic')
+        # H[(c,a),(c',b)] = sum_i w_i f_ia f_ib (P_ic [c=c'] - P_ic P_ic'): the
+        # second term is -x^T x for x_i,(c,a) = P_ic sqrt(w_i) f_ia, the first
+        # one block per class.  x.T @ x on one array is a symmetric product.
+        x = (probs[:, :, None] * scaled[:, None, :]).reshape(n, k * d)
+        hess = -(x.T @ x)
         for c in range(k):
-            coeff = weights * probs[:, c]
-            for c2 in range(k):
-                block = -(coeff * probs[:, c2])
-                if c == c2:
-                    block = block + coeff
-                hess[c * d:(c + 1) * d, c2 * d:(c2 + 1) * d] = (reps * block[:, None]).T @ reps
+            y = reps * np.sqrt(weights * probs[:, c])[:, None]
+            hess[c * d:(c + 1) * d, c * d:(c + 1) * d] += y.T @ y
         step = np.linalg.solve(hess + 1e-10 * np.eye(k * d), grad.ravel()).reshape(k, d)
         scale = 1.0
         while scale > 1e-12:
@@ -182,12 +186,19 @@ def lemma4_chain_check(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
     losses are exact and at temperature 1, so the only slack is
     ``LEMMA4_FP_TOL``.
 
+    The rhs is the asymptotic debiased loss at the mixture's scalar tau+,
+    which equals the asymptotic true-negative loss only under a uniform
+    class prior, so any other prior raises :class:`PriorMismatch` before
+    any term is built.
+
     Only the rhs depends on N.  The rest, the mean-classifier loss, the
     sub-tasks and the probe, is built once per (embeddings, mixture) by
     :func:`lemma4_terms` and passed as ``terms``; without it the check
     builds its own.  Terms built for other embeddings, another mixture or
     another ``include_probe`` raise ``ValueError``.
     """
+    if not mix.uniform_prior:
+        raise PriorMismatch("lemma4 chain needs a uniform class prior")
     if n_neg < mix.n_classes - 1:
         raise BoundPreconditionViolated(
             f"chain needs N >= K-1 = {mix.n_classes - 1}, got {n_neg}"

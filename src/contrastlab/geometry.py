@@ -15,15 +15,16 @@ _MIN_NORM = 1e-300
 
 
 def unit_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise normalization x / ||x|| of a 2-d array.
+    """Row-wise normalization x / ||x|| over the last axis, so a stack of
+    matrices is normalized matrix by matrix.
 
     Raises :class:`NonFiniteVector` when a row's norm is not finite (x / inf
     would be a zero row) and :class:`ZeroVector` when it is below 1e-300.
     """
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1)
+    norms = np.linalg.norm(x, axis=-1)
     if not np.all(np.isfinite(norms)):
         raise NonFiniteVector("cannot normalize rows whose norm is not finite")
     if np.any(norms < _MIN_NORM):
         raise ZeroVector("cannot normalize rows with zero norm")
-    return x / norms[:, None]
+    return x / norms[..., None]

@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from contrastlab import autograd, cli, losses
 from contrastlab.autograd import LossSpec, batch_loss_terms, finite_diff_check, loss_and_grad
 from contrastlab.encoder import ViewBatch, encoder_forward, init_params
 from contrastlab.errors import BatchTooSmall
@@ -167,29 +168,33 @@ class TestFiniteDiffCheck:
         _, grad = loss_and_grad(weights, batch, LossSpec(kind="biased"))
         assert float(np.abs(grad).max()) <= 1e-8
 
-    def test_clamp_straddling_excluded_not_failed(self):
-        # Park anchor 0's raw estimate exactly on the clamp boundary, so the
-        # +/- step evaluations land on different branches for some coordinate;
-        # those coordinates must be excluded, not counted as failures.
-        from contrastlab.encoder import encoder_forward
-        from contrastlab.geometry import unit_rows
-
+    @staticmethod
+    def straddling_batch():
         # Tight positive pairs and distant anchors so the partner term
         # dominates: the boundary tau then lands in (0, 1).
         feats = np.array([[1.0, 0.02, 0.0], [0.0, 0.02, 1.0],
                           [1.0, -0.02, 0.0], [0.0, -0.02, 1.0]])
-        batch = ViewBatch(features=feats, batch_size=2, m_positives=1,
-                          labels=np.array([0, 1]))
-        weights = np.eye(3)
-        f = unit_rows(encoder_forward(weights, batch.features))
+        return ViewBatch(features=feats, batch_size=2, m_positives=1,
+                         labels=np.array([0, 1]))
+
+    @classmethod
+    def straddling_tau(cls):
+        """The tau+ that parks anchor 0's raw estimate on the exp floor at W = I."""
+        f = unit_rows(encoder_forward(np.eye(3), cls.straddling_batch().features))
         sims = f @ f.T
         mean_u = float(np.exp(sims[0, [1, 3]]).mean())  # partner of role 0 is 2
         mean_v = float(np.exp(sims[0, 2]))
         floor = math.exp(-1.0)
-        tau = (mean_u - floor) / (mean_v - floor)
+        return (mean_u - floor) / (mean_v - floor)
+
+    def test_clamp_straddling_excluded_not_failed(self):
+        # Park anchor 0's raw estimate exactly on the clamp boundary, so the
+        # +/- step evaluations land on different branches for some coordinate;
+        # those coordinates must be excluded, not counted as failures.
+        tau = self.straddling_tau()
         assert 0.0 < tau < 1.0
         spec = LossSpec(kind="debiased", tau_plus=tau)
-        report = finite_diff_check(weights, batch, spec, step=1e-4)
+        report = finite_diff_check(np.eye(3), self.straddling_batch(), spec, step=1e-4)
         assert report.excluded, "expected clamp-straddling coordinates"
         assert report.max_rel_err <= 1e-5
 
@@ -208,3 +213,107 @@ class TestFiniteDiffCheck:
             report = finite_diff_check(weights, batch, spec, step=1e-6)
             worst = max(worst, report.max_rel_err)
         assert worst <= 1e-6
+
+
+def reference_check(weights, batch, spec, step):
+    """finite_diff_check written as one lone forward pass per perturbation:
+    (per-coordinate (loss at +step, loss at -step), excluded, max_rel_err)."""
+    _, grad = loss_and_grad(weights, batch, spec)
+    analytic = grad.flatten()
+    numeric = np.zeros(weights.size)
+    pairs, excluded = [], []
+    for i in range(weights.size):
+        bumped = weights.copy()
+        bumped.flat[i] = weights.flat[i] + step
+        hi = batch_loss_terms(bumped, batch, spec)
+        bumped.flat[i] = weights.flat[i] - step
+        lo = batch_loss_terms(bumped, batch, spec)
+        pairs.append((hi.losses, lo.losses))
+        numeric[i] = (hi.losses.mean() - lo.losses.mean()) / (2.0 * step)
+        if not np.array_equal(hi.floored, lo.floored):
+            excluded.append(i)
+    keep = np.ones(weights.size, dtype=bool)
+    keep[excluded] = False
+    if not keep.any():
+        return pairs, tuple(excluded), 0.0
+    denom = float(np.abs(numeric[keep]).max()) + 1e-12
+    return pairs, tuple(excluded), float(np.abs(analytic[keep] - numeric[keep]).max()) / denom
+
+
+def stacked_cases():
+    """(weights, batch, spec, step) for each kind and M, a negative pool, a
+    batch parked on its clamp boundary, whose every coordinate straddles it,
+    and a batch where four of fifteen do."""
+    for case, (kind, m) in enumerate([("biased", 1), ("debiased", 2), ("unbiased", 3),
+                                      ("debiased", 1)]):
+        rng = substream(300 + case)
+        spec = LossSpec(kind=kind, tau_plus=0.2 if kind == "debiased" else 0.0,
+                        temperature=0.7)
+        yield init_params(rng, 5, 3), make_batch(rng, b=3, m=m, feat=5), spec, 1e-6
+    rng = substream(305)
+    pool = ViewBatch(features=rng.standard_normal((3 * 2 + 4, 4)), batch_size=3,
+                     m_positives=1, labels=np.array([0, 1, 2]),
+                     neg_pool_labels=np.array([0, 1, 2, 1]))
+    yield init_params(rng, 4, 3), pool, LossSpec(kind="unbiased", temperature=0.6), 1e-6
+    yield (np.eye(3), TestFiniteDiffCheck.straddling_batch(),
+           LossSpec(kind="debiased", tau_plus=TestFiniteDiffCheck.straddling_tau()), 1e-4)
+    rng = substream(429)
+    yield (init_params(rng, 5, 3), make_batch(rng, b=3, m=2, feat=5),
+           LossSpec(kind="debiased", tau_plus=0.5, temperature=0.7), 1e-3)
+
+
+class TestStackedFiniteDiff:
+    @pytest.mark.parametrize("case", range(7))
+    def test_matches_per_coordinate_reference(self, case, monkeypatch):
+        weights, batch, spec, step = list(stacked_cases())[case]
+        pairs, excluded, max_rel_err = reference_check(weights, batch, spec, step)
+        seen = []
+
+        def recording(w, b, s):
+            terms = batch_loss_terms(w, b, s)
+            seen.append(terms.losses)
+            return terms
+
+        monkeypatch.setattr(autograd, "batch_loss_terms", recording)
+        report = finite_diff_check(weights, batch, spec, step=step)
+        stacked = np.concatenate(seen)  # (|W|, 2, 2B): +step then -step
+        assert stacked.shape == (weights.size, 2, 2 * batch.batch_size)
+        for i, (hi, lo) in enumerate(pairs):
+            assert stacked[i, 0].tobytes() == hi.tobytes()
+            assert stacked[i, 1].tobytes() == lo.tobytes()
+        assert report.excluded == excluded
+        assert all(type(i) is int for i in report.excluded)
+        assert report.max_rel_err == max_rel_err
+        if case >= 5:
+            assert excluded == (tuple(range(9)) if case == 5 else (0, 5, 10, 12))
+
+    @pytest.mark.parametrize("case", [2, 6])
+    def test_chunked_report_is_the_same(self, case, monkeypatch):
+        weights, batch, spec, step = list(stacked_cases())[case]
+        whole = finite_diff_check(weights, batch, spec, step=step)
+        calls = []
+
+        def counting(w, b, s):
+            calls.append(w.shape[0])
+            return batch_loss_terms(w, b, s)
+
+        monkeypatch.setattr(autograd, "batch_loss_terms", counting)
+        # Two coordinates, four perturbations, per chunk.
+        per_coord = 2 * max(2 * batch.batch_size * batch.features.shape[0], weights.size)
+        monkeypatch.setattr(autograd, "_FD_BLOCK", 2 * per_coord)
+        chunked = finite_diff_check(weights, batch, spec, step=step)
+        assert calls == [2] * (weights.size // 2) + [1] * (weights.size % 2)
+        assert chunked == whole
+
+    def test_gradcheck_hands_the_public_kernel_one_matrix(self, tmp_path, monkeypatch):
+        # The benchmark's work counter reads each public call's f as (V, d).
+        dims = []
+        public = losses.batch_terms
+
+        def recording(f, batch, spec):
+            dims.append(np.ndim(f))
+            return public(f, batch, spec)
+
+        monkeypatch.setattr(losses, "batch_terms", recording)
+        assert cli.main(["gradcheck", "--set", "cases=6", "--out", str(tmp_path)]) == 0
+        assert dims and set(dims) == {2}

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from contrastlab.errors import BoundPreconditionViolated, SingleClassData
+from contrastlab import evaluation
+from contrastlab.errors import BoundPreconditionViolated, PriorMismatch, SingleClassData
 from contrastlab.evaluation import (
     lemma4_chain_check,
     lemma4_terms,
@@ -19,7 +20,7 @@ from contrastlab.losses import softmax_cross_entropy
 from contrastlab.rng import substream
 from contrastlab.worldmodel import marginal, random_mixture
 
-from conftest import random_instance, random_unit_rows
+from conftest import random_instance, random_unit_rows, skewed_instance
 
 
 def mean_classifier_data_loss(reps, labels):
@@ -90,6 +91,16 @@ class TestLinearProbe:
         assert probe_accuracy(weights, reps, np.array([0, 1, 0])) == 1.0
 
 
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, "zeros"])
+    def test_bad_sample_weights_refused(self, bad):
+        rng = substream(3)
+        labels = np.arange(20) % 2
+        reps = random_unit_rows(rng, 20, 3)
+        weights = np.zeros(20) if bad == "zeros" else np.r_[bad, np.ones(19)]
+        with pytest.raises(ValueError, match="sample_weights"):
+            linear_probe(reps, labels, sample_weights=weights)
+
+
 class TestMeanClassifierConsistency:
     def test_single_source_of_truth(self):
         # The evaluation module re-exports the losses-module implementation.
@@ -157,6 +168,19 @@ class TestChainCheck:
                 expect += marg[x] / mass * (log_norm - logits[int(mix.labels[x])])
             assert got == pytest.approx(expect, rel=1e-12), key
         assert scattered  # some task's points are not one contiguous index block
+
+    def test_non_uniform_prior_refused_before_any_term(self, monkeypatch):
+        # Under this prior the rhs (1.34641 at N = 4) is not the asymptotic
+        # true-negative loss (1.36928), so the chain is not checked at all.
+        emb, mix = skewed_instance(3)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a term was built")
+
+        monkeypatch.setattr(evaluation, "lemma4_terms", fail)
+        monkeypatch.setattr(evaluation, "asymptotic_debiased_exact", fail)
+        with pytest.raises(PriorMismatch, match="uniform class prior"):
+            lemma4_chain_check(emb, mix, n_neg=4)
 
     def test_certificate_records_prior_shape(self):
         emb, mix = random_instance(9, s_points=8, k_classes=4, embed_dim=6)

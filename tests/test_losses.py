@@ -3,6 +3,7 @@ Monte Carlo cross-checks, and structural properties."""
 
 import itertools
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -280,6 +281,52 @@ class TestTrueNegativeBatch:
             negs = sims[r, cols[col_labels != labels[r % b]]]
             expected = biased_loss_point(sims[r, (r + b) % (2 * b)], negs, q=2 * (b - 1)).value
             assert terms.losses[r] == pytest.approx(expected, abs=1e-12)
+
+
+def _stacked_views(gen, b, m, pool, d=4):
+    """Eight (V, d) unit view matrices: six random ones, and two whose views
+    of each identity sit within 1e-3 of each other, so that a large tau+
+    floors every role of the debiased loss."""
+    n_views = (m + 1) * b + pool
+    loose = [random_unit_rows(gen, n_views, d) for _ in range(6)]
+    tight = []
+    for _ in range(2):
+        views = np.tile(random_unit_rows(gen, b, d), (m + 1, 1))
+        views += 1e-3 * gen.standard_normal(views.shape)
+        tight.append(np.concatenate([views, random_unit_rows(gen, pool, d)]))
+    return np.stack(loose + tight)
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("floor_mode", [EXP_FLOOR, ZERO_FLOOR])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("kind,pool", [("biased", 0), ("debiased", 0), ("unbiased", 0),
+                                           ("unbiased", 5)])
+    def test_every_slice_matches_the_2d_call(self, kind, pool, m, floor_mode):
+        gen = substream(zlib.crc32(repr((kind, pool, m, floor_mode)).encode()))
+        b = 3
+        views = _stacked_views(gen, b, m, pool)
+        batch = ViewBatch(features=views[0], batch_size=b, m_positives=m,
+                          labels=np.array([0, 1, 0]),
+                          neg_pool_labels=np.array([0, 1, 2, 0, 1]) if pool else None)
+        spec = LossSpec(kind=kind, tau_plus=0.7, temperature=0.5, floor_mode=floor_mode)
+        stack = views.reshape((2, 4) + views.shape[1:])  # two leading axes
+        stacked = losses._batch_terms(stack, batch, spec)
+        for idx in np.ndindex(2, 4):
+            single = batch_terms(stack[idx], batch, spec)
+            for name in ("losses", "floored", "grad"):
+                assert getattr(stacked, name)[idx].tobytes() == getattr(single, name).tobytes()
+        if kind == "debiased":
+            rows = stacked.floored.reshape(8, 2 * b)
+            assert rows.all(axis=1).any()  # a slice with every role floored
+            assert (rows.any(axis=1) & ~rows.all(axis=1)).any()  # and one with some
+
+    def test_public_call_takes_one_matrix(self):
+        gen = substream(90)
+        views = _stacked_views(gen, 3, 1, 0)
+        batch = ViewBatch(features=views[0], batch_size=3, m_positives=1)
+        with pytest.raises(ValueError, match=r"one \(V, d\) embedding array, got 3 dims"):
+            batch_terms(views, batch, LossSpec(kind="biased"))
 
 
 def _mc_unbiased(emb, mix, n_neg, trials, seed):
