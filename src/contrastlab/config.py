@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .training import TrainConfig
+from .verification import MIN_TRIALS
 
 SCHEMA_VERSION = "1"
 
@@ -72,31 +73,31 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     } | _EVAL,
     "verify.lemma1": _COMMON | {
         "instances": Field("int", 20, "random (embedding, mixture) instances"),
-        "trials": Field("int", 100000, "Monte Carlo trials, >= 1000"),
+        "trials": Field("int", 100000, "Monte Carlo trials", (MIN_TRIALS, None)),
         "n_list": Field("int_list", (1, 4, 16), "negative sample sizes", (1, None)),
         "s_points": Field("int", 8, "points per random mixture"),
-        "k_classes": Field("int", 4, "classes per random mixture"),
+        "k_classes": Field("int", 4, "classes per random mixture", (2, None)),
         "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
     },
     "verify.thm3": _COMMON | {
         "instances": Field("int", 10, "random (embedding, mixture) instances"),
-        "trials": Field("int", 100000, "Monte Carlo trials, >= 1000"),
+        "trials": Field("int", 100000, "Monte Carlo trials", (MIN_TRIALS, None)),
         "n_grid": Field("int_list", (4, 16, 64, 256), "negative sample sizes N", (1, None)),
         "m_grid": Field("int_list", (4, 16, 64, 256), "positive sample sizes M", (1, None)),
         "tau_list": Field("float_list", (0.05, 0.1, 0.2), "override tau+ values", (0, 1)),
         "s_points": Field("int", 8, "points per random mixture"),
-        "k_classes": Field("int", 5, "true tau+ = 1/K should dominate tau_list"),
+        "k_classes": Field("int", 5, "true tau+ = 1/K should dominate tau_list", (2, None)),
         "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
     },
     "verify.rate": _COMMON | {
-        "trials": Field("int", 100000, "Monte Carlo trials, >= 1000"),
+        "trials": Field("int", 100000, "Monte Carlo trials", (MIN_TRIALS, None)),
         "sweep_variable": Field("str", "N", "N | M"),
         "sweep_grid": Field("int_list", (4, 16, 64, 256, 1024),
                             "swept sizes, spanning two decades or more"),
         "other_size": Field("int", 10240, "non-swept sample size"),
         "tau_plus": Field("float", -1.0, "negative means the mixture's own"),
         "s_points": Field("int", 8, "points per random mixture"),
-        "k_classes": Field("int", 5, "classes per random mixture"),
+        "k_classes": Field("int", 5, "classes per random mixture", (2, None)),
         "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
         # A decaying gap fits a negative slope; slope_min <= slope_max is
         # checked by the command, before the sweep draws.

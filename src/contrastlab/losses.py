@@ -29,11 +29,13 @@ loss, Monte Carlo or exact, is computed by one kernel,
 Everything is evaluated with a max-subtraction shift so small temperatures
 cannot overflow, and all expectations over discrete mixtures are exact
 finite sums (multisets of i.i.d. draws are enumerated with multinomial
-weights, which regroups the tuple sum without changing its value).  A
-multiset table depends only on the distribution and the number of draws,
-so each is enumerated once per distribution and size per call and every
-anchor reuses it; the loss grid is evaluated on the anchor's positive
-support only, the columns its expectation reads.  The
+weights, which regroups the tuple sum without changing its value).  One
+engine, :func:`_enumerated_losses`, enumerates every finite-N loss: each
+entry lists n i.i.d. draws per side, named as the Monte Carlo draws name
+them (``marginal``, ``negative``, ``positive``).  The true-negative loss is
+the entry ``[("negative", N)]`` and the oracle's k-th term
+``[("positive", k), ("marginal", N - k)]``.  The true-negative expectation
+E- e^s is the asymptotic debiased inner at each anchor's class prior.  The
 exact expectations are at temperature 1 with Q = N, the convention under
 which the bounds they certify are stated; only the large-N limit, which
 has no N of its own, takes a Q.
@@ -41,6 +43,7 @@ has no N of its own, takes a Q.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -395,18 +398,6 @@ def _multiset_table(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     return support[combos], np.exp(log_coef + log_prob)
 
 
-def _check_budget(mix: DiscreteClassMixture, marg: np.ndarray, budget: float,
-                  anchor_rows) -> None:
-    """Refuse, before any table is built, a call whose anchors of positive mass
-    evaluate more than ``budget`` rows; ``anchor_rows(s_pos, s_marg)`` counts
-    one anchor's from the support sizes of its class and of the marginal."""
-    # One entry per point of the marginal's support: its class's support size.
-    s_pos = np.count_nonzero(mix.class_conditionals > 0.0, axis=1)[mix.labels[marg > 0.0]]
-    rows = sum(anchor_rows(int(s), s_pos.size) for s in s_pos)
-    if rows > budget:
-        raise BudgetExceeded(f"{rows} enumerated rows exceed budget {budget:g}")
-
-
 def _shifted_exps(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Similarities of every anchor row, each row's max, and exp(row - max)."""
     f = np.asarray(embeddings, dtype=np.float64)
@@ -415,17 +406,61 @@ def _shifted_exps(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return sims, shift, np.exp(sims - shift[:, None])
 
 
-def _expected_loss(probs: np.ndarray, tails: np.ndarray, expvec: np.ndarray,
-                   sims_row: np.ndarray, shift: float, pos: np.ndarray) -> float:
-    """E[log(h+ + tail) - s+] over tail ~ probs and positive ~ pos, in shifted units.
+# The distribution of one draw of each side, given the anchor: the sides that
+# both the Monte Carlo draws and the enumerated losses are made of.
+_SIDES = {
+    "marginal": lambda mix, anchor: marginal(mix),
+    "negative": negative_dist,
+    "positive": positive_dist,
+}
 
-    Only the positive support is evaluated: the other columns carry weight
-    0 and would only cost logs.  The grid is laid out one row per positive
-    and filled in place, so each pass over it is contiguous.
+
+def _enumerated_losses(embeddings: np.ndarray, mix: DiscreteClassMixture,
+                       draws: list[list[tuple[str, int]]], budget: float) -> np.ndarray:
+    """E[log(e^(s+) + sum_j e^(s_j)) - s+] at t = 1 for each entry of ``draws``.
+
+    The expectation is over anchor ~ marginal, positive ~ the anchor's class
+    and, for each ``(side, n)`` pair of the entry, n i.i.d. draws from that
+    side of ``_SIDES``.  The rows evaluated, summed over entries and anchors
+    of positive mass, are counted from the sides' supports; more than
+    ``budget`` raises :class:`BudgetExceeded` before any table is built.
+    Each side's distribution is built once per anchor, each multiset table
+    once per (distribution, n) and each entry's joint probabilities once per
+    class, so an anchor only sums its own e^s over the rows.  The loss grid
+    is evaluated on the anchor's positive support only, one row per positive.
     """
-    cols = np.flatnonzero(pos)
-    grid = _contrastive_losses(sims_row[cols, None], expvec[cols, None], tails, shift)
-    return float(grid @ probs @ pos[cols])
+    marg = marginal(mix)
+    live = np.flatnonzero(marg > 0.0)
+    sides = {"positive"} | {side for entry in draws for side, _ in entry}
+    dists = [{side: _SIDES[side](mix, a) for side in sides} for a in live]
+    rows = sum(math.prod(math.comb(np.count_nonzero(dist[side] > 0.0) + n - 1, n)
+                         for side, n in entry)
+               for dist in dists for entry in draws)
+    if rows > budget:
+        raise BudgetExceeded(f"{rows} enumerated rows exceed budget {budget:g}")
+    sims, shift, expm = _shifted_exps(embeddings)
+    tables, joint = {}, {}
+    out = np.zeros(len(draws))
+    for a, dist in zip(live, dists):
+        expvec, pos, c = expm[a], dist["positive"], mix.labels[a]
+        cols = np.flatnonzero(pos)
+        for i, entry in enumerate(draws):
+            parts = []
+            for side, n in entry:
+                key = (dist[side].tobytes(), n)
+                if key not in tables:
+                    tables[key] = _multiset_table(dist[side], n)
+                parts.append(tables[key])
+            if (i, c) not in joint:
+                joint[i, c] = functools.reduce(
+                    lambda p, q: np.multiply.outer(p, q).ravel(), [probs for _, probs in parts])
+            tails = functools.reduce(lambda x, y: np.add.outer(x, y).ravel(),
+                                     [expvec[table].sum(axis=1) for table, _ in parts])
+            grid = _contrastive_losses(sims[a, cols, None], expvec[cols, None], tails, shift[a])
+            out[i] += marg[a] * float(grid @ joint[i, c] @ pos[cols])
+            # Freed before the next entry's are built, which then reuse the memory.
+            del tails, grid
+    return out
 
 
 def unbiased_loss_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
@@ -434,64 +469,57 @@ def unbiased_loss_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
 
     Expectation over anchor ~ marginal, positive ~ anchor class, and N
     i.i.d. negatives from the anchor's complement classes, whose
-    exponentials enter the denominator unweighted (Q = N).  No Monte Carlo
-    error.  The negative multisets depend only on the anchor's class, so
-    each class's table is enumerated once.
+    exponentials enter the denominator unweighted (Q = N): the engine's
+    entry ``[("negative", N)]``.  No Monte Carlo error.
     """
     if n_neg < 1:
         raise EmptyNegatives("unbiased loss needs N >= 1")
     if mix.n_classes < 2:
         raise DegenerateClass("unbiased loss needs K >= 2")
-    marg = marginal(mix)
-    # Classes own disjoint points, so an anchor's negatives range over the
-    # marginal support less its own class's.
-    _check_budget(mix, marg, budget,
-                  lambda s_pos, s_marg: math.comb(s_marg - s_pos + n_neg - 1, n_neg))
-    sims, shift, expm = _shifted_exps(embeddings)
-    tables = {}
-    total = 0.0
-    for a in np.flatnonzero(marg > 0.0):
-        c = mix.labels[a]
-        if c not in tables:
-            tables[c] = _multiset_table(negative_dist(mix, a), n_neg)
-        rows, probs = tables[c]
-        tails = expm[a][rows].sum(axis=1)
-        total += marg[a] * _expected_loss(probs, tails, expm[a], sims[a], shift[a],
-                                          positive_dist(mix, a))
-    return LossValue(total)
+    return LossValue(float(_enumerated_losses(embeddings, mix, [[("negative", n_neg)]],
+                                              budget)[0]))
 
 
-def _debiased_inner(mix: DiscreteClassMixture, expm: np.ndarray, tau_plus: float) -> np.ndarray:
+def _debiased_inner(mix: DiscreteClassMixture, expm: np.ndarray,
+                    tau_plus: float | np.ndarray) -> np.ndarray:
     """Unclamped asymptotic inner expectation (E_p e^s - tau+ E+ e^s) / tau- of
     every anchor, row a of ``expm`` holding anchor a's exponentiated
     similarities under any positive scale.
 
-    The two expectations are taken as one weighted sum, so where tau+ is the
-    class prior the anchor's own class cancels in the weights, exactly, and
-    not between two nearly equal sums.  tau+ must lie in [0, 1), and the first
-    anchor of positive mass whose inner is nonpositive (possible only above
-    its class prior) raises :class:`NegativeDenominator`.
+    ``tau_plus`` is one value, or one per anchor.  The two expectations are
+    taken as one weighted sum, so where tau+ is the class prior the anchor's
+    own class cancels in the weights, exactly, and not between two nearly
+    equal sums: the inner at ``mix.prior[mix.labels]`` is the true-negative
+    expectation E- e^s.  tau+ must lie in [0, 1), and the first anchor of
+    positive mass whose inner is nonpositive (possible only above its class
+    prior) raises :class:`NegativeDenominator`.
     """
-    _check_params(tau_plus)
+    tau = np.asarray(tau_plus, dtype=np.float64)
+    for value in tau.flat:
+        _check_params(value)
     marg = marginal(mix)
     pos = mix.class_conditionals[mix.labels]  # row a is positive_dist(mix, a)
-    inner = ((marg - tau_plus * pos) * expm).sum(axis=1) / (1.0 - tau_plus)
+    inner = ((marg - tau[..., None] * pos) * expm).sum(axis=1) / (1.0 - tau)
     bad = np.flatnonzero((marg > 0.0) & (inner <= 0.0))
     if bad.size:
+        at = tau_plus if tau.ndim == 0 else float(tau[bad[0]])
         raise NegativeDenominator(
-            f"inner expectation nonpositive at anchor {bad[0]} (tau_plus={tau_plus!r})"
+            f"inner expectation nonpositive at anchor {bad[0]} (tau_plus={at!r})"
         )
     return inner
 
 
 def asymptotic_debiased_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
-                              q: float, tau_plus: float | None = None) -> LossValue:
+                              q: float, tau_plus: float | np.ndarray | None = None) -> LossValue:
     """Exact large-N limit of the debiased loss on a discrete mixture.
 
     For each anchor the inner expectation (E_p exp(s) - tau+ E_pos exp(s))
     / tau- is computed exactly by :func:`_debiased_inner`, which raises
     rather than clamp it, so theory checks are never silently distorted.
-    tau+ defaults to the class prior; anchors of zero mass are skipped.
+    ``tau_plus`` is one value or one per anchor; ``None`` means
+    ``mix.tau_plus``.  At ``mix.prior[mix.labels]`` this is the asymptotic
+    true-negative loss E[log(e^(s+) + q E- e^s) - s+].  Anchors of zero
+    mass are skipped.
     """
     if mix.n_classes < 2:
         raise DegenerateClass("asymptotic debiased loss needs K >= 2")
@@ -521,8 +549,8 @@ def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: in
     The rewriting splits the marginal as tau+ positive + tau- negative for
     every anchor, with one scalar tau+; that split is exact only under a
     uniform class prior, so any other prior raises :class:`PriorMismatch`.
-    The marginal multisets of each size are enumerated once per call and
-    the positive ones once per class; only their sums depend on the anchor.
+    The k-th inner expectation is the engine's entry ``[("positive", k),
+    ("marginal", N - k)]``.
     """
     if not (1 <= n_neg <= ORACLE_MAX_N):
         raise OracleRangeExceeded(f"oracle requires 1 <= N <= {ORACLE_MAX_N}, got {n_neg}")
@@ -530,32 +558,10 @@ def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: in
         raise DegenerateClass("oracle needs K >= 2")
     if not mix.uniform_prior:
         raise PriorMismatch("oracle needs a uniform class prior; use unbiased_loss_exact")
-    marg = marginal(mix)
-    _check_budget(mix, marg, budget, lambda s_pos, s_marg: sum(
-        math.comb(s_pos + k - 1, k) * math.comb(s_marg + n_neg - k - 1, n_neg - k)
-        for k in range(n_neg + 1)))
     tau_plus = mix.tau_plus
     tau_minus = mix.tau_minus
-    sims, shift, expm = _shifted_exps(embeddings)
-    marg_tables = [_multiset_table(marg, n) for n in range(n_neg + 1)]
-    # Per class and k: (positive rows, marginal rows, joint probabilities).
-    joint = {}
-
-    inner = np.zeros(n_neg + 1)
-    for a in np.flatnonzero(marg > 0.0):
-        c = mix.labels[a]
-        pos = positive_dist(mix, a)
-        if c not in joint:
-            joint[c] = []
-            for k in range(n_neg + 1):
-                pos_rows, pos_probs = _multiset_table(pos, k)
-                marg_rows, marg_probs = marg_tables[n_neg - k]
-                joint[c].append((pos_rows, marg_rows, np.outer(pos_probs, marg_probs).ravel()))
-        expvec = expm[a]
-        for k, (pos_rows, marg_rows, probs) in enumerate(joint[c]):
-            tails = np.add.outer(expvec[pos_rows].sum(axis=1),
-                                 expvec[marg_rows].sum(axis=1)).ravel()
-            inner[k] += marg[a] * _expected_loss(probs, tails, expvec, sims[a], shift[a], pos)
+    inner = _enumerated_losses(embeddings, mix, [[("positive", k), ("marginal", n_neg - k)]
+                                                 for k in range(n_neg + 1)], budget)
 
     k = np.arange(n_neg + 1)
     coeffs = np.array([math.comb(n_neg, int(i)) for i in k], dtype=np.float64)

@@ -27,6 +27,7 @@ from .errors import DegenerateClass, InsufficientGrid
 from .losses import (
     DEFAULT_ENUM_BUDGET,
     EXP_FLOOR,
+    _SIDES,
     _check_params,
     _contrastive_losses,
     _debiased_inner,
@@ -37,7 +38,7 @@ from .losses import (
     unbiased_loss_exact,
 )
 from .rng import substream
-from .worldmodel import DiscreteClassMixture, marginal, negative_dist, positive_dist
+from .worldmodel import DiscreteClassMixture, marginal, positive_dist
 
 MIN_TRIALS = 1000
 
@@ -170,14 +171,6 @@ def _grouped_mean_exp(anchors: np.ndarray, dist_for_anchor, n_draws: int,
     return out
 
 
-# The distribution of one draw of each count side, given the anchor.
-_SIDES = {
-    "marginal": lambda mix, anchor: marginal(mix),
-    "negative": negative_dist,
-    "positive": positive_dist,
-}
-
-
 @dataclass(frozen=True, eq=False)
 class MonteCarloDraws:
     """Monte Carlo inputs of the lemma1, thm3 and rate certificates.
@@ -249,10 +242,11 @@ def lemma1_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
     rhs = MC marginal-negative loss, both estimated with common (anchor,
     positive, count) structure and compared with the paired-difference
     standard error.  The exact gap term is
-    E_x[ min(0, log(E_pos exp s / E_neg exp s)) ], enumerated; the
-    asymptotic true-negative loss E[ log(exp s+ + N E_neg exp s) - s+ ],
-    enumerated from the same E_neg exp s, is recorded in the metadata
-    alongside the finite-N form actually certified.
+    E_x[ min(0, log(E_pos exp s / E_neg exp s)) ], enumerated, where
+    E_neg exp s is the asymptotic debiased inner at each anchor's class
+    prior.  The asymptotic debiased loss at those tau+, the asymptotic
+    true-negative loss E[ log(exp s+ + N E_neg exp s) - s+ ], is recorded
+    in the metadata alongside the finite-N form actually certified.
     """
     if mix.n_classes < 2:
         raise DegenerateClass("certificate needs K >= 2")
@@ -262,19 +256,15 @@ def lemma1_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
     loss_unbiased = _contrastive_losses(draws.s_pos, draws.h_pos,
                                         draws.negative[n_neg] * n_neg)
 
-    sims, expm = _sims_and_exp(embeddings)
+    _, expm = _sims_and_exp(embeddings)
     marg = marginal(mix)
-    gap_term = 0.0
-    asymptotic = 0.0
-    for a in range(mix.n_points):
-        if marg[a] == 0.0:
-            continue
-        pos = positive_dist(mix, a)
-        num = float(pos @ expm[a])
-        den = float(negative_dist(mix, a) @ expm[a])
-        gap_term += marg[a] * min(0.0, math.log(num / den))
-        asymptotic += marg[a] * float(
-            pos @ _contrastive_losses(sims[a], expm[a], n_neg * den))
+    live = marg > 0.0
+    own_prior = mix.prior[mix.labels]
+    num = (mix.class_conditionals[mix.labels] * expm).sum(axis=1)
+    den = _debiased_inner(mix, expm, own_prior)
+    gap_term = float(marg[live] @ np.minimum(0.0, np.log(num[live] / den[live])))
+    asymptotic = asymptotic_debiased_exact(embeddings, mix, q=float(n_neg),
+                                           tau_plus=own_prior).value
     margin = math.exp(1.5) * math.sqrt(math.pi / (2.0 * n_neg))
 
     diff = loss_biased - loss_unbiased

@@ -188,14 +188,13 @@ class TestFiniteDiffCheck:
         return (mean_u - floor) / (mean_v - floor)
 
     def test_clamp_straddling_excluded_not_failed(self):
-        # Park anchor 0's raw estimate exactly on the clamp boundary, so the
-        # +/- step evaluations land on different branches for some coordinate;
-        # those coordinates must be excluded, not counted as failures.
-        tau = self.straddling_tau()
-        assert 0.0 < tau < 1.0
-        spec = LossSpec(kind="debiased", tau_plus=tau)
-        report = finite_diff_check(np.eye(3), self.straddling_batch(), spec, step=1e-4)
+        # A batch where the +/- step evaluations of some coordinates land on
+        # different branches of the clamp: those must be excluded, not counted
+        # as failures, and every other coordinate must still be checked.
+        weights, batch, spec, step = list(stacked_cases())[6]
+        report = finite_diff_check(weights, batch, spec, step=step)
         assert report.excluded, "expected clamp-straddling coordinates"
+        assert len(report.excluded) < weights.size
         assert report.max_rel_err <= 1e-5
 
     def test_200_random_configurations(self):

@@ -180,3 +180,22 @@ def test_every_public_definition_is_reached():
     unreached = _unreached(public, referenced, _outside_names())
     assert not unreached, ("public functions and classes that no other package code, "
                            f"acceptance test or benchmark file reaches: {unreached}")
+
+
+def test_every_import_is_used():
+    # A name a module imports and never uses is a dead dependency.  The
+    # package's __init__ imports only to re-export, so it is not scanned.
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = _parse(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused.extend(f"{path.stem}.py:{node.lineno} {name}" for alias in node.names
+                              if (name := (alias.asname or alias.name).split(".")[0])
+                              not in used)
+    assert not unused, f"imported names the module never uses: {unused}"

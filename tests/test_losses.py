@@ -21,6 +21,7 @@ from contrastlab.errors import (
     PriorMismatch,
 )
 from contrastlab.losses import (
+    DEFAULT_ENUM_BUDGET,
     EXP_FLOOR,
     ZERO_FLOOR,
     LossSpec,
@@ -532,6 +533,10 @@ class TestExactLayerBruteForce:
         for emb, mix in self.instances():
             direct = _tuple_sum(emb, mix, lambda a: [negative_dist(mix, a)] * n_neg)
             assert unbiased_loss_exact(emb, mix, n_neg).value == pytest.approx(direct, rel=1e-12)
+            biased = _tuple_sum(emb, mix, lambda a: [marginal(mix)] * n_neg)
+            (got,) = losses._enumerated_losses(emb, mix, [[("marginal", n_neg)]],
+                                               DEFAULT_ENUM_BUDGET)
+            assert got == pytest.approx(biased, rel=1e-12)
             res = binomial_oracle(emb, mix, n_neg)
             assert res.loss.value == pytest.approx(direct, rel=1e-12)
             # Each series term: k draws from the positive class, N - k from the marginal.

@@ -7,10 +7,9 @@ import pytest
 
 from contrastlab.errors import InsufficientGrid, NegativeDenominator
 from contrastlab.losses import (
+    DEFAULT_ENUM_BUDGET,
     _contrastive_losses,
-    _expected_loss,
-    _multiset_table,
-    _shifted_exps,
+    _enumerated_losses,
     asymptotic_debiased_exact,
     unbiased_loss_exact,
 )
@@ -50,6 +49,33 @@ def _count_side_means(monkeypatch):
 
     monkeypatch.setattr(verification, "_grouped_mean_exp", counting)
     return sizes
+
+
+def _asymptotic_negative_sum(emb, mix, n_neg):
+    """E[log(e^{s+} + N E_neg e^s) - s+], summed term by term."""
+    sims = emb @ emb.T
+    marg = marginal(mix)
+    expected = 0.0
+    for a in range(mix.n_points):
+        den = sum(q * math.exp(sims[a, j]) for j, q in enumerate(negative_dist(mix, a)))
+        for p, w in enumerate(positive_dist(mix, a)):
+            if marg[a] > 0.0 and w > 0.0:
+                expected += marg[a] * w * (math.log(math.exp(sims[a, p]) + n_neg * den)
+                                           - sims[a, p])
+    return expected
+
+
+def test_asymptotic_debiased_takes_one_tau_plus_per_anchor():
+    emb, mix = random_instance(33)
+    for tau in (0.0, 0.1, mix.tau_plus):
+        scalar = asymptotic_debiased_exact(emb, mix, q=4.0, tau_plus=tau).value
+        per_anchor = asymptotic_debiased_exact(emb, mix, q=4.0,
+                                               tau_plus=np.full(mix.n_points, tau)).value
+        assert per_anchor == scalar
+    # At each anchor's class prior, the asymptotic true-negative loss.
+    emb, mix = skewed_instance(3)
+    got = asymptotic_debiased_exact(emb, mix, q=4.0, tau_plus=mix.prior[mix.labels]).value
+    assert got == pytest.approx(_asymptotic_negative_sum(emb, mix, 4), rel=1e-12)
 
 
 class TestLemma1Certificate:
@@ -98,20 +124,11 @@ class TestLemma1Certificate:
 
     @pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
     def test_asymptotic_unbiased_is_the_negative_sum(self, skewed):
-        # E[log(e^{s+} + N E_neg e^s) - s+], summed term by term.  Under a
-        # uniform prior it is the asymptotic debiased loss at the class
-        # prior; under another prior it is not.
+        # Under a uniform prior it is the asymptotic debiased loss at the
+        # class prior; under another prior it is not.
         emb, mix = skewed_instance(3) if skewed else random_instance(32)
         n_neg = 4
-        sims = emb @ emb.T
-        marg = marginal(mix)
-        expected = 0.0
-        for a in range(mix.n_points):
-            den = sum(q * math.exp(sims[a, j]) for j, q in enumerate(negative_dist(mix, a)))
-            for p, w in enumerate(positive_dist(mix, a)):
-                if marg[a] > 0.0 and w > 0.0:
-                    expected += marg[a] * w * (math.log(math.exp(sims[a, p]) + n_neg * den)
-                                               - sims[a, p])
+        expected = _asymptotic_negative_sum(emb, mix, n_neg)
         cert = lemma1_certificate(emb, mix, n_neg, trials=1000, seed=6)
         got = cert.meta["asymptotic_unbiased"]
         assert got == pytest.approx(expected, rel=1e-12)
@@ -128,18 +145,6 @@ class TestLemma1Certificate:
         assert sizes == [4, 4]
 
 
-def _exact_marginal_negative_loss(emb, mix, n_neg):
-    """Exact finite-N loss with N marginal negatives, at Q = N and t = 1: the
-    marginal multiset table is enumerated once, and each anchor's
-    expectation taken by the enumerated losses' own kernel."""
-    sims, shift, expm = _shifted_exps(emb)
-    marg = marginal(mix)
-    rows, probs = _multiset_table(marg, n_neg)
-    return sum(marg[a] * _expected_loss(probs, expm[a][rows].sum(axis=1), expm[a], sims[a],
-                                        shift[a], positive_dist(mix, a))
-               for a in np.flatnonzero(marg > 0.0))
-
-
 class TestLemma1AgainstExact:
     # Criterion 5's first three instances and seeds, at N = 1 and 4.
     @pytest.mark.parametrize("n_neg", [1, 4])
@@ -153,7 +158,8 @@ class TestLemma1AgainstExact:
         cert = lemma1_certificate(emb, mix, n_neg, trials, seed)
         draws = _draw_monte_carlo(emb, mix, trials, (seed, 1),
                                   marginal=(n_neg,), negative=(n_neg,))
-        sides = {"marginal": _exact_marginal_negative_loss(emb, mix, n_neg),
+        sides = {"marginal": _enumerated_losses(emb, mix, [[("marginal", n_neg)]],
+                                                DEFAULT_ENUM_BUDGET)[0],
                  "negative": unbiased_loss_exact(emb, mix, n_neg).value}
         means = {}
         for side, exact in sides.items():
