@@ -10,7 +10,8 @@ written as 0 unless ``--timings`` is given.
 Exit codes: 0 = success / all certificates pass, 1 = a certificate or
 check failed, 2 = invalid configuration, including a parameter value the
 library rejects with ``ValueError``.  A value outside its key's schema
-bounds is refused by ``config.resolve``, before any command runs.
+bounds is refused by ``config.resolve``, before any command runs.  Each
+command's ``--help`` ends with its config keys and their valid ranges.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import finite_diff_check
-from .config import SCHEMA_VERSION, TRAIN_RUN_KEYS, config_hash, render_value, resolve
+from .config import (
+    SCHEMA_VERSION,
+    TRAIN_RUN_KEYS,
+    config_hash,
+    key_listing,
+    render_value,
+    resolve,
+)
 from .encoder import ViewBatch, init_params
 from .errors import ConfigError, ContrastLabError, NegativeDenominator
 from .evaluation import lemma4_chain_check, lemma4_terms
@@ -268,8 +276,9 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
                                 .standard_normal((mix.n_points, cfg["embed_dim"])))
                 # The probe is fitted on each mixture's first embedding only.
                 include_probe = ei == 0
-                terms = lemma4_terms(emb, mix, include_probe)
-                for n_neg in range(k - 1, cfg["n_max_factor"] * k + 1):
+                n_values = range(k - 1, cfg["n_max_factor"] * k + 1)
+                terms = lemma4_terms(emb, mix, include_probe, n_values)
+                for n_neg in n_values:
                     cert = lemma4_chain_check(emb, mix, n_neg, include_probe, terms=terms)
                     cert.meta.update({"mixture": mi, "embedding": ei})
                     report.add_certificate(cert.to_record())
@@ -342,15 +351,23 @@ def cmd_gen_data(cfg: dict, report: RunReport) -> int:
     return report.finish()
 
 
+def _keys_epilog(schema_key: str) -> str:
+    """The config keys of one schema, as a command's ``--help`` ends with them."""
+    return (f"config keys of {schema_key.replace('.', ' ')} (--set KEY=VALUE):"
+            f"{key_listing(schema_key)}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="contrastlab",
         description="Contrastive-loss laboratory: training, probing, bound certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    raw = argparse.RawDescriptionHelpFormatter
     for name in ("train", "probe", "gradcheck", "gen-data"):
-        sub.add_parser(name)
-    verify = sub.add_parser("verify")
+        sub.add_parser(name, epilog=_keys_epilog(name), formatter_class=raw)
+    verify = sub.add_parser("verify", formatter_class=raw, epilog="\n\n".join(
+        _keys_epilog(f"verify.{check}") for check in VERIFY_CHECKS))
     verify.add_argument("check", choices=VERIFY_CHECKS)
     for _, p in sub.choices.items():
         p.add_argument("--config", default=None, help="flat key = value config file")

@@ -2,7 +2,8 @@
 
 A config is a text file of ``key = value`` lines plus command-line
 overrides (later wins).  Unknown keys are rejected, and the error lists
-every valid key with its default, help and valid range.  Each key's valid
+every valid key with its default, help and valid range, as the command's
+``--help`` does (:func:`key_listing`).  Each key's valid
 range is its schema entry's ``bounds``; ``resolve`` checks every key of
 the command against it, so a bad value is refused before any command
 runs.  The ``format_version`` tag must match the schema version built into
@@ -77,7 +78,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "n_list": Field("int_list", (1, 4, 16), "negative sample sizes", (1, None)),
         "s_points": Field("int", 8, "points per random mixture"),
         "k_classes": Field("int", 4, "classes per random mixture", (2, None)),
-        "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
+        "embed_dim": Field("int", 8, "dimension of the random unit embeddings", (1, None)),
     },
     "verify.thm3": _COMMON | {
         "instances": Field("int", 10, "random (embedding, mixture) instances"),
@@ -87,7 +88,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "tau_list": Field("float_list", (0.05, 0.1, 0.2), "override tau+ values", (0, 1)),
         "s_points": Field("int", 8, "points per random mixture"),
         "k_classes": Field("int", 5, "true tau+ = 1/K should dominate tau_list", (2, None)),
-        "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
+        "embed_dim": Field("int", 8, "dimension of the random unit embeddings", (1, None)),
     },
     "verify.rate": _COMMON | {
         "trials": Field("int", 100000, "Monte Carlo trials", (MIN_TRIALS, None)),
@@ -98,7 +99,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "tau_plus": Field("float", -1.0, "negative means the mixture's own"),
         "s_points": Field("int", 8, "points per random mixture"),
         "k_classes": Field("int", 5, "classes per random mixture", (2, None)),
-        "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
+        "embed_dim": Field("int", 8, "dimension of the random unit embeddings", (1, None)),
         # A decaying gap fits a negative slope; slope_min <= slope_max is
         # checked by the command, before the sweep draws.
         "slope_min": Field("float", -0.65, "lowest passing fitted slope", (None, 0)),
@@ -110,7 +111,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "mixtures": Field("int", 3, "random mixtures"),
         "k_list": Field("int_list", (2, 3, 5), "class counts cycled over mixtures", (2, None)),
         "s_points": Field("int", 10, "points per random mixture"),
-        "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
+        "embed_dim": Field("int", 8, "dimension of the random unit embeddings", (1, None)),
         "n_max_factor": Field("int", 4, "sweep N = K-1 .. factor*K", (1, None)),
     },
     "verify.oracle": _COMMON | {
@@ -121,7 +122,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "budget": Field("float", 1e9, "enumeration budget: rows evaluated, summed over anchors",
                         (1, None)),
         "tolerance": Field("float", 1e-9, "relative error threshold", (0, None)),
-        "embed_dim": Field("int", 8, "dimension of the random unit embeddings"),
+        "embed_dim": Field("int", 8, "dimension of the random unit embeddings", (1, None)),
     },
     "gradcheck": _COMMON | {
         "cases": Field("int", 200, "random configurations", (1, None)),
@@ -131,8 +132,8 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "gen-data": _COMMON | {
         "preset": Field("str", "", "named mixture preset; empty = random"),
         "s_points": Field("int", 8, "points per random mixture"),
-        "k_classes": Field("int", 4, "classes per random mixture"),
-        "feature_dim": Field("int", 4, "dimension of the mixture points"),
+        "k_classes": Field("int", 4, "classes per random mixture", (2, None)),
+        "feature_dim": Field("int", 4, "dimension of the mixture points", (1, None)),
         "filename": Field("str", "mixture.txt", "output file in the out directory"),
     },
 }
@@ -167,6 +168,15 @@ def _rule(field: Field) -> str:
     if high is not None:
         parts.append(f"< {high}")
     return ", ".join(parts)
+
+
+def key_listing(command: str) -> str:
+    """Every key of ``command``'s schema, one line each, with its default,
+    help and valid range: the unknown-key error and ``--help`` both list it."""
+    return "".join(f"\n  {key} = {render_value(field.default)}"
+                   + (f"  ({field.help})" if field.help else "")
+                   + (f"  valid: {rule}" if (rule := _rule(field)) else "")
+                   for key, field in SCHEMAS[command].items())
 
 
 def _check(key: str, field: Field, value) -> None:
@@ -214,12 +224,8 @@ def resolve(command: str, config_path: str | None, overrides: list[str],
 
     unknown = set(raw) - set(schema)
     if unknown:
-        valid = "".join(f"\n  {key} = {render_value(field.default)}"
-                        + (f"  ({field.help})" if field.help else "")
-                        + (f"  valid: {rule}" if (rule := _rule(field)) else "")
-                        for key, field in schema.items())
         raise ConfigError(f"unknown config keys for {command!r}: {sorted(unknown)}; "
-                          f"valid keys and defaults:{valid}")
+                          f"valid keys and defaults:{key_listing(command)}")
     resolved = {key: field.default for key, field in schema.items()}
     for key, value in raw.items():
         resolved[key] = _parse_value(key, schema[key], value)

@@ -130,12 +130,13 @@ def probe_accuracy(probe_weights: np.ndarray, representations: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class Lemma4Terms:
-    """The N-free part of every lemma4 certificate on one (embeddings, mixture).
+    """Every term of the lemma4 certificates on one (embeddings, mixture).
 
     ``lhs`` is the certified mean-classifier loss; ``subtasks`` maps each
     sampled 3-class sub-task (K > 3 only) to its mean-classifier loss, and
-    ``probe`` is the fitted probe when it was asked for.  Terms belong to
-    the (embeddings, mixture) objects they were built from.
+    ``probe`` is the fitted probe when it was asked for.  ``rhs`` maps each
+    N the terms were built for to the asymptotic debiased loss at Q = N.
+    Terms belong to the (embeddings, mixture) objects they were built from.
     """
 
     embeddings: np.ndarray
@@ -143,16 +144,20 @@ class Lemma4Terms:
     lhs: float
     subtasks: dict[str, float]
     probe: ProbeResult | None
+    rhs: dict[int, float]
 
 
 def lemma4_terms(embeddings: np.ndarray, mix: DiscreteClassMixture,
-                 include_probe: bool) -> Lemma4Terms:
-    """Build the terms that every N of :func:`lemma4_chain_check` shares.
+                 include_probe: bool, n_values) -> Lemma4Terms:
+    """Build the terms of :func:`lemma4_chain_check` at every N of ``n_values``.
 
     Pass the result as ``terms=`` to each N's check on these embeddings and
-    this mixture, so the mean classifier, the sub-tasks and the probe are
-    computed once rather than once per N.
+    this mixture.  The mean classifier, the sub-tasks and the probe do not
+    depend on N, and the rhs of every N comes from one
+    :func:`asymptotic_debiased_exact` call over all of ``n_values``, so each
+    is computed once rather than once per N.
     """
+    n_values = [int(n) for n in n_values]
     lhs = mean_classifier_loss(embeddings, mix).value
     subtasks = {}
     if mix.n_classes > 3:
@@ -164,8 +169,9 @@ def lemma4_terms(embeddings: np.ndarray, mix: DiscreteClassMixture,
     if include_probe:
         probe = linear_probe(np.asarray(embeddings, dtype=np.float64), mix.labels,
                              sample_weights=marginal(mix))
+    rhs = asymptotic_debiased_exact(embeddings, mix, q=n_values)
     return Lemma4Terms(embeddings=embeddings, mix=mix, lhs=lhs, subtasks=subtasks,
-                       probe=probe)
+                       probe=probe, rhs={n: v.value for n, v in zip(n_values, rhs)})
 
 
 def lemma4_chain_check(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,
@@ -191,11 +197,11 @@ def lemma4_chain_check(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
     class prior, so any other prior raises :class:`PriorMismatch` before
     any term is built.
 
-    Only the rhs depends on N.  The rest, the mean-classifier loss, the
-    sub-tasks and the probe, is built once per (embeddings, mixture) by
-    :func:`lemma4_terms` and passed as ``terms``; without it the check
-    builds its own.  Terms built for other embeddings, another mixture or
-    another ``include_probe`` raise ``ValueError``.
+    Every term, the rhs included, is read from ``terms``, which
+    :func:`lemma4_terms` builds once per (embeddings, mixture) for all the
+    N to be checked; without it the check builds its own at this N alone.
+    Terms built for other embeddings, another mixture, another
+    ``include_probe`` or without this N raise ``ValueError``.
     """
     if not mix.uniform_prior:
         raise PriorMismatch("lemma4 chain needs a uniform class prior")
@@ -204,12 +210,13 @@ def lemma4_chain_check(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
             f"chain needs N >= K-1 = {mix.n_classes - 1}, got {n_neg}"
         )
     if terms is None:
-        terms = lemma4_terms(embeddings, mix, include_probe)
+        terms = lemma4_terms(embeddings, mix, include_probe, (n_neg,))
     if terms.embeddings is not embeddings or terms.mix is not mix:
         raise ValueError("terms were built for other embeddings or another mixture")
     if (terms.probe is not None) != include_probe:
         raise ValueError(f"terms were built with include_probe={not include_probe}")
-    rhs = asymptotic_debiased_exact(embeddings, mix, q=float(n_neg)).value
+    if n_neg not in terms.rhs:
+        raise ValueError(f"terms hold N in {sorted(terms.rhs)}, not N = {n_neg}")
     # Each record gets its own meta; no nested dict is shared between N.
     meta = mixture_tag(mix) | {"n_neg": n_neg, "mean_classifier_loss": terms.lhs,
                                 "task": "all-classes"}
@@ -219,4 +226,5 @@ def lemma4_chain_check(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
         meta["supervised_probe_loss"] = terms.probe.softmax_loss
         meta["supervised_probe_loss_note"] = "approximate (optimized infimum)"
         meta["probe_accuracy"] = terms.probe.accuracy
-    return make_certificate("lemma4", terms.lhs, rhs, 0.0, 0, meta, fp_tol=LEMMA4_FP_TOL)
+    return make_certificate("lemma4", terms.lhs, terms.rhs[n_neg], 0.0, 0, meta,
+                            fp_tol=LEMMA4_FP_TOL)

@@ -38,7 +38,9 @@ the entry ``[("negative", N)]`` and the oracle's k-th term
 E- e^s is the asymptotic debiased inner at each anchor's class prior.  The
 exact expectations are at temperature 1 with Q = N, the convention under
 which the bounds they certify are stated; only the large-N limit, which
-has no N of its own, takes a Q.
+has no N of its own, takes a Q.  Q is only a factor on its inner
+expectation, so it takes a sequence of Q and evaluates them all from one
+pass over the similarities.
 """
 
 from __future__ import annotations
@@ -510,7 +512,9 @@ def _debiased_inner(mix: DiscreteClassMixture, expm: np.ndarray,
 
 
 def asymptotic_debiased_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
-                              q: float, tau_plus: float | np.ndarray | None = None) -> LossValue:
+                              q: float | np.ndarray,
+                              tau_plus: float | np.ndarray | None = None
+                              ) -> LossValue | list[LossValue]:
     """Exact large-N limit of the debiased loss on a discrete mixture.
 
     For each anchor the inner expectation (E_p exp(s) - tau+ E_pos exp(s))
@@ -520,19 +524,28 @@ def asymptotic_debiased_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
     ``mix.tau_plus``.  At ``mix.prior[mix.labels]`` this is the asymptotic
     true-negative loss E[log(e^(s+) + q E- e^s) - s+].  Anchors of zero
     mass are skipped.
+
+    ``q`` is one value, or a 1-d sequence of them; each must be finite and
+    positive.  Only the factor q depends on it, so a sequence builds the
+    similarities and the inner expectations once and returns one value per
+    q, in order, each bit-identical to the call at that q alone.
     """
+    qs = np.asarray(q, dtype=np.float64)
+    if qs.ndim > 1 or qs.size == 0 or not np.all(np.isfinite(qs) & (qs > 0.0)):
+        raise ValueError(f"q must be finite and positive, one value or a non-empty "
+                         f"1-d sequence; got {q!r}")
     if mix.n_classes < 2:
         raise DegenerateClass("asymptotic debiased loss needs K >= 2")
-    if q <= 0.0:
-        raise ValueError("q must be positive")
     marg = marginal(mix)
     sims, shift, expm = _shifted_exps(embeddings)
     inner = _debiased_inner(mix, expm, mix.tau_plus if tau_plus is None else tau_plus)
     live = marg > 0.0
-    losses = _contrastive_losses(sims[live], expm[live], q * inner[live, None],
-                                 shift[live, None])
+    # (len(q), live, S): each q's block is the single call's (live, S) array.
+    losses = _contrastive_losses(sims[live], expm[live],
+                                 qs.reshape(-1, 1, 1) * inner[live, None], shift[live, None])
     pos = mix.class_conditionals[mix.labels[live]]
-    return LossValue(float(marg[live] @ (losses * pos).sum(axis=1)))
+    values = [LossValue(float(marg[live] @ row)) for row in (losses * pos).sum(axis=-1)]
+    return values if qs.ndim else values[0]
 
 
 def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,

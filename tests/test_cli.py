@@ -10,7 +10,14 @@ import pytest
 
 import contrastlab.cli as cli
 from contrastlab.cli import _child_seed, _random_instance, main
-from contrastlab.config import SCHEMA_VERSION, SCHEMAS, config_hash, render_value, resolve
+from contrastlab.config import (
+    SCHEMA_VERSION,
+    SCHEMAS,
+    _rule,
+    config_hash,
+    render_value,
+    resolve,
+)
 from contrastlab.errors import ConfigError
 from contrastlab.training import TrainConfig, train
 from contrastlab.verification import make_certificate, theorem3_certificate, theorem3_draws
@@ -64,6 +71,12 @@ INVALID_VALUES = {
     # points than the largest K (5) an instance draws.
     "oracle-n-max": ["verify", "oracle", "--set", "n_max=0"],
     "oracle-s-max": ["verify", "oracle", "--set", "s_max=4"],
+    # Refused before the first mixture: no dimension for the embeddings.
+    "lemma4-embed-dim": ["verify", "lemma4", "--set", "embed_dim=0"],
+    "oracle-embed-dim": ["verify", "oracle", "--set", "embed_dim=0"],
+    # A mixture no train run could use: one class, or points of no dimension.
+    "gen-data-one-class": ["gen-data", "--set", "k_classes=1"],
+    "gen-data-no-features": ["gen-data", "--set", "feature_dim=0"],
     # NaN fails every bound, so none of these runs with a threshold it ignores.
     "gradcheck-nan-tolerance": ["gradcheck", "--set", "tolerance=nan"],
     "oracle-nan-budget": ["verify", "oracle", "--set", "budget=nan"],
@@ -215,6 +228,22 @@ class TestConfig:
         assert capsys.readouterr().err.startswith(f"config error: {key}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "probe", "verify", "gradcheck", "gen-data"])
+    def test_help_lists_every_key_with_its_range(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        schemas = [name for name in SCHEMAS if name.split(".")[0] == command]
+        assert schemas
+        for name in schemas:
+            # The keys after this schema's heading, up to the next blank line.
+            section = out.split(f"config keys of {name.replace('.', ' ')} ")[1].split("\n\n")[0]
+            lines = {line.split(" = ")[0].strip(): line for line in section.splitlines()[1:]}
+            assert list(lines) == list(SCHEMAS[name])
+            for key, field in SCHEMAS[name].items():
+                rule = _rule(field)
+                assert lines[key].startswith(f"  {key} = {render_value(field.default)}")
+                assert lines[key].endswith(f"  valid: {rule}") if rule else "valid:" not in lines[key]
+
     def test_every_shipped_config_resolves(self):
         assert sorted(path.name for path in CONFIGS.glob("*.txt")) == sorted(CONFIG_COMMANDS)
         for name, command in CONFIG_COMMANDS.items():
@@ -268,7 +297,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(("case", "key"), [("lemma4-no-k", "k_list"),
                                                ("lemma4-k-below-2", "k_list"),
                                                ("oracle-n-max", "n_max"),
-                                               ("oracle-s-max", "s_max")])
+                                               ("oracle-s-max", "s_max"),
+                                               ("lemma4-embed-dim", "embed_dim"),
+                                               ("oracle-embed-dim", "embed_dim")])
     def test_bad_size_is_named_before_any_mixture(self, tmp_path, capsys, monkeypatch,
                                                   case, key):
         monkeypatch.setattr(cli, "random_mixture",

@@ -193,9 +193,10 @@ class TestChainCheck:
     def test_shared_terms_give_the_same_record_at_every_n(self, k, include_probe):
         mix = random_mixture(substream(11, k), 10, k)
         emb = random_unit_rows(substream(12, k), 10, 6)
-        terms = lemma4_terms(emb, mix, include_probe)
+        n_values = range(k - 1, 4 * k + 1)
+        terms = lemma4_terms(emb, mix, include_probe, n_values)
         records = []
-        for n_neg in range(k - 1, 4 * k + 1):
+        for n_neg in n_values:
             shared = lemma4_chain_check(emb, mix, n_neg, include_probe, terms=terms).to_record()
             assert shared == lemma4_chain_check(emb, mix, n_neg, include_probe).to_record()
             records.append(shared)
@@ -211,7 +212,7 @@ class TestChainCheck:
     def test_terms_for_other_arguments_raise(self):
         mix = random_mixture(substream(13), 8, 4)
         emb = random_unit_rows(substream(14), 8, 6)
-        terms = lemma4_terms(emb, mix, include_probe=False)
+        terms = lemma4_terms(emb, mix, include_probe=False, n_values=(4,))
         with pytest.raises(ValueError, match="other embeddings"):
             lemma4_chain_check(emb.copy(), mix, 4, False, terms=terms)
         with pytest.raises(ValueError, match="another mixture"):
@@ -219,4 +220,25 @@ class TestChainCheck:
         with pytest.raises(ValueError, match="include_probe=False"):
             lemma4_chain_check(emb, mix, 4, True, terms=terms)
         with pytest.raises(ValueError, match="include_probe=True"):
-            lemma4_chain_check(emb, mix, 4, False, terms=lemma4_terms(emb, mix, True))
+            lemma4_chain_check(emb, mix, 4, False, terms=lemma4_terms(emb, mix, True, (4,)))
+
+    def test_check_at_an_n_the_terms_lack_names_the_held_n(self):
+        emb, mix = random_instance(15, k_classes=3)
+        terms = lemma4_terms(emb, mix, False, (2, 5, 3))
+        with pytest.raises(ValueError, match=r"terms hold N in \[2, 3, 5\], not N = 4"):
+            lemma4_chain_check(emb, mix, 4, False, terms=terms)
+
+    def test_one_similarity_pass_serves_every_n(self, monkeypatch):
+        from contrastlab import losses
+
+        calls = []
+        real = losses._shifted_exps
+        monkeypatch.setattr(losses, "_shifted_exps",
+                            lambda *args: calls.append(args) or real(*args))
+        mix = random_mixture(substream(16), 10, 5)
+        emb = random_unit_rows(substream(17), 10, 6)
+        n_values = range(4, 17)
+        terms = lemma4_terms(emb, mix, False, n_values)
+        for n_neg in n_values:
+            lemma4_chain_check(emb, mix, n_neg, False, terms=terms)
+        assert len(n_values) == 13 and len(calls) == 1

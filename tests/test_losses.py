@@ -482,6 +482,29 @@ class TestAsymptoticDebiased:
         with pytest.raises(NegativeDenominator):
             asymptotic_debiased_exact(np.eye(2), mix, q=2.0, tau_plus=0.9)
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf, 0.0, -1.0, [4.0, math.nan], [], [[4.0]]],
+                             ids=["nan", "inf", "zero", "negative", "nan-entry", "empty", "2d"])
+    def test_bad_q_refused_before_any_term(self, monkeypatch, q):
+        emb, mix = random_instance(23)
+        monkeypatch.setattr(losses, "_shifted_exps",
+                            lambda *args: pytest.fail("a term was built"))
+        with pytest.raises(ValueError, match="q must be"):
+            asymptotic_debiased_exact(emb, mix, q=q)
+
+    @pytest.mark.parametrize("case", ["uniform", "skewed-per-anchor", "zero-mass"])
+    def test_sequence_of_q_is_each_single_call(self, case):
+        if case == "uniform":
+            (emb, mix), tau = random_instance(24, s_points=10, k_classes=3), None
+        elif case == "skewed-per-anchor":
+            emb, mix = skewed_instance(3)
+            tau = mix.prior[mix.labels]
+        else:
+            (emb, mix), tau = _zero_mass_mixture(), None
+        qs = [1.0, 2.0, 3.0, 7.0, 16.0, 0.5, 1e4]
+        got = asymptotic_debiased_exact(emb, mix, q=np.array(qs), tau_plus=tau)
+        assert [v.value for v in got] == [
+            asymptotic_debiased_exact(emb, mix, q=q, tau_plus=tau).value for q in qs]
+
 
 def _zero_mass_mixture():
     """Two classes on a circle; point 1 is in class 1's support with no mass.
