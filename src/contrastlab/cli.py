@@ -39,7 +39,7 @@ from .errors import ConfigError, ContrastLabError, NegativeDenominator
 from .evaluation import lemma4_chain_check, lemma4_terms
 from .experiments import direction_probe_accuracy
 from .geometry import unit_rows
-from .losses import EXP_FLOOR, LOSS_KINDS, LossSpec, kind_params
+from .losses import LOSS_KINDS, LossSpec, kind_params
 from .rng import substream
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 from .verification import (
@@ -63,8 +63,7 @@ VERIFY_CHECKS = ("lemma1", "thm3", "rate", "lemma4", "oracle")
 
 TRAIN_LOG_HEADER = ("epoch", "loss", "wall_ms")
 PROBE_HEADER = ("seed", "loss_kind", "tau_plus", "accuracy")
-GRADCHECK_HEADER = ("case", "loss_kind", "tau_plus", "floor_mode", "step",
-                    "max_rel_err", "excluded")
+GRADCHECK_HEADER = ("case", "loss_kind", "tau_plus", "step", "max_rel_err", "excluded")
 
 
 @dataclass
@@ -159,8 +158,7 @@ def cmd_train(cfg: dict, report: RunReport) -> int:
     runs = [TrainConfig(loss_kind=kind, tau_plus=tau, seed=run_seed,
                         **{key: cfg[key] for key in TRAIN_RUN_KEYS})
             for kind in cfg["loss_kinds"]
-            for tau in dict.fromkeys(kind_params(kind, tau, EXP_FLOOR)[0]
-                                     for tau in cfg["tau_plus"])
+            for tau in dict.fromkeys(kind_params(kind, tau) for tau in cfg["tau_plus"])
             for run_seed in seeds]
     # A repeated tag would overwrite an earlier run's log and checkpoint.
     tags = [f"{run.loss_kind}_tau{run.tau_plus:g}_seed{run.seed}" for run in runs]
@@ -306,15 +304,14 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
 
 
 def cmd_gradcheck(cfg: dict, report: RunReport) -> int:
-    floors = ("exp_floor", "zero_floor")
     taus = (0.0, 0.05, 0.1, 0.2)
     rows = []
     worst = 0.0
     for case in range(cfg["cases"]):
         rng = substream(cfg["seed"], 70, case)
         kind = LOSS_KINDS[case % len(LOSS_KINDS)]
-        # Each row names the tau+ and floor its kind computed with.
-        tau, floor_mode = kind_params(kind, taus[case % len(taus)], floors[case % len(floors)])
+        # Each row names the tau+ its kind computed with.
+        tau = kind_params(kind, taus[case % len(taus)])
         b = int(rng.integers(2, 5))
         m = int(rng.integers(1, 4))
         d = int(rng.integers(2, 5))
@@ -323,11 +320,9 @@ def cmd_gradcheck(cfg: dict, report: RunReport) -> int:
         batch = ViewBatch(features=rng.standard_normal(((m + 1) * b, feat)),
                           batch_size=b, m_positives=m, labels=labels)
         weights = init_params(rng, feat, d)
-        spec = LossSpec(kind=kind, tau_plus=tau, temperature=float(rng.uniform(0.2, 1.5)),
-                        floor_mode=floor_mode)
+        spec = LossSpec(kind=kind, tau_plus=tau, temperature=float(rng.uniform(0.2, 1.5)))
         rep = finite_diff_check(weights, batch, spec, step=cfg["step"])
-        rows.append((case, kind, tau, floor_mode, rep.step, rep.max_rel_err,
-                     len(rep.excluded)))
+        rows.append((case, kind, tau, rep.step, rep.max_rel_err, len(rep.excluded)))
         worst = max(worst, rep.max_rel_err)
     report.csv("gradcheck.csv", GRADCHECK_HEADER, rows)
     failed = worst > cfg["tolerance"]
@@ -385,10 +380,24 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    out_dir = Path(args.out)
+    # The directories this run creates, deepest first: a refused run removes
+    # those it left empty, and never one that existed before it.
+    created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
+    code = _run(args, out_dir)
+    if code == 2:
+        for path in created:
+            try:
+                path.rmdir()
+            except OSError:  # not empty, or never made
+                break
+    return code
+
+
+def _run(args, out_dir: Path) -> int:
     schema_key = args.command if args.command != "verify" else f"verify.{args.check}"
     try:
         cfg = resolve(schema_key, args.config, args.set, args.seed)
-        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         report = RunReport(command=schema_key, config=cfg, out_dir=out_dir,
                            timings=args.timings)

@@ -96,7 +96,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "sweep_grid": Field("int_list", (4, 16, 64, 256, 1024),
                             "swept sizes, spanning two decades or more"),
         "other_size": Field("int", 10240, "non-swept sample size"),
-        "tau_plus": Field("float", -1.0, "negative means the mixture's own"),
+        "tau_plus": Field("float", -1.0, "negative means the mixture's own", (None, 1)),
         "s_points": Field("int", 8, "points per random mixture"),
         "k_classes": Field("int", 5, "classes per random mixture", (2, None)),
         "embed_dim": Field("int", 8, "dimension of the random unit embeddings", (1, None)),

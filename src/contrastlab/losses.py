@@ -19,8 +19,10 @@ h+ = exp(s+) and a denominator D built from negative-sample exponentials:
 
 On a two-view training batch the first three are ``LOSS_KINDS``, computed
 by one forward pass, :func:`batch_terms`: the biased loss is the debiased
-one at tau+ = 0 with a zero floor, and the true-negative loss is the same
+one at tau+ = 0 without the clamp, and the true-negative loss is the same
 expression over a different-class mask; :func:`kind_params` is that rule.
+Only the debiased kind has an estimator to clamp, and it clamps g at
+e^(-1/t), the least value e^s takes for unit embeddings.
 The pass also returns the gradient of the mean loss in the similarity
 scores, so a backward pass needs none of the batch layout.  Every other
 loss, Monte Carlo or exact, is computed by one kernel,
@@ -62,10 +64,6 @@ from .errors import (
     PriorMismatch,
 )
 from .worldmodel import DiscreteClassMixture, marginal, negative_dist, positive_dist
-
-EXP_FLOOR = "exp_floor"
-ZERO_FLOOR = "zero_floor"
-FLOOR_MODES = (EXP_FLOOR, ZERO_FLOOR)
 
 # The two-view batch losses a training step can differentiate.
 LOSS_KINDS = ("biased", "debiased", "unbiased")
@@ -109,11 +107,8 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def _check_params(tau_plus: float | None = None, t: float | None = None,
-                  floor_mode: str | None = None) -> None:
+def _check_params(tau_plus: float | None = None, t: float | None = None) -> None:
     """Validate the family's shared hyperparameters; ``None`` skips a check."""
-    if floor_mode is not None and floor_mode not in FLOOR_MODES:
-        raise ValueError(f"floor_mode must be one of {FLOOR_MODES}, got {floor_mode!r}")
     if tau_plus is not None and not (0.0 <= tau_plus < 1.0):
         raise ValueError("tau_plus must lie in [0, 1)")
     if t is not None and not t > 0.0:  # NaN fails too
@@ -127,24 +122,23 @@ class LossSpec:
     kind: str = "debiased"
     tau_plus: float = 0.0
     temperature: float = 1.0
-    floor_mode: str = EXP_FLOOR
 
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"kind must be one of {LOSS_KINDS}, got {self.kind!r}")
-        _check_params(self.tau_plus, self.temperature, self.floor_mode)
+        _check_params(self.tau_plus, self.temperature)
 
 
-def kind_params(kind: str, tau_plus: float, floor_mode: str) -> tuple[float, str]:
-    """The (tau+, floor_mode) a batch loss of ``kind`` computes with.
+def kind_params(kind: str, tau_plus: float) -> float:
+    """The tau+ a batch loss of ``kind`` computes with.
 
-    Only the debiased loss reads them: the biased loss is its tau+ = 0,
-    zero-floor case, and the true-negative loss has no estimator to clamp.
-    Both are validated for every kind, so an invalid value is never mapped
-    away.
+    Only the debiased loss reads it, and only the debiased loss is clamped:
+    the biased loss is its tau+ = 0 case without the clamp, and the
+    true-negative loss has no estimator to clamp.  tau+ is validated for
+    every kind, so an invalid value is never mapped away.
     """
-    _check_params(tau_plus, floor_mode=floor_mode)
-    return (tau_plus, floor_mode) if kind == "debiased" else (0.0, ZERO_FLOOR)
+    _check_params(tau_plus)
+    return tau_plus if kind == "debiased" else 0.0
 
 
 def _contrastive_losses(s_pos, h_pos, tail, shift=0.0) -> np.ndarray:
@@ -186,33 +180,27 @@ def biased_loss_point(sim_pos: float, sims_neg, q: float | None = None) -> LossV
     return LossValue(value)
 
 
-def estimator_floor(floor_mode: str, t: float, shift=0.0):
-    """Floor of the clamped estimator, in units shifted by exp(-shift).
-
-    exp(-1/t - shift) for normalized embeddings (exp_floor), 0 for
-    unnormalized features (zero_floor).  ``shift`` may be an array.
-    """
-    return np.exp(-1.0 / t - shift) if floor_mode == EXP_FLOOR else 0.0
+def estimator_floor(t: float, shift=0.0):
+    """Floor of the clamped estimator, exp(-1/t - shift): the least value of
+    e^s for unit embeddings, in units shifted by exp(-shift).  ``shift`` may
+    be an array."""
+    return np.exp(-1.0 / t - shift)
 
 
 def clamped_estimate(mean_u, mean_v, tau_plus: float, floor):
-    """The clamped estimator g = max{ (mean_u - tau+ mean_v) / tau-, floor }.
-
-    Vectorized over anchors.  Returns (g, raw), raw being the reweighted
-    estimate before the clamp, so callers can tell where the floor binds.
-    """
-    raw = (mean_u - tau_plus * mean_v) / (1.0 - tau_plus)
-    return np.maximum(raw, floor), raw
+    """The clamped estimator g = max{ (mean_u - tau+ mean_v) / tau-, floor },
+    vectorized over anchors."""
+    return np.maximum((mean_u - tau_plus * mean_v) / (1.0 - tau_plus), floor)
 
 
 def debiased_loss_point(sim_pos: float, sims_u, sims_v, tau_plus: float,
-                        t: float = 1.0, floor_mode: str = EXP_FLOOR) -> LossValue:
+                        t: float = 1.0) -> LossValue:
     """Per-sample debiased loss: -log[ exp(s+) / (exp(s+) + N g) ].
 
     With tau_plus = 0 and the floor not binding this reduces exactly to
     :func:`biased_loss_point` with Q = N.
     """
-    _check_params(tau_plus, t, floor_mode)
+    _check_params(tau_plus, t)
     sims_u = _as_float_array(sims_u, "sims_u")
     sims_v = _as_float_array(sims_v, "sims_v")
     if sims_u.shape[0] < 1:
@@ -221,10 +209,10 @@ def debiased_loss_point(sim_pos: float, sims_u, sims_v, tau_plus: float,
         raise EmptyNegatives("debiased loss needs at least one positive similarity")
     n = sims_u.shape[0]
     c = max(float(sim_pos), float(sims_u.max()), float(sims_v.max()))
-    g_scaled, _ = clamped_estimate(float(np.exp(sims_u - c).mean()),
-                                   float(np.exp(sims_v - c).mean()),
-                                   tau_plus, estimator_floor(floor_mode, t, c))
-    if g_scaled <= 0.0:
+    g_scaled = clamped_estimate(float(np.exp(sims_u - c).mean()),
+                                float(np.exp(sims_v - c).mean()),
+                                tau_plus, estimator_floor(t, c))
+    if g_scaled <= 0.0:  # the floor underflowed
         return LossValue(0.0)
     return LossValue(float(_contrastive_losses(sim_pos, math.exp(sim_pos - c),
                                                n * g_scaled, c)))
@@ -260,22 +248,24 @@ def batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
     as one (V, d) array.
     ``spec.kind`` selects the denominator: "debiased" uses the clamped
     estimator with the partner as first positive sample, and "biased" is its
-    tau+ = 0, zero-floor case.  "unbiased" draws on true negatives instead
-    (requires ``batch.labels``): different-class views from the fresh pool
+    tau+ = 0 case without the clamp.  "unbiased" draws on true negatives
+    instead (requires ``batch.labels``): different-class views from the pool
     when one is stacked below the extras (``batch.neg_pool_labels`` gives
     the pool's classes), otherwise the different-class primary views; either
     way the sum is reweighted by N / N_available so the denominator still
     estimates N times the mean true-negative exponential.  Every kind
-    computes with the (tau+, floor) of :func:`kind_params`.
+    computes with the tau+ of :func:`kind_params`.
 
     All three are one weighted sum h + N g = sum_j w_j exp(s_j - c), with
     tau- = 1 - tau+: w = 1/tau- on each negative (N / N_available for
     "unbiased"), 1 - N tau+ / (tau- M) on the partner, -N tau+ / (tau- M) on
-    each extra positive and 0 elsewhere.  The clamp g >= floor is then
-    denom = max(sum, h + N floor), and where it binds the row's weights
-    become the partner indicator.  Role r's loss is log(denom_r) + c - s+,
-    so its derivative in s_rj is w_rj e_rj / denom_r less the partner
-    indicator; ``grad`` is that, over the mean's 2B and s = f.f / t.
+    each extra positive and 0 elsewhere.  The debiased clamp g >= e^(-1/t) is
+    then denom = max(sum, h + N e^(-1/t)), and where it binds the row's
+    weights become the partner indicator.  The other kinds have no clamp:
+    their floor is h, which their sum never falls below.  Role r's loss is
+    log(denom_r) + c - s+, so its derivative in s_rj is w_rj e_rj / denom_r
+    less the partner indicator; ``grad`` is that, over the mean's 2B and
+    s = f.f / t.
     """
     if np.ndim(f) != 2:
         raise ValueError(f"expected one (V, d) embedding array, got {np.ndim(f)} dims")
@@ -293,7 +283,7 @@ def _batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
     pool = 0 if batch.neg_pool_labels is None else len(batch.neg_pool_labels)
     if pool and kind != "unbiased":
         raise ValueError("a negative pool is only meaningful for the unbiased loss")
-    tau_plus, floor_mode = kind_params(kind, spec.tau_plus, spec.floor_mode)
+    tau_plus = kind_params(kind, spec.tau_plus)
 
     twob = 2 * b
     n_views = f.shape[-2]
@@ -337,7 +327,7 @@ def _batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
     h_pos = exp_shift[..., roles, partner]
     weighted = weights * exp_shift
     raw = weighted.sum(axis=-1)
-    floor = h_pos + n_neg * estimator_floor(floor_mode, t, shift)
+    floor = h_pos + n_neg * estimator_floor(t, shift) if kind == "debiased" else h_pos
     floored = raw < floor
     # At equality the floored branch is taken: the right-continuous
     # subgradient of max, as autodiff would.  A clamped row keeps only its

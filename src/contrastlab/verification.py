@@ -26,7 +26,6 @@ import numpy as np
 from .errors import DegenerateClass, InsufficientGrid
 from .losses import (
     DEFAULT_ENUM_BUDGET,
-    EXP_FLOOR,
     _SIDES,
     _check_params,
     _contrastive_losses,
@@ -338,8 +337,8 @@ def _debiased_mc_losses(draws: MonteCarloDraws, n_neg: int, m_pos: int,
     kernel behind both thm3 certificates and rate fits.  The estimator's
     unlabeled mean is the marginal side at N and its positive mean the
     positive side at M."""
-    g, _ = clamped_estimate(draws.marginal[n_neg], draws.positive[m_pos], tau_plus,
-                            estimator_floor(EXP_FLOOR, t=1.0))
+    g = clamped_estimate(draws.marginal[n_neg], draws.positive[m_pos], tau_plus,
+                         estimator_floor(1.0))
     return _contrastive_losses(draws.s_pos, draws.h_pos, n_neg * g)
 
 

@@ -124,8 +124,7 @@ class TestAcceptance:
                               batch_size=b, m_positives=m, labels=labels)
             params = init_params(gen, 4, int(gen.integers(2, 4)))
             spec = LossSpec(kind=kind, tau_plus=tau,
-                            temperature=float(gen.uniform(0.3, 1.5)),
-                            floor_mode="exp_floor" if case % 2 else "zero_floor")
+                            temperature=float(gen.uniform(0.3, 1.5)))
             report = finite_diff_check(params, batch, spec, step=1e-6)
             worst = max(worst, report.max_rel_err)
             excluded_total += len(report.excluded)

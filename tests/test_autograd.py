@@ -37,9 +37,7 @@ class TestLossAndGrad:
         batch = make_batch(rng, b=3, m=1)
         weights = init_params(rng, 4, 3)
         l_b, g_b = loss_and_grad(weights, batch, LossSpec(kind="biased"))
-        l_d, g_d = loss_and_grad(weights, batch,
-                                 LossSpec(kind="debiased", tau_plus=0.0,
-                                          floor_mode="zero_floor"))
+        l_d, g_d = loss_and_grad(weights, batch, LossSpec(kind="debiased", tau_plus=0.0))
         assert l_b == l_d
         np.testing.assert_array_equal(g_b, g_d)
 
@@ -84,27 +82,6 @@ class TestLossAndGrad:
         assert report.max_rel_err <= 1e-6
         _, grad = loss_and_grad(weights, batch, spec)
         assert float(np.abs(grad).max()) > 0.0
-
-    def test_all_floored_zero_floor_gradient_is_exactly_zero(self):
-        # With zero_floor and every role floored, g = 0 and each role's loss
-        # is exactly 0 near this point, so the gradient is exactly 0 too.  The
-        # positive similarity is below the role's max here, so h * (1/h) - 1
-        # would leave round-off in place of 0.
-        rng = substream(237)
-        batch = ViewBatch(features=rng.standard_normal((4, 4)), batch_size=2,
-                          m_positives=1, labels=np.array([0, 1]))
-        weights = init_params(rng, 4, 3)
-        spec = LossSpec(kind="debiased", tau_plus=0.9, floor_mode="zero_floor")
-        terms = batch_loss_terms(weights, batch, spec)
-        assert terms.floored.all()
-        # h+ = e^(s+ - c) < 1: some role's partner is not its most similar view.
-        f = unit_rows(encoder_forward(weights, batch.features))
-        sims = f @ f.T
-        np.fill_diagonal(sims, -np.inf)
-        roles = np.arange(4)
-        assert np.any(sims[roles, (roles + 2) % 4] < sims.max(axis=1))
-        _, grad = loss_and_grad(weights, batch, spec)
-        assert np.all(grad == 0.0)
 
     def test_gradient_linearity_over_anchors(self):
         # Batch gradient is the mean of per-anchor contributions; check by

@@ -125,11 +125,25 @@ RATE_GATES = {
                         "r2_min must be >= 0, < 1; got 'nan'"),
     "rate-slope-min-above-max": (["verify", "rate", "--set", "slope_min=-0.3"],
                                  "slope_min -0.3 > slope_max -0.35"),
+    "rate-nan-tau-plus": (["verify", "rate", "--set", "tau_plus=nan"],
+                          "tau_plus must be < 1; got 'nan'"),
+}
+
+# Runs that exit 2, whether refused by the config, the command or the library.
+REFUSED_RUNS = {
+    "gen-data-too-few-points": ["gen-data", "--set", "s_points=2"],
+    "rate-slope-min-above-max": RATE_GATES["rate-slope-min-above-max"][0],
+    "rate-nan-tau-plus": RATE_GATES["rate-nan-tau-plus"][0],
 }
 
 # The command that reads each config file shipped in configs/.
 CONFIG_COMMANDS = {"direction.txt": "train"}
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# Every CSV header the commands write; README's artifact section quotes each.
+CSV_HEADERS = {"train_log": cli.TRAIN_LOG_HEADER, "probe": cli.PROBE_HEADER,
+               "gradcheck": cli.GRADCHECK_HEADER}
 
 
 def _outside(field):
@@ -330,6 +344,17 @@ class TestExitCodes:
     def test_unpassable_rate_gate_exits_2_before_drawing(self, tmp_path, capsys,
                                                          monkeypatch, argv, message):
         _assert_exits_2_before_drawing(tmp_path, capsys, monkeypatch, argv, message)
+
+    @pytest.mark.parametrize("argv", list(REFUSED_RUNS.values()), ids=list(REFUSED_RUNS))
+    def test_refused_run_removes_the_out_directories_it_made(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "runs" / "out")]) == 2
+        assert not (tmp_path / "runs").exists()
+
+    def test_refused_run_keeps_an_existing_out_directory(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(REFUSED_RUNS["gen-data-too-few-points"] + ["--out", str(out)]) == 2
+        assert out.is_dir()
 
 
 def _assert_exits_2_before_drawing(tmp_path, capsys, monkeypatch, argv, message):
@@ -647,24 +672,25 @@ class TestGradcheckCommand:
                      "--set", "cases=12"])
         assert code == 0
         rows = (tmp_path / "gradcheck.csv").read_text().splitlines()
-        assert rows[0] == "case,loss_kind,tau_plus,floor_mode,step,max_rel_err,excluded"
+        assert rows[0] == "case,loss_kind,tau_plus,step,max_rel_err,excluded"
         assert len(rows) == 13
-        assert all(float(r.split(",")[5]) <= 1e-6 for r in rows[1:])
+        assert all(float(r.split(",")[4]) <= 1e-6 for r in rows[1:])
 
     def test_rows_name_what_each_kind_computed_with(self, tmp_path):
-        # Only the debiased loss reads tau+ and the floor; the others compute
-        # at tau+ = 0 with the zero floor, and their rows must say so.
+        # Only the debiased loss reads tau+; the others compute at tau+ = 0,
+        # and their rows must say so.
         assert main(["gradcheck", "--out", str(tmp_path), "--set", "cases=12"]) == 0
         rows = [r.split(",") for r in (tmp_path / "gradcheck.csv").read_text().splitlines()[1:]]
-        others = [row[2:4] for row in rows if row[1] != "debiased"]
+        others = [row[2] for row in rows if row[1] != "debiased"]
         assert len(others) == 8
-        assert all(cells == ["0.0", "zero_floor"] for cells in others)
-        assert {row[3] for row in rows if row[1] == "debiased"} == {"exp_floor", "zero_floor"}
+        assert all(cell == "0.0" for cell in others)
+        assert {row[2] for row in rows if row[1] == "debiased"} == {"0.0", "0.05", "0.1", "0.2"}
 
     @pytest.mark.parametrize("seed,cases", [(6, 158), (12, 50)])
     def test_zero_loss_cases_pass(self, tmp_path, seed, cases):
-        # The last case of each run is a zero_floor debiased batch whose
-        # loss is exactly 0 near its parameters; its gradient must be 0 too.
+        # The last case of each run is a debiased batch with every role
+        # floored at e^(-1/t) and a loss within 0.004 of 0: its gradient
+        # flows through the positive pairs only, and must still pass.
         code = main(["gradcheck", "--out", str(tmp_path), "--seed", str(seed),
                      "--set", f"cases={cases}"])
         assert code == 0
@@ -703,3 +729,8 @@ class TestGenDataCommand:
         assert code == 2
         assert "InvalidTable" in capsys.readouterr().err
         assert not list((tmp_path / "run").glob("train_log_*"))
+
+
+@pytest.mark.parametrize("header", list(CSV_HEADERS.values()), ids=list(CSV_HEADERS))
+def test_readme_quotes_each_csv_header(header):
+    assert ",".join(header) in README.read_text(encoding="utf-8")

@@ -22,8 +22,6 @@ from contrastlab.errors import (
 )
 from contrastlab.losses import (
     DEFAULT_ENUM_BUDGET,
-    EXP_FLOOR,
-    ZERO_FLOOR,
     LossSpec,
     asymptotic_debiased_exact,
     batch_terms,
@@ -86,52 +84,37 @@ class TestBiasedLossPoint:
         assert biased_loss_point(s_pos, bumped).value > lo
 
 
-def g_estimate(sims_u, sims_v, tau_plus, t=1.0, floor_mode=EXP_FLOOR):
-    """(g, raw, floor) of the clamped estimator on unshifted similarity scores."""
-    floor = estimator_floor(floor_mode, t)
-    g, raw = clamped_estimate(float(np.exp(sims_u).mean()), float(np.exp(sims_v).mean()),
-                              tau_plus, floor)
-    return g, raw, floor
+def g_estimate(sims_u, sims_v, tau_plus):
+    """(g, floor) of the clamped estimator at t = 1 on unshifted similarity scores."""
+    floor = estimator_floor(1.0)
+    g = clamped_estimate(float(np.exp(sims_u).mean()), float(np.exp(sims_v).mean()),
+                         tau_plus, floor)
+    return g, floor
 
 
 class TestGEstimator:
     def test_tau_zero_mean(self):
-        g, raw, floor = g_estimate([0.0, 0.0], [0.5], tau_plus=0.0)
+        g, floor = g_estimate([0.0, 0.0], [0.5], tau_plus=0.0)
         assert g == pytest.approx(1.0, abs=1e-15)
-        assert not raw < floor
+        assert g > floor
 
     def test_algebraic_cancellation(self):
         # (1/0.9)(e - 0.1 e) = e.
-        g, raw, floor = g_estimate([1.0], [1.0], tau_plus=0.1)
+        g, floor = g_estimate([1.0], [1.0], tau_plus=0.1)
         assert g == pytest.approx(math.e, rel=1e-12)
-        assert not raw < floor
+        assert g > floor
 
     def test_floored_case(self):
-        # raw = 2(e^{-1} - 0.5 e) = -1.98252... < e^{-1}.
-        g, raw, floor = g_estimate([-1.0], [1.0], tau_plus=0.5)
-        assert raw < floor
+        # raw = 2(e^{-1} - 0.5 e) = -1.98252... < e^{-1}, so g is the floor.
+        g, floor = g_estimate([-1.0], [1.0], tau_plus=0.5)
+        assert g == floor
         assert g == pytest.approx(0.36787944117144233, abs=1e-15)
-        assert floor == pytest.approx(0.36787944117144233, abs=1e-15)
-
-    def test_zero_floor_mode(self):
-        g, raw, floor = g_estimate([-1.0], [1.0], tau_plus=0.5, floor_mode=ZERO_FLOOR)
-        assert raw < floor
-        assert g == 0.0
-        assert floor == 0.0
 
     def test_floor_scales_with_temperature(self):
-        assert estimator_floor(EXP_FLOOR, 0.5) == pytest.approx(math.exp(-2.0), abs=1e-15)
+        assert estimator_floor(0.5) == pytest.approx(math.exp(-2.0), abs=1e-15)
         # In units shifted by exp(-c), as the batch loss evaluates it.
-        np.testing.assert_allclose(estimator_floor(EXP_FLOOR, 0.5, np.array([0.0, 1.5])),
+        np.testing.assert_allclose(estimator_floor(0.5, np.array([0.0, 1.5])),
                                    [math.exp(-2.0), math.exp(-3.5)], rtol=1e-15)
-
-    @given(st.lists(st.floats(-2, 2), min_size=1, max_size=5),
-           st.lists(st.floats(-2, 2), min_size=1, max_size=5),
-           st.floats(0.0, 0.9))
-    def test_exp_floor_dominates_zero_floor(self, su, sv, tau):
-        lo, _, _ = g_estimate(su, sv, tau, floor_mode=ZERO_FLOOR)
-        hi, _, _ = g_estimate(su, sv, tau, floor_mode=EXP_FLOOR)
-        assert hi >= lo
 
 
 class TestDebiasedLossPoint:
@@ -154,13 +137,6 @@ class TestDebiasedLossPoint:
             deb = debiased_loss_point(s_pos, su, sv, tau_plus=0.0).value
             bia = biased_loss_point(s_pos, su, q=float(n)).value
             assert abs(deb - bia) <= 1e-12
-
-    def test_floor_monotonicity(self):
-        kwargs = dict(sim_pos=0.5, sims_u=[-1.0], sims_v=[1.0], tau_plus=0.5)
-        lo = debiased_loss_point(floor_mode=ZERO_FLOOR, **kwargs).value
-        hi = debiased_loss_point(floor_mode=EXP_FLOOR, **kwargs).value
-        assert hi >= lo
-        assert lo == 0.0  # g floors at zero, ratio collapses to 1
 
     def test_small_temperature_stable(self):
         t = 0.05
@@ -299,18 +275,19 @@ def _stacked_views(gen, b, m, pool, d=4):
 
 
 class TestStackedKernel:
-    @pytest.mark.parametrize("floor_mode", [EXP_FLOOR, ZERO_FLOOR])
+    # The debiased clamp's one floor, e^(-1/t), named in each case's id and seed.
+    @pytest.mark.parametrize("floor", ["exp_floor"])
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("kind,pool", [("biased", 0), ("debiased", 0), ("unbiased", 0),
                                            ("unbiased", 5)])
-    def test_every_slice_matches_the_2d_call(self, kind, pool, m, floor_mode):
-        gen = substream(zlib.crc32(repr((kind, pool, m, floor_mode)).encode()))
+    def test_every_slice_matches_the_2d_call(self, kind, pool, m, floor):
+        gen = substream(zlib.crc32(repr((kind, pool, m, floor)).encode()))
         b = 3
         views = _stacked_views(gen, b, m, pool)
         batch = ViewBatch(features=views[0], batch_size=b, m_positives=m,
                           labels=np.array([0, 1, 0]),
                           neg_pool_labels=np.array([0, 1, 2, 0, 1]) if pool else None)
-        spec = LossSpec(kind=kind, tau_plus=0.7, temperature=0.5, floor_mode=floor_mode)
+        spec = LossSpec(kind=kind, tau_plus=0.7, temperature=0.5)
         stack = views.reshape((2, 4) + views.shape[1:])  # two leading axes
         stacked = losses._batch_terms(stack, batch, spec)
         for idx in np.ndindex(2, 4):
@@ -321,6 +298,26 @@ class TestStackedKernel:
             rows = stacked.floored.reshape(8, 2 * b)
             assert rows.all(axis=1).any()  # a slice with every role floored
             assert (rows.any(axis=1) & ~rows.all(axis=1)).any()  # and one with some
+
+    @pytest.mark.parametrize("t", [0.05, 0.5, 1.5])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("kind,pool", [("biased", 0), ("unbiased", 0), ("unbiased", 5)])
+    def test_clamp_never_binds_without_an_estimator(self, kind, pool, m, t):
+        # Only the debiased kind has an estimator g to clamp.  The others'
+        # sums never fall below h+, so none of their roles is floored, even
+        # on the tight views where the debiased loss floors them.
+        gen = substream(zlib.crc32(repr(("no-clamp", kind, pool, m, t)).encode()))
+        b = 3
+        views = _stacked_views(gen, b, m, pool)
+        batch = ViewBatch(features=views[0], batch_size=b, m_positives=m,
+                          labels=np.array([0, 1, 0]),
+                          neg_pool_labels=np.array([0, 1, 2, 0, 1]) if pool else None)
+        for f in views:
+            assert not batch_terms(f, batch, LossSpec(kind=kind, tau_plus=0.7,
+                                                      temperature=t)).floored.any()
+        if not pool:
+            debiased = LossSpec(kind="debiased", tau_plus=0.7, temperature=t)
+            assert batch_terms(views[-1], batch, debiased).floored.all()
 
     def test_public_call_takes_one_matrix(self):
         gen = substream(90)
