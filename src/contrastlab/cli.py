@@ -35,11 +35,11 @@ from .config import (
     resolve,
 )
 from .encoder import ViewBatch, init_params
-from .errors import ConfigError, ContrastLabError, NegativeDenominator
+from .errors import ConfigError, ContrastLabError
 from .evaluation import lemma4_chain_check, lemma4_terms
 from .experiments import direction_probe_accuracy
 from .geometry import unit_rows
-from .losses import LOSS_KINDS, LossSpec, kind_params
+from .losses import LOSS_KINDS, LossSpec
 from .rng import substream
 from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 from .verification import (
@@ -100,7 +100,7 @@ class RunReport:
 
     def add_certificate(self, record: dict) -> None:
         self.certificates.append(record)
-        if not record.get("passed", True) and not record.get("skipped", False):
+        if not record["passed"]:
             self.failures += 1
 
     def finish(self) -> int:
@@ -158,7 +158,7 @@ def cmd_train(cfg: dict, report: RunReport) -> int:
     runs = [TrainConfig(loss_kind=kind, tau_plus=tau, seed=run_seed,
                         **{key: cfg[key] for key in TRAIN_RUN_KEYS})
             for kind in cfg["loss_kinds"]
-            for tau in dict.fromkeys(kind_params(kind, tau) for tau in cfg["tau_plus"])
+            for tau in dict.fromkeys(LossSpec(kind, tau).tau_plus for tau in cfg["tau_plus"])
             for run_seed in seeds]
     # A repeated tag would overwrite an earlier run's log and checkpoint.
     tags = [f"{run.loss_kind}_tau{run.tau_plus:g}_seed{run.seed}" for run in runs]
@@ -232,16 +232,8 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
             for tau in cfg["tau_list"]:
                 for n_neg in cfg["n_grid"]:
                     for m_pos in cfg["m_grid"]:
-                        try:
-                            cert = theorem3_certificate(emb, mix, n_neg, m_pos, tau,
-                                                        cfg["trials"], inst_seed, draws=draws)
-                        except NegativeDenominator as exc:
-                            report.add_certificate({
-                                "check": "thm3", "skipped": True, "reason": str(exc),
-                                "meta": {"instance": inst, "tau_plus": tau,
-                                         "n_neg": n_neg, "m_pos": m_pos},
-                            })
-                            continue
+                        cert = theorem3_certificate(emb, mix, n_neg, m_pos, tau,
+                                                    cfg["trials"], inst_seed, draws=draws)
                         cert.meta["instance"] = inst
                         report.add_certificate(cert.to_record())
 
@@ -310,8 +302,6 @@ def cmd_gradcheck(cfg: dict, report: RunReport) -> int:
     for case in range(cfg["cases"]):
         rng = substream(cfg["seed"], 70, case)
         kind = LOSS_KINDS[case % len(LOSS_KINDS)]
-        # Each row names the tau+ its kind computed with.
-        tau = kind_params(kind, taus[case % len(taus)])
         b = int(rng.integers(2, 5))
         m = int(rng.integers(1, 4))
         d = int(rng.integers(2, 5))
@@ -320,9 +310,11 @@ def cmd_gradcheck(cfg: dict, report: RunReport) -> int:
         batch = ViewBatch(features=rng.standard_normal(((m + 1) * b, feat)),
                           batch_size=b, m_positives=m, labels=labels)
         weights = init_params(rng, feat, d)
-        spec = LossSpec(kind=kind, tau_plus=tau, temperature=float(rng.uniform(0.2, 1.5)))
+        spec = LossSpec(kind=kind, tau_plus=taus[case % len(taus)],
+                        temperature=float(rng.uniform(0.2, 1.5)))
         rep = finite_diff_check(weights, batch, spec, step=cfg["step"])
-        rows.append((case, kind, tau, rep.step, rep.max_rel_err, len(rep.excluded)))
+        # Each row names the tau+ its kind computed with.
+        rows.append((case, kind, spec.tau_plus, rep.step, rep.max_rel_err, len(rep.excluded)))
         worst = max(worst, rep.max_rel_err)
     report.csv("gradcheck.csv", GRADCHECK_HEADER, rows)
     failed = worst > cfg["tolerance"]

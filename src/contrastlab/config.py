@@ -11,7 +11,8 @@ the binary, and every run report embeds the hash of the resolved config so
 any emitted number can be re-derived.
 
 The ``train`` schema's per-run keys are the fields of ``TrainConfig``, with
-its types and defaults, so a train default is written in one place.
+its types and defaults, so a train default is written in one place; the
+``verify rate`` sweep keys likewise take their defaults from ``SweepSpec``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .training import TrainConfig
-from .verification import MIN_TRIALS
+from .verification import MIN_TRIALS, SweepSpec
 
 SCHEMA_VERSION = "1"
 
@@ -67,7 +68,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "loss_kinds": Field("str_list", (TrainConfig.loss_kind,),
                             "biased | debiased | unbiased"),
         "tau_plus": Field("float_list", (TrainConfig.tau_plus,),
-                          "class-prior hyperparameter sweep"),
+                          "class-prior hyperparameter sweep", (0, 1)),
     } | TRAIN_RUN_KEYS | _EVAL,
     "probe": _COMMON | _WORLD | {
         "checkpoint": Field("str", "", "encoder checkpoint to evaluate"),
@@ -92,10 +93,10 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
     "verify.rate": _COMMON | {
         "trials": Field("int", 100000, "Monte Carlo trials", (MIN_TRIALS, None)),
-        "sweep_variable": Field("str", "N", "N | M"),
-        "sweep_grid": Field("int_list", (4, 16, 64, 256, 1024),
+        "sweep_variable": Field("str", SweepSpec.variable, "N | M"),
+        "sweep_grid": Field("int_list", SweepSpec.grid,
                             "swept sizes, spanning two decades or more"),
-        "other_size": Field("int", 10240, "non-swept sample size"),
+        "other_size": Field("int", SweepSpec.other, "non-swept sample size"),
         "tau_plus": Field("float", -1.0, "negative means the mixture's own", (None, 1)),
         "s_points": Field("int", 8, "points per random mixture"),
         "k_classes": Field("int", 5, "classes per random mixture", (2, None)),

@@ -20,7 +20,8 @@ h+ = exp(s+) and a denominator D built from negative-sample exponentials:
 On a two-view training batch the first three are ``LOSS_KINDS``, computed
 by one forward pass, :func:`batch_terms`: the biased loss is the debiased
 one at tau+ = 0 without the clamp, and the true-negative loss is the same
-expression over a different-class mask; :func:`kind_params` is that rule.
+expression over a different-class mask; :class:`LossSpec` holds the tau+
+each kind computes with, 0 for all but the debiased kind.
 Only the debiased kind has an estimator to clamp, and it clamps g at
 e^(-1/t), the least value e^s takes for unit embeddings.
 The pass also returns the gradient of the mean loss in the similarity
@@ -117,7 +118,13 @@ def _check_params(tau_plus: float | None = None, t: float | None = None) -> None
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Which batch objective to compute, and its hyperparameters, all checked here."""
+    """Which batch objective to compute, and its hyperparameters, all checked here.
+
+    ``tau_plus`` holds the tau+ the kind computes with.  Only the debiased
+    loss reads it: the biased loss is its tau+ = 0 case without the clamp,
+    and the true-negative loss has no estimator.  So the given tau+ is
+    checked for every kind, and then stored as 0.0 for all but debiased.
+    """
 
     kind: str = "debiased"
     tau_plus: float = 0.0
@@ -127,18 +134,8 @@ class LossSpec:
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"kind must be one of {LOSS_KINDS}, got {self.kind!r}")
         _check_params(self.tau_plus, self.temperature)
-
-
-def kind_params(kind: str, tau_plus: float) -> float:
-    """The tau+ a batch loss of ``kind`` computes with.
-
-    Only the debiased loss reads it, and only the debiased loss is clamped:
-    the biased loss is its tau+ = 0 case without the clamp, and the
-    true-negative loss has no estimator to clamp.  tau+ is validated for
-    every kind, so an invalid value is never mapped away.
-    """
-    _check_params(tau_plus)
-    return tau_plus if kind == "debiased" else 0.0
+        if self.kind != "debiased":
+            object.__setattr__(self, "tau_plus", 0.0)
 
 
 def _contrastive_losses(s_pos, h_pos, tail, shift=0.0) -> np.ndarray:
@@ -254,7 +251,7 @@ def batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
     the pool's classes), otherwise the different-class primary views; either
     way the sum is reweighted by N / N_available so the denominator still
     estimates N times the mean true-negative exponential.  Every kind
-    computes with the tau+ of :func:`kind_params`.
+    computes with ``spec.tau_plus``, which is 0 for all but debiased.
 
     All three are one weighted sum h + N g = sum_j w_j exp(s_j - c), with
     tau- = 1 - tau+: w = 1/tau- on each negative (N / N_available for
@@ -283,7 +280,7 @@ def _batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
     pool = 0 if batch.neg_pool_labels is None else len(batch.neg_pool_labels)
     if pool and kind != "unbiased":
         raise ValueError("a negative pool is only meaningful for the unbiased loss")
-    tau_plus = kind_params(kind, spec.tau_plus)
+    tau_plus = spec.tau_plus
 
     twob = 2 * b
     n_views = f.shape[-2]

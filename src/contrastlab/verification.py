@@ -238,9 +238,10 @@ def lemma1_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
     """Certify that the marginal-negative loss dominates the true-negative one.
 
     lhs = MC true-negative loss + exact gap term - e^{3/2} sqrt(pi / 2N),
-    rhs = MC marginal-negative loss, both estimated with common (anchor,
-    positive, count) structure and compared with the paired-difference
-    standard error.  The exact gap term is
+    rhs = MC marginal-negative loss, both estimated on the same trial-wise
+    (anchor, positive) pairs and compared with the paired-difference
+    standard error.  Only the pairs are shared: the marginal and negative
+    means are independent draws.  The exact gap term is
     E_x[ min(0, log(E_pos exp s / E_neg exp s)) ], enumerated, where
     E_neg exp s is the asymptotic debiased inner at each anchor's class
     prior.  The asymptotic debiased loss at those tau+, the asymptotic

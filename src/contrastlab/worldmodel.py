@@ -37,7 +37,6 @@ from .geometry import unit_rows
 from .rng import substream
 
 DIST_TOL = 1e-12
-TAU_TOL = 1e-9
 
 MIXTURE_FILE_VERSION = 1
 
@@ -58,9 +57,9 @@ class DiscreteClassMixture:
                         points labeled c.
     prior:              (K,) class probabilities.
     tau_plus:           probability that an independent draw shares the
-                        anchor's class; must equal 1/K when the prior is
-                        uniform (the only case where the scalar marginal
-                        decomposition is exact).
+                        anchor's class; must lie within DIST_TOL of 1/K when
+                        the prior is uniform (the only case where the
+                        scalar marginal decomposition is exact).
     """
 
     points: np.ndarray
@@ -114,16 +113,13 @@ class DiscreteClassMixture:
         object.__setattr__(self, "_uniform_prior", uniform)
         if not (0.0 < self.tau_plus <= 1.0) or (k >= 2 and self.tau_plus >= 1.0):
             raise PriorMismatch("tau_plus must lie in (0, 1) for K >= 2")
-        if uniform and abs(self.tau_plus - 1.0 / k) > TAU_TOL:
+        # At tau+ = 1/K the decomposition tau+ p+ + tau- p- = p is an identity
+        # for any table that passed the checks above, so tau+ is all there is
+        # left to check.
+        if uniform and abs(self.tau_plus - 1.0 / k) > DIST_TOL:
             raise PriorMismatch(
                 f"uniform prior requires tau_plus = 1/K = {1.0 / k!r}, got {self.tau_plus!r}"
             )
-        if uniform and k >= 2:
-            marg = marginal(self)
-            for a in range(s_points):
-                recon = self.tau_plus * positive_dist(self, a) + self.tau_minus * negative_dist(self, a)
-                if np.max(np.abs(marg - recon)) > DIST_TOL:
-                    raise PriorMismatch("marginal decomposition violated; table is inconsistent")
 
     @property
     def n_points(self) -> int:

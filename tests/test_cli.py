@@ -1,5 +1,6 @@
 """CLI contract: exit codes, artifact schemas, and byte-level determinism."""
 
+import importlib
 import json
 import math
 import re
@@ -40,6 +41,10 @@ INVALID_VALUES = {
     "lemma1-trials": ["verify", "lemma1", "--set", "trials=10"],
     "thm3-tau": ["verify", "thm3", "--set", "instances=1", "--set", "trials=1000",
                  "--set", "tau_list=1.5"],
+    # Above the class prior 1/K = 0.2 some anchor's asymptotic inner
+    # expectation is <= 0, so the run certifies nothing.
+    "thm3-tau-above-prior": ["verify", "thm3", "--set", "instances=1", "--set", "trials=1000",
+                             "--set", "n_grid=4", "--set", "m_grid=4", "--set", "tau_list=0.6"],
     "loss-kind": ["train", "--set", "loss_kinds=foo"] + FAST_TRAIN,
     "train-tau": ["train", "--set", "tau_plus=1.5"] + FAST_TRAIN,
     "gradcheck-step": ["gradcheck", "--set", "step=1"],
@@ -134,6 +139,7 @@ REFUSED_RUNS = {
     "gen-data-too-few-points": ["gen-data", "--set", "s_points=2"],
     "rate-slope-min-above-max": RATE_GATES["rate-slope-min-above-max"][0],
     "rate-nan-tau-plus": RATE_GATES["rate-nan-tau-plus"][0],
+    "thm3-tau-above-prior": INVALID_VALUES["thm3-tau-above-prior"],
 }
 
 # The command that reads each config file shipped in configs/.
@@ -324,6 +330,10 @@ class TestExitCodes:
     def test_train_overflow_is_a_non_finite_vector(self, tmp_path, capsys):
         assert main(INVALID_VALUES["train-overflow"] + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("NonFiniteVector: ")
+
+    def test_thm3_tau_above_the_prior_is_a_negative_denominator(self, tmp_path, capsys):
+        assert main(INVALID_VALUES["thm3-tau-above-prior"] + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("NegativeDenominator: ")
 
     @pytest.mark.parametrize("argv", list(MISSING_FILES.values()), ids=list(MISSING_FILES))
     def test_missing_input_file_exits_2(self, tmp_path, capsys, argv):
@@ -734,3 +744,16 @@ class TestGenDataCommand:
 @pytest.mark.parametrize("header", list(CSV_HEADERS.values()), ids=list(CSV_HEADERS))
 def test_readme_quotes_each_csv_header(header):
     assert ",".join(header) in README.read_text(encoding="utf-8")
+
+
+def test_readme_module_references_resolve():
+    # Every inline `module.name` that README quotes from a package module
+    # names something the module defines.
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    modules = {path.stem for path in Path(cli.__file__).parent.glob("*.py")}
+    refs = {(m[1], m[2]) for span in re.findall(r"`([^`\n]+)`", text)
+            if (m := re.match(r"(?:contrastlab\.)?(\w+)\.(\w+)", span)) and m[1] in modules}
+    assert refs, "README quotes no module.name; is the pattern right?"
+    missing = [f"{module}.{name}" for module, name in sorted(refs)
+               if not hasattr(importlib.import_module(f"contrastlab.{module}"), name)]
+    assert not missing, f"README names what no module defines: {missing}"

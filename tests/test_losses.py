@@ -327,6 +327,19 @@ class TestStackedKernel:
             batch_terms(views, batch, LossSpec(kind="biased"))
 
 
+class TestLossSpec:
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    def test_holds_the_tau_plus_its_kind_computes_with(self, kind):
+        # Only the debiased loss reads tau+; the others compute at 0.
+        assert LossSpec(kind=kind, tau_plus=0.3).tau_plus == (0.3 if kind == "debiased" else 0.0)
+
+    @pytest.mark.parametrize("tau", [-0.1, 1.5, math.nan])
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    def test_bad_tau_plus_is_refused_for_every_kind(self, kind, tau):
+        with pytest.raises(ValueError, match="tau_plus must lie in"):
+            LossSpec(kind=kind, tau_plus=tau)
+
+
 def _mc_unbiased(emb, mix, n_neg, trials, seed):
     """Independent Monte Carlo estimate of the exact true-negative loss."""
     gen = substream(seed)

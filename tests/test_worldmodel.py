@@ -98,6 +98,15 @@ class TestBuildDiscrete:
                                  class_conditionals=np.eye(2),
                                  prior=[0.5, 0.5], tau_plus=0.3)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_uniform_prior_tau_within_dist_tol(self, k):
+        # tau+ is refused by its own rule, not blamed on the table.
+        table = dict(points=np.eye(k), labels=np.arange(k), class_conditionals=np.eye(k),
+                     prior=np.full(k, 1.0 / k))
+        assert DiscreteClassMixture(**table, tau_plus=1.0 / k + 1e-12).uniform_prior
+        with pytest.raises(PriorMismatch, match="requires tau_plus = 1/K"):
+            DiscreteClassMixture(**table, tau_plus=1.0 / k + 5e-12)
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset_mixture("no-such-preset")
