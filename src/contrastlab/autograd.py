@@ -13,10 +13,9 @@ beyond the anchor rows coming first.
 A central-finite-difference harness verifies the whole chain; coordinates
 whose +/- step evaluations land on different sides of the clamp are
 excluded from the error aggregate (the loss is nonsmooth there) and counted
-instead.  The harness stacks its perturbed weight matrices and evaluates
-them in one forward pass over a leading axis, in chunks whose (P, 2B, V)
-similarity block stays below a fixed size; each perturbation's loss is the
-one a lone forward pass computes, bit for bit.
+instead.  The harness stacks all 2·|W| perturbed weight matrices and
+evaluates them in one forward pass over a leading axis; each perturbation's
+loss is the one a lone forward pass computes, bit for bit.
 """
 
 from __future__ import annotations
@@ -42,11 +41,6 @@ class GradientReport:
     max_rel_err: float
     step: float
     excluded: tuple[int, ...] = field(default_factory=tuple)
-
-
-# Entries of the largest stacked array finite_diff_check builds at once: the
-# (P, 2B, V) similarity block or the (P, d, m) perturbed weights.
-_FD_BLOCK = 2 ** 20
 
 
 def batch_loss_terms(weights: np.ndarray, batch: ViewBatch, spec: LossSpec) -> losses.BatchTerms:
@@ -88,21 +82,15 @@ def finite_diff_check(weights: np.ndarray, batch: ViewBatch, spec: LossSpec,
     _, grad = loss_and_grad(weights, batch, spec)
     analytic = grad.flatten()
     size = weights.size
-    flat = weights.ravel()
-    chunk = max(1, _FD_BLOCK // (2 * max(2 * batch.batch_size * batch.features.shape[0], size)))
-    numeric = np.empty(size)
-    straddles = np.empty(size, dtype=bool)
-    for lo in range(0, size, chunk):
-        coord = np.arange(lo, min(lo + chunk, size))
-        rows = np.arange(coord.size)
-        # Matrix (i, 0) moves weight coord[i] by +step and matrix (i, 1) by -step.
-        bumped = np.tile(flat, (coord.size, 2, 1))
-        bumped[rows, 0, coord] += step
-        bumped[rows, 1, coord] -= step
-        terms = batch_loss_terms(bumped.reshape((coord.size, 2) + weights.shape), batch, spec)
-        means = terms.losses.mean(axis=-1)
-        numeric[coord] = (means[:, 0] - means[:, 1]) / (2.0 * step)
-        straddles[coord] = (terms.floored[:, 0] != terms.floored[:, 1]).any(axis=-1)
+    coord = np.arange(size)
+    # Matrix (i, 0) moves weight i by +step and matrix (i, 1) by -step.
+    bumped = np.tile(weights.ravel(), (size, 2, 1))
+    bumped[coord, 0, coord] += step
+    bumped[coord, 1, coord] -= step
+    terms = batch_loss_terms(bumped.reshape((size, 2) + weights.shape), batch, spec)
+    means = terms.losses.mean(axis=-1)
+    numeric = (means[:, 0] - means[:, 1]) / (2.0 * step)
+    straddles = (terms.floored[:, 0] != terms.floored[:, 1]).any(axis=-1)
     keep = ~straddles
     if keep.any():
         denom = float(np.abs(numeric[keep]).max()) + 1e-12

@@ -269,7 +269,7 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
                 n_values = range(k - 1, cfg["n_max_factor"] * k + 1)
                 terms = lemma4_terms(emb, mix, include_probe, n_values)
                 for n_neg in n_values:
-                    cert = lemma4_chain_check(emb, mix, n_neg, include_probe, terms=terms)
+                    cert = lemma4_chain_check(terms, n_neg)
                     cert.meta.update({"mixture": mi, "embedding": ei})
                     report.add_certificate(cert.to_record())
 

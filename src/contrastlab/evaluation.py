@@ -33,18 +33,6 @@ PROBE_MAX_ITER = 200
 # Allowance of the exact lemma4 comparison for round-off in its two sums.
 LEMMA4_FP_TOL = 1e-9
 
-# Single source of truth for the mean classifier lives in the losses
-# module; re-exported here because evaluation is its natural call site.
-__all__ = [
-    "ProbeResult",
-    "linear_probe",
-    "probe_accuracy",
-    "mean_classifier_weights",
-    "mean_classifier_loss",
-    "lemma4_terms",
-    "lemma4_chain_check",
-]
-
 
 @dataclass(frozen=True)
 class ProbeResult:
@@ -136,10 +124,8 @@ class Lemma4Terms:
     sampled 3-class sub-task (K > 3 only) to its mean-classifier loss, and
     ``probe`` is the fitted probe when it was asked for.  ``rhs`` maps each
     N the terms were built for to the asymptotic debiased loss at Q = N.
-    Terms belong to the (embeddings, mixture) objects they were built from.
     """
 
-    embeddings: np.ndarray
     mix: DiscreteClassMixture
     lhs: float
     subtasks: dict[str, float]
@@ -151,13 +137,23 @@ def lemma4_terms(embeddings: np.ndarray, mix: DiscreteClassMixture,
                  include_probe: bool, n_values) -> Lemma4Terms:
     """Build the terms of :func:`lemma4_chain_check` at every N of ``n_values``.
 
-    Pass the result as ``terms=`` to each N's check on these embeddings and
-    this mixture.  The mean classifier, the sub-tasks and the probe do not
-    depend on N, and the rhs of every N comes from one
+    The rhs is the asymptotic debiased loss at the mixture's scalar tau+,
+    which equals the asymptotic true-negative loss only under a uniform
+    class prior, so any other prior raises :class:`PriorMismatch`; the chain
+    is not valid below N = K-1, so any such N raises
+    :class:`BoundPreconditionViolated`.  Both are refused before any term is
+    built.  The mean classifier, the sub-tasks and the probe do not depend
+    on N, and the rhs of every N comes from one
     :func:`asymptotic_debiased_exact` call over all of ``n_values``, so each
     is computed once rather than once per N.
     """
     n_values = [int(n) for n in n_values]
+    if not mix.uniform_prior:
+        raise PriorMismatch("lemma4 chain needs a uniform class prior")
+    if any(n < mix.n_classes - 1 for n in n_values):
+        raise BoundPreconditionViolated(
+            f"chain needs N >= K-1 = {mix.n_classes - 1}, got {min(n_values)}"
+        )
     lhs = mean_classifier_loss(embeddings, mix).value
     subtasks = {}
     if mix.n_classes > 3:
@@ -170,21 +166,18 @@ def lemma4_terms(embeddings: np.ndarray, mix: DiscreteClassMixture,
         probe = linear_probe(np.asarray(embeddings, dtype=np.float64), mix.labels,
                              sample_weights=marginal(mix))
     rhs = asymptotic_debiased_exact(embeddings, mix, q=n_values)
-    return Lemma4Terms(embeddings=embeddings, mix=mix, lhs=lhs, subtasks=subtasks,
-                       probe=probe, rhs={n: v.value for n, v in zip(n_values, rhs)})
+    return Lemma4Terms(mix=mix, lhs=lhs, subtasks=subtasks, probe=probe,
+                       rhs={n: v.value for n, v in zip(n_values, rhs)})
 
 
-def lemma4_chain_check(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,
-                       include_probe: bool = True, *,
-                       terms: Lemma4Terms | None = None) -> BoundCertificate:
-    """Certify the supervised bound chain on a discrete mixture.
+def lemma4_chain_check(terms: Lemma4Terms, n_neg: int) -> BoundCertificate:
+    """Certify the supervised bound chain on a discrete mixture at N = ``n_neg``.
 
     Checks (exactly) that the mean-classifier loss is at most the asymptotic
-    debiased loss at Q = N; requires N >= K-1, below which the chain is not
-    valid and :class:`BoundPreconditionViolated` is raised.  The probe loss
-    (the approximated infimum over linear classifiers) is recorded in the
-    metadata as approximate rather than certified, together with the
-    mean-classifier value, since the two bracket the supervised loss.
+    debiased loss at Q = N.  The probe loss (the approximated infimum over
+    linear classifiers) is recorded in the metadata as approximate rather
+    than certified, together with the mean-classifier value, since the two
+    bracket the supervised loss.
 
     The certified comparison is the single task containing all K classes;
     for K > 3 a few sampled 3-way sub-tasks are evaluated as well and
@@ -192,34 +185,15 @@ def lemma4_chain_check(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
     losses are exact and at temperature 1, so the only slack is
     ``LEMMA4_FP_TOL``.
 
-    The rhs is the asymptotic debiased loss at the mixture's scalar tau+,
-    which equals the asymptotic true-negative loss only under a uniform
-    class prior, so any other prior raises :class:`PriorMismatch` before
-    any term is built.
-
-    Every term, the rhs included, is read from ``terms``, which
-    :func:`lemma4_terms` builds once per (embeddings, mixture) for all the
-    N to be checked; without it the check builds its own at this N alone.
-    Terms built for other embeddings, another mixture, another
-    ``include_probe`` or without this N raise ``ValueError``.
+    Every term is read from ``terms``, which :func:`lemma4_terms` builds once
+    per (embeddings, mixture) for all the N to be checked and which owns the
+    chain's preconditions; terms without this N raise ``ValueError``.
     """
-    if not mix.uniform_prior:
-        raise PriorMismatch("lemma4 chain needs a uniform class prior")
-    if n_neg < mix.n_classes - 1:
-        raise BoundPreconditionViolated(
-            f"chain needs N >= K-1 = {mix.n_classes - 1}, got {n_neg}"
-        )
-    if terms is None:
-        terms = lemma4_terms(embeddings, mix, include_probe, (n_neg,))
-    if terms.embeddings is not embeddings or terms.mix is not mix:
-        raise ValueError("terms were built for other embeddings or another mixture")
-    if (terms.probe is not None) != include_probe:
-        raise ValueError(f"terms were built with include_probe={not include_probe}")
     if n_neg not in terms.rhs:
         raise ValueError(f"terms hold N in {sorted(terms.rhs)}, not N = {n_neg}")
     # Each record gets its own meta; no nested dict is shared between N.
-    meta = mixture_tag(mix) | {"n_neg": n_neg, "mean_classifier_loss": terms.lhs,
-                                "task": "all-classes"}
+    meta = mixture_tag(terms.mix) | {"n_neg": n_neg, "mean_classifier_loss": terms.lhs,
+                                      "task": "all-classes"}
     if terms.subtasks:
         meta["subtask_mean_classifier_losses"] = dict(terms.subtasks)
     if terms.probe is not None:

@@ -181,8 +181,7 @@ class MonteCarloDraws:
     mean depends on tau+, so every certificate that reads a set shares its
     draws: common random numbers.  lemma1 draws from stream (seed, 1), thm3
     from (seed, 2) and a rate sweep from (seed, 3).  A set belongs to the
-    (embeddings, mixture) objects it was made from, and ``exact`` memoizes
-    the asymptotic value per (tau+, N).
+    (embeddings, mixture) objects it was made from.
     """
 
     embeddings: np.ndarray
@@ -195,15 +194,6 @@ class MonteCarloDraws:
     marginal: dict[int, np.ndarray]
     negative: dict[int, np.ndarray]
     positive: dict[int, np.ndarray]
-    exact: dict[tuple[float, int], float] = field(default_factory=dict)
-
-    def asymptotic(self, tau_plus: float, n_neg: int) -> float:
-        """Exact asymptotic debiased value at Q = N, computed once per (tau+, N)."""
-        key = (tau_plus, n_neg)
-        if key not in self.exact:
-            self.exact[key] = asymptotic_debiased_exact(
-                self.embeddings, self.mix, q=float(n_neg), tau_plus=tau_plus).value
-        return self.exact[key]
 
 
 def _draw_monte_carlo(embeddings: np.ndarray, mix: DiscreteClassMixture, trials: int,
@@ -314,7 +304,7 @@ def theorem3_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_ne
     if n_neg not in draws.marginal or m_pos not in draws.positive:
         raise ValueError(f"draws hold N in {sorted(draws.marginal)} and M in "
                          f"{sorted(draws.positive)}, not (N, M) = ({n_neg}, {m_pos})")
-    exact = draws.asymptotic(tau_plus, n_neg)
+    exact = asymptotic_debiased_exact(embeddings, mix, q=float(n_neg), tau_plus=tau_plus).value
     mc_losses = _debiased_mc_losses(draws, n_neg, m_pos, tau_plus)
     tau_minus = 1.0 - tau_plus
     rhs = (math.exp(1.5) / tau_minus) * math.sqrt(math.pi / (2.0 * n_neg)) \

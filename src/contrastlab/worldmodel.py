@@ -330,6 +330,8 @@ def load_mixture(path) -> DiscreteClassMixture:
         return np.array([[float(x) for x in part.split()] for part in text.split(";")])
 
     prior = np.array([float(x) for x in entries["prior"].split()])
+    if prior.size == 0:
+        raise ConfigError("mixture file key 'prior' lists no class")
     tau_plus = float(entries.get("tau_plus", 1.0 / prior.shape[0]))
     return DiscreteClassMixture(
         points=parse_rows(entries["points"]),

@@ -17,7 +17,7 @@ import numpy as np
 from contrastlab.autograd import LossSpec, finite_diff_check
 from contrastlab.cli import main
 from contrastlab.encoder import ViewBatch, init_params
-from contrastlab.evaluation import lemma4_chain_check
+from contrastlab.evaluation import lemma4_chain_check, lemma4_terms
 from contrastlab.losses import (
     asymptotic_debiased_exact,
     biased_loss_point,
@@ -199,8 +199,10 @@ class TestAcceptance:
             mix = random_mixture(gen, 10, k)
             for ei in range(100):
                 emb = random_unit_rows(substream(71_000, mi, ei), 10, 8)
-                for n_neg in range(k - 1, 4 * k + 1):
-                    cert = lemma4_chain_check(emb, mix, n_neg, include_probe=False)
+                n_values = range(k - 1, 4 * k + 1)
+                terms = lemma4_terms(emb, mix, False, n_values)
+                for n_neg in n_values:
+                    cert = lemma4_chain_check(terms, n_neg)
                     assert cert.passed, (k, ei, n_neg)
                     checked += 1
         mix = random_mixture(substream(72_000), 8, 4)

@@ -263,24 +263,6 @@ class TestStackedFiniteDiff:
         if case >= 5:
             assert excluded == (tuple(range(9)) if case == 5 else (0, 5, 10, 12))
 
-    @pytest.mark.parametrize("case", [2, 6])
-    def test_chunked_report_is_the_same(self, case, monkeypatch):
-        weights, batch, spec, step = list(stacked_cases())[case]
-        whole = finite_diff_check(weights, batch, spec, step=step)
-        calls = []
-
-        def counting(w, b, s):
-            calls.append(w.shape[0])
-            return batch_loss_terms(w, b, s)
-
-        monkeypatch.setattr(autograd, "batch_loss_terms", counting)
-        # Two coordinates, four perturbations, per chunk.
-        per_coord = 2 * max(2 * batch.batch_size * batch.features.shape[0], weights.size)
-        monkeypatch.setattr(autograd, "_FD_BLOCK", 2 * per_coord)
-        chunked = finite_diff_check(weights, batch, spec, step=step)
-        assert calls == [2] * (weights.size // 2) + [1] * (weights.size % 2)
-        assert chunked == whole
-
     def test_gradcheck_hands_the_public_kernel_one_matrix(self, tmp_path, monkeypatch):
         # The benchmark's work counter reads each public call's f as (V, d).
         dims = []

@@ -740,6 +740,18 @@ class TestGenDataCommand:
         assert "InvalidTable" in capsys.readouterr().err
         assert not list((tmp_path / "run").glob("train_log_*"))
 
+    def test_empty_prior_in_mixture_file_exits_2(self, tmp_path, capsys):
+        main(["gen-data", "--out", str(tmp_path), "--set", "preset=paper-uniform"])
+        path = tmp_path / "mixture.txt"
+        path.write_text(re.sub(r"^prior = .*$", "prior =", path.read_text(), flags=re.M))
+        code = main(["train", "--out", str(tmp_path / "run"), "--seed", "2",
+                     "--set", "world=discrete", "--set", "preset=",
+                     "--set", f"mixture_file={path}", "--set", "temperature=1.0"] + FAST_TRAIN)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'prior'" in err
+        assert not (tmp_path / "run").exists()
+
 
 @pytest.mark.parametrize("header", list(CSV_HEADERS.values()), ids=list(CSV_HEADERS))
 def test_readme_quotes_each_csv_header(header):

@@ -115,7 +115,7 @@ class TestChainCheck:
         # K classes, N = K-1: both sides equal log K.
         mix = random_mixture(substream(3), 8, 4)
         emb = np.tile([1.0, 0.0, 0.0], (8, 1))
-        cert = lemma4_chain_check(emb, mix, n_neg=3)
+        cert = lemma4_chain_check(lemma4_terms(emb, mix, True, (3,)), 3)
         assert cert.passed
         assert cert.lhs == pytest.approx(math.log(4), abs=1e-12)
         assert cert.rhs == pytest.approx(math.log(4), abs=1e-12)
@@ -124,7 +124,7 @@ class TestChainCheck:
         mix = random_mixture(substream(4), 8, 4)
         emb = random_unit_rows(substream(5), 8, 6)
         with pytest.raises(BoundPreconditionViolated):
-            lemma4_chain_check(emb, mix, n_neg=2)
+            lemma4_terms(emb, mix, True, (2,))
 
     def test_randomized_chain_holds(self):
         for seed in range(30):
@@ -132,13 +132,15 @@ class TestChainCheck:
             k = int(gen.integers(2, 6))
             mix = random_mixture(gen, max(6, k), k)
             emb = random_unit_rows(gen, mix.n_points, 8)
-            for n_neg in (k - 1, 2 * k, 4 * k):
-                cert = lemma4_chain_check(emb, mix, n_neg, include_probe=False)
+            n_values = (k - 1, 2 * k, 4 * k)
+            terms = lemma4_terms(emb, mix, False, n_values)
+            for n_neg in n_values:
+                cert = lemma4_chain_check(terms, n_neg)
                 assert cert.passed, (seed, n_neg, cert.lhs, cert.rhs)
 
     def test_probe_recorded_as_approximate(self):
         emb, mix = random_instance(6, s_points=8, k_classes=3, embed_dim=6)
-        cert = lemma4_chain_check(emb, mix, n_neg=4)
+        cert = lemma4_chain_check(lemma4_terms(emb, mix, True, (4,)), 4)
         assert "supervised_probe_loss" in cert.meta
         assert cert.meta["supervised_probe_loss"] <= cert.meta["mean_classifier_loss"] + 1e-9
         assert "approximate" in cert.meta["supervised_probe_loss_note"]
@@ -149,7 +151,7 @@ class TestChainCheck:
         # drawn from the marginal conditioned on membership.
         mix = random_mixture(substream(7), 12, 5)
         emb = random_unit_rows(substream(8), 12, 4)
-        cert = lemma4_chain_check(emb, mix, n_neg=4, include_probe=False)
+        cert = lemma4_chain_check(lemma4_terms(emb, mix, False, (4,)), 4)
         subtasks = cert.meta["subtask_mean_classifier_losses"]
         assert len(subtasks) == 3
         marg = marginal(mix)
@@ -169,22 +171,33 @@ class TestChainCheck:
             assert got == pytest.approx(expect, rel=1e-12), key
         assert scattered  # some task's points are not one contiguous index block
 
+    @staticmethod
+    def fail_on_any_term(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a term was built")
+
+        for builder in ("mean_classifier_loss", "_mean_classifier_ce", "linear_probe",
+                        "asymptotic_debiased_exact"):
+            monkeypatch.setattr(evaluation, builder, fail)
+
     def test_non_uniform_prior_refused_before_any_term(self, monkeypatch):
         # Under this prior the rhs (1.34641 at N = 4) is not the asymptotic
         # true-negative loss (1.36928), so the chain is not checked at all.
         emb, mix = skewed_instance(3)
-
-        def fail(*args, **kwargs):
-            raise AssertionError("a term was built")
-
-        monkeypatch.setattr(evaluation, "lemma4_terms", fail)
-        monkeypatch.setattr(evaluation, "asymptotic_debiased_exact", fail)
+        self.fail_on_any_term(monkeypatch)
         with pytest.raises(PriorMismatch, match="uniform class prior"):
-            lemma4_chain_check(emb, mix, n_neg=4)
+            lemma4_terms(emb, mix, True, (4,))
+
+    def test_n_below_k_minus_1_refused_before_any_term(self, monkeypatch):
+        mix = random_mixture(substream(4), 8, 4)
+        emb = random_unit_rows(substream(5), 8, 6)
+        self.fail_on_any_term(monkeypatch)
+        with pytest.raises(BoundPreconditionViolated, match=r"N >= K-1 = 3, got 2"):
+            lemma4_terms(emb, mix, True, (5, 2, 3))
 
     def test_certificate_records_prior_shape(self):
         emb, mix = random_instance(9, s_points=8, k_classes=4, embed_dim=6)
-        cert = lemma4_chain_check(emb, mix, n_neg=5, include_probe=False)
+        cert = lemma4_chain_check(lemma4_terms(emb, mix, False, (5,)), 5)
         assert cert.meta["prior_uniform"] is True
         assert cert.check == "lemma4"
 
@@ -197,8 +210,9 @@ class TestChainCheck:
         terms = lemma4_terms(emb, mix, include_probe, n_values)
         records = []
         for n_neg in n_values:
-            shared = lemma4_chain_check(emb, mix, n_neg, include_probe, terms=terms).to_record()
-            assert shared == lemma4_chain_check(emb, mix, n_neg, include_probe).to_record()
+            shared = lemma4_chain_check(terms, n_neg).to_record()
+            alone = lemma4_terms(emb, mix, include_probe, (n_neg,))
+            assert shared == lemma4_chain_check(alone, n_neg).to_record()
             records.append(shared)
         assert ("subtask_mean_classifier_losses" in records[0]["meta"]) == (k > 3)
         assert ("supervised_probe_loss" in records[0]["meta"]) == include_probe
@@ -209,24 +223,11 @@ class TestChainCheck:
                                                     if isinstance(v, dict)))]
         assert len({id(d) for d in dicts}) == len(dicts)
 
-    def test_terms_for_other_arguments_raise(self):
-        mix = random_mixture(substream(13), 8, 4)
-        emb = random_unit_rows(substream(14), 8, 6)
-        terms = lemma4_terms(emb, mix, include_probe=False, n_values=(4,))
-        with pytest.raises(ValueError, match="other embeddings"):
-            lemma4_chain_check(emb.copy(), mix, 4, False, terms=terms)
-        with pytest.raises(ValueError, match="another mixture"):
-            lemma4_chain_check(emb, random_mixture(substream(13), 8, 4), 4, False, terms=terms)
-        with pytest.raises(ValueError, match="include_probe=False"):
-            lemma4_chain_check(emb, mix, 4, True, terms=terms)
-        with pytest.raises(ValueError, match="include_probe=True"):
-            lemma4_chain_check(emb, mix, 4, False, terms=lemma4_terms(emb, mix, True, (4,)))
-
     def test_check_at_an_n_the_terms_lack_names_the_held_n(self):
         emb, mix = random_instance(15, k_classes=3)
         terms = lemma4_terms(emb, mix, False, (2, 5, 3))
         with pytest.raises(ValueError, match=r"terms hold N in \[2, 3, 5\], not N = 4"):
-            lemma4_chain_check(emb, mix, 4, False, terms=terms)
+            lemma4_chain_check(terms, 4)
 
     def test_one_similarity_pass_serves_every_n(self, monkeypatch):
         from contrastlab import losses
@@ -240,5 +241,5 @@ class TestChainCheck:
         n_values = range(4, 17)
         terms = lemma4_terms(emb, mix, False, n_values)
         for n_neg in n_values:
-            lemma4_chain_check(emb, mix, n_neg, False, terms=terms)
+            lemma4_chain_check(terms, n_neg)
         assert len(n_values) == 13 and len(calls) == 1

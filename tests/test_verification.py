@@ -257,25 +257,6 @@ class TestTheorem3Draws:
         with pytest.raises(ValueError, match="draws"):
             theorem3_certificate(emb, other_mix, 4, 4, 0.1, 2000, 15, draws=draws)
 
-    def test_exact_value_computed_once_per_tau_and_n(self, monkeypatch):
-        import contrastlab.verification as verification
-
-        calls = []
-        real = verification.asymptotic_debiased_exact
-
-        def counting(*args, **kwargs):
-            calls.append((kwargs["q"], kwargs["tau_plus"]))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(verification, "asymptotic_debiased_exact", counting)
-        emb, mix = random_instance(29, k_classes=5)
-        draws = theorem3_draws(emb, mix, (4, 16), (4, 16, 64), trials=1000, seed=16)
-        for tau in (0.05, 0.1):
-            for n_neg in (4, 16):
-                for m_pos in (4, 16, 64):
-                    theorem3_certificate(emb, mix, n_neg, m_pos, tau, 1000, 16, draws=draws)
-        assert sorted(calls) == [(4.0, 0.05), (4.0, 0.1), (16.0, 0.05), (16.0, 0.1)]
-
     def test_trials_floor(self):
         emb, mix = random_instance(30)
         with pytest.raises(ValueError):
