@@ -26,7 +26,7 @@ import numpy as np
 
 from . import losses
 from .encoder import ViewBatch, encoder_backward, encoder_forward
-from .geometry import unit_rows
+from .geometry import _row_norms, unit_rows
 from .losses import LossSpec
 
 
@@ -57,7 +57,8 @@ def loss_and_grad(weights: np.ndarray, batch: ViewBatch,
                   spec: LossSpec) -> tuple[float, np.ndarray]:
     """Mean batch loss and its exact gradient w.r.t. the encoder weights."""
     z = encoder_forward(weights, batch.features)
-    f = unit_rows(z)
+    norms = _row_norms(z)[:, None]
+    f = z / norms
     terms = losses.batch_terms(f, batch, spec)
     grad = terms.grad
     anchors = grad.shape[0]
@@ -65,8 +66,7 @@ def loss_and_grad(weights: np.ndarray, batch: ViewBatch,
     d_f = grad.T @ f[:anchors]
     d_f[:anchors] += grad @ f
     # Unit projection: dL/dz = (dL/df - (dL/df . f) f) / ||z||.
-    norms = np.linalg.norm(z, axis=1)
-    d_z = (d_f - (d_f * f).sum(axis=1, keepdims=True) * f) / norms[:, None]
+    d_z = (d_f - (d_f * f).sum(axis=1, keepdims=True) * f) / norms
     return float(terms.losses.mean()), encoder_backward(batch.features, d_z)
 
 

@@ -22,9 +22,17 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
     would be a zero row) and :class:`ZeroVector` when it is below 1e-300.
     """
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=-1)
-    if not np.all(np.isfinite(norms)):
+    return x / _row_norms(x)[..., None]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The norms :func:`unit_rows` divides by, with its checks, for a caller
+    that needs them again (the unit projection's Jacobian).  The sum is the
+    one ``np.linalg.norm(x, axis=-1)`` takes for real rows, bit for bit,
+    without its copy of x."""
+    norms = np.sqrt(np.add.reduce(x * x, axis=-1))
+    if not np.isfinite(norms).all():
         raise NonFiniteVector("cannot normalize rows whose norm is not finite")
-    if np.any(norms < _MIN_NORM):
+    if (norms < _MIN_NORM).any():
         raise ZeroVector("cannot normalize rows with zero norm")
-    return x / norms[..., None]
+    return norms

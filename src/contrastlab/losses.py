@@ -269,60 +269,120 @@ def batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
     return _batch_terms(f, batch, spec)
 
 
+def _gram(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rows @ cols^T over any leading axes, by gemm on a contiguous copy of
+    cols^T.  When ``rows`` is a slice of ``cols`` from its first row (the
+    anchors of a V = 2B batch), the plain product reads one buffer times its
+    own transpose, and numpy hands that to BLAS syrk: 50.8 us at (128, 16)
+    against 18.4 us for gemm on the copy, with the same bytes (numpy 2.4,
+    OpenBLAS 0.3.31, one thread of a 2-core x86-64 host)."""
+    return rows @ np.swapaxes(cols, -1, -2).copy()
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(b: int, m: int, n_views: int, tau_plus: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (2B, V) weights of the biased and debiased losses, and their
+    additive mask: 0 on a weighted column and the partner, -inf elsewhere.
+    They depend only on the batch shape and tau+, so each is built once and
+    handed out read-only."""
+    twob = 2 * b
+    roles = np.arange(twob)
+    partner = (roles + b) % twob
+    weights = np.zeros((twob, n_views))
+    weights[:, :twob] = 1.0 / (1.0 - tau_plus)
+    weights[roles, roles] = 0.0
+    # Columns of this role's extra positive views: 2B + j*B + (r mod B).
+    extra_cols = twob + np.arange(m - 1)[None, :] * b + (roles % b)[:, None]
+    v_coef = (twob - 2) * tau_plus / ((1.0 - tau_plus) * m)
+    weights[roles[:, None], extra_cols] = -v_coef
+    weights[roles, partner] = 1.0 - v_coef
+    mask = np.where(weights != 0.0, 0.0, -np.inf)
+    mask[roles, partner] = 0.0  # the partner is read even at weight 0
+    weights.setflags(write=False)
+    mask.setflags(write=False)
+    return weights, mask
+
+
+def _true_negative_layout(batch: ViewBatch, n_views: int) -> tuple[np.ndarray, np.ndarray]:
+    """The true-negative loss's weights, N / N_available on each
+    different-class view and 1 on the partner, and their additive mask.
+    With a pool they are a (2B, 1 + P) block, the partner in column 0 and
+    the pool after it; without one, (2B, V) over every view row."""
+    if batch.labels is None:
+        raise ValueError("unbiased batch loss needs anchor labels")
+    b, pool_labels = batch.batch_size, batch.neg_pool_labels
+    roles = np.arange(2 * b)
+    lab = batch.labels[roles % b]
+    # A role's own view and its partner share its label, so neither is ever
+    # a different-class column.
+    differ = lab[:, None] != (lab if pool_labels is None else pool_labels)[None, :]
+    n_avail = differ.sum(axis=1)
+    if np.any(n_avail == 0):
+        raise DegenerateClass("an anchor has no different-class negative available")
+    true_neg = differ * ((2 * b - 2) / n_avail)[:, None]
+    if pool_labels is None:
+        weights = np.zeros((2 * b, n_views))
+        weights[:, :2 * b] = true_neg
+        weights[roles, (roles + b) % (2 * b)] = 1.0
+    else:
+        weights = np.concatenate([np.ones((2 * b, 1)), true_neg], axis=1)
+    return weights, np.where(weights != 0.0, 0.0, -np.inf)
+
+
 def _batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
     """:func:`batch_terms` over any leading axes: ``f`` is (..., V, d) and each
-    field of the result gains the same leading axes.  The (2B, V) weights
-    depend only on the batch, so they are built once and broadcast."""
+    field of the result gains the same leading axes.
+
+    The pass computes only the columns its loss reads.  Without a pool that
+    is the whole (2B, V) block; the biased and debiased weights depend only
+    on the batch shape and tau+, so :func:`_layout` builds them once.  With
+    a pool, the true-negative loss reads only the partner and the pool, so
+    the pass computes a (2B, 1 + P) block, the partner similarity in column
+    0, and scatters its gradient back into (2B, V)."""
     f = np.asarray(f, dtype=np.float64)
     if f.shape[-2] != batch.features.shape[0]:
         raise ValueError(f"expected {batch.features.shape[0]} view rows, got {f.shape[-2]}")
-    b, m, kind, t = batch.batch_size, batch.m_positives, spec.kind, spec.temperature
+    b, kind, t = batch.batch_size, spec.kind, spec.temperature
     pool = 0 if batch.neg_pool_labels is None else len(batch.neg_pool_labels)
     if pool and kind != "unbiased":
         raise ValueError("a negative pool is only meaningful for the unbiased loss")
-    tau_plus = spec.tau_plus
 
     twob = 2 * b
     n_views = f.shape[-2]
     n_neg = twob - 2
-    sims = (f[..., :twob, :] @ np.swapaxes(f, -1, -2)) / t
     roles = np.arange(twob)
     partner = (roles + b) % twob
-
-    # Columns of this role's extra positive views: 2B + j*B + (r mod B).
-    extra_cols = twob + np.arange(m - 1)[None, :] * b + (roles % b)[:, None]
-
-    weights = np.zeros((twob, n_views))
+    anchors = f[..., :twob, :]
     if kind == "unbiased":
-        if batch.labels is None:
-            raise ValueError("unbiased batch loss needs anchor labels")
-        lab = batch.labels[roles % b]
-        # A role's own view and its partner share its label, so neither is
-        # ever a different-class column.
-        first, cols = (n_views - pool, batch.neg_pool_labels) if pool else (0, lab)
-        differ = lab[:, None] != cols[None, :]
-        n_avail = differ.sum(axis=1)
-        if np.any(n_avail == 0):
-            raise DegenerateClass("an anchor has no different-class negative available")
-        weights[:, first:first + cols.size] = differ * (n_neg / n_avail)[:, None]
+        weights, mask = _true_negative_layout(batch, n_views)
     else:
-        weights[:, :twob] = 1.0 / (1.0 - tau_plus)
-        weights[roles, roles] = 0.0
-    v_coef = n_neg * tau_plus / ((1.0 - tau_plus) * m)
-    weights[roles[:, None], extra_cols] = -v_coef
-    weights[roles, partner] = 1.0 - v_coef
+        weights, mask = _layout(b, batch.m_positives, n_views, spec.tau_plus)
+    if pool:
+        sims = np.empty(f.shape[:-2] + weights.shape)
+        sims[..., 0] = (anchors * f[..., partner, :]).sum(axis=-1)
+        sims[..., 1:] = _gram(anchors, f[..., n_views - pool:, :])
+        pos = np.zeros(twob, dtype=np.intp)
+    else:
+        sims = _gram(anchors, f)
+        pos = partner
+    sims /= t
 
-    s_pos = sims[..., roles, partner]
-    # A -inf fill then a plain max: the masked reduction np.max(where=) took
-    # twice as long on a (128, 254) block (numpy 2.4, one x86-64 core).
-    shift = np.maximum(np.where(weights != 0.0, sims, -np.inf).max(axis=-1), s_pos)
-
-    # Used columns sit at or below the shift; the clip only tames unused
-    # entries (e.g. self-similarity at 1/t), which would otherwise overflow
-    # and poison the weighted sums with inf * 0.
-    exp_shift = np.exp(np.minimum(sims - shift[..., None], 700.0))
-    h_pos = exp_shift[..., roles, partner]
-    weighted = weights * exp_shift
+    s_pos = sims[..., roles, pos]
+    # The mask is 0 on the weighted columns and the partner and -inf
+    # elsewhere, so the shift is the max over the columns the loss reads, and
+    # an unread column (e.g. self-similarity at 1/t) has exponential exactly
+    # 0 rather than one that could overflow and poison the sums with inf * 0.
+    # An additive mask then a plain max gives the shift, bit for bit, of a
+    # -inf fill by np.where(weights != 0, sims, -inf) and a max with s+: the
+    # fill alone took 51.5 us on a (128, 128) block against 35.7 for the
+    # add, and np.max(where=) twice the fill (numpy 2.4, one thread of a
+    # 2-core x86-64 host).
+    weighted = sims + mask
+    shift = weighted.max(axis=-1)
+    weighted -= shift[..., None]
+    np.exp(weighted, out=weighted)
+    h_pos = weighted[..., roles, pos]
+    weighted *= weights
     raw = weighted.sum(axis=-1)
     floor = h_pos + n_neg * estimator_floor(t, shift) if kind == "debiased" else h_pos
     floored = raw < floor
@@ -331,13 +391,17 @@ def _batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
     # partner's term.
     clamped = np.nonzero(raw <= floor)
     weighted[clamped] = 0.0
-    weighted[clamped[:-1] + (clamped[-1], partner[clamped[-1]])] = h_pos[clamped]
+    weighted[clamped[:-1] + (clamped[-1], pos[clamped[-1]])] = h_pos[clamped]
     denom = np.maximum(raw, floor)
     losses = np.log(denom) + shift - s_pos
     grad = weighted
     grad /= denom[..., None]
-    grad[..., roles, partner] -= 1.0
+    grad[..., roles, pos] -= 1.0
     grad /= twob * t
+    if pool:
+        grad, block = np.zeros(f.shape[:-2] + (twob, n_views)), grad
+        grad[..., n_views - pool:] = block[..., 1:]
+        grad[..., roles, partner] = block[..., 0]
     return BatchTerms(losses, floored, grad)
 
 

@@ -7,8 +7,7 @@ its fields, with its defaults.  The optimizer is the adaptive-moment
 method, at learning rate 0.001 by default.  The whole trajectory is
 deterministic given the seed: data, batches and init all come from named
 substreams.  The true-negative loss's pool of fresh negatives is drawn
-like the dataset itself, by :func:`build_dataset` and one view per
-identity.
+as :func:`build_dataset` draws the dataset, with one view per identity.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .encoder import ViewBatch, init_params
 from .errors import BatchTooSmall, ConfigError, DivergenceDetected
 from .geometry import unit_rows
 from .rng import substream
-from .worldmodel import SphereMixture, sample_classes, sample_views
+from .worldmodel import SphereMixture, _sphere_views, sample_classes, sample_views
 
 CHECKPOINT_VERSION = 2
 
@@ -125,10 +124,37 @@ def build_dataset(world, size: int, rng: np.random.Generator,
 
 def _draw_views(dataset: TrainDataset, idx: np.ndarray,
                 rng: np.random.Generator) -> np.ndarray:
+    """One view of each anchor in ``idx``, an index array whose last axis is
+    one batch; the views come back as an ``idx.shape + (F,)`` array.
+
+    A sphere world's views are one normal block of the stream, the same
+    numbers that a draw per batch and view would take.  A discrete world
+    draws per class, so it draws one batch's views at a time.
+    """
+    if dataset.base_points is not None:
+        base = dataset.base_points[idx]
+        return unit_rows(base + dataset.view_noise * rng.standard_normal(base.shape))
+    labels = dataset.labels[idx]
+    if isinstance(dataset.world, SphereMixture):
+        views = sample_views(dataset.world, labels.ravel(), rng)
+    else:
+        views = np.concatenate([sample_views(dataset.world, row, rng)
+                                for row in labels.reshape(-1, labels.shape[-1])])
+    return views.reshape(labels.shape + views.shape[-1:])
+
+
+def _draw_pool(dataset: TrainDataset, size: int,
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The true-negative pool: labels of ``size`` fresh identities, drawn as
+    :func:`build_dataset` draws the training set's, and one view of each.
+    In instance mode the pool's base noise and view noise are one
+    ``(2, size, F)`` normal block."""
+    labels = sample_classes(dataset.world, size, rng)
     if dataset.base_points is None:
-        return sample_views(dataset.world, dataset.labels[idx], rng)
-    base = dataset.base_points[idx]
-    return unit_rows(base + dataset.view_noise * rng.standard_normal(base.shape))
+        return labels, sample_views(dataset.world, labels, rng)
+    noise = rng.standard_normal((2, size, dataset.world.feature_dim))
+    base = _sphere_views(dataset.world, labels, noise[0])
+    return labels, unit_rows(base + dataset.view_noise * noise[1])
 
 
 def make_batches(dataset: TrainDataset, batch_size: int, m_positives: int,
@@ -140,23 +166,33 @@ def make_batches(dataset: TrainDataset, batch_size: int, m_positives: int,
     many freshly drawn, labeled identities for the true-negative loss.  A
     trailing partial batch is dropped, so batch_size == dataset size means
     exactly one batch per epoch.
+
+    The stream is read in this order: the permutation, then per batch its
+    M+1 views of B anchors and, with a pool, the pool's labels and views.
+    Without a pool, a sphere world draws the whole epoch's views as one
+    ``(n_batches, M+1, B, F)`` normal block; with one, each batch's views
+    are one ``(M+1, B, F)`` block.  Either way the batches are byte for
+    byte those of a draw per batch and view; a discrete world, which draws
+    per class, still draws that way.
     """
     if dataset.size < batch_size:
         raise BatchTooSmall(f"dataset size {dataset.size} < batch size {batch_size}")
     perm = rng.permutation(dataset.size)
+    n_batches = dataset.size // batch_size
+    anchors = perm[:n_batches * batch_size].reshape(n_batches, batch_size)
+    idx = np.broadcast_to(anchors[:, None, :], (n_batches, m_positives + 1, batch_size))
+    if negative_pool:
+        draws = [(_draw_views(dataset, idx[i], rng), *_draw_pool(dataset, negative_pool, rng))
+                 for i in range(n_batches)]
+    else:
+        draws = [(views, None, None) for views in _draw_views(dataset, idx, rng)]
     batches = []
-    for start in range(0, dataset.size - batch_size + 1, batch_size):
-        idx = perm[start:start + batch_size]
-        views = [_draw_views(dataset, idx, rng) for _ in range(m_positives + 1)]
-        pool_labels = None
-        if negative_pool:
-            mode = "class" if dataset.base_points is None else "instance"
-            pool = build_dataset(dataset.world, negative_pool, rng, mode, dataset.view_noise)
-            views.append(_draw_views(pool, np.arange(negative_pool), rng))
-            pool_labels = pool.labels
-        batches.append(ViewBatch(features=np.concatenate(views, axis=0),
-                                 batch_size=batch_size, m_positives=m_positives,
-                                 labels=dataset.labels[idx],
+    for (views, pool_labels, pool_views), batch_idx in zip(draws, anchors):
+        features = views.reshape(-1, views.shape[-1])
+        if pool_views is not None:
+            features = np.concatenate([features, pool_views])
+        batches.append(ViewBatch(features=features, batch_size=batch_size,
+                                 m_positives=m_positives, labels=dataset.labels[batch_idx],
                                  neg_pool_labels=pool_labels))
     return batches
 

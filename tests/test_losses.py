@@ -35,6 +35,7 @@ from contrastlab.losses import (
     softmax_cross_entropy,
     unbiased_loss_exact,
 )
+from contrastlab.geometry import unit_rows
 from contrastlab.rng import substream
 from contrastlab.worldmodel import (
     DiscreteClassMixture,
@@ -210,6 +211,27 @@ class TestDebiasedLossBatch:
                                             tau_plus=tau, t=t).value)
         assert got == pytest.approx(float(np.mean(vals)), abs=1e-12)
 
+    def test_partner_at_weight_zero_is_still_read(self):
+        # B = 3, M = 4, tau+ = 0.5: N tau+ / (tau- M) = 1, so the partner's
+        # weight is exactly 0, but its similarity is still s+, and h+ still
+        # enters the floor h+ + N e^(-1/t).  Each identity's views sit close
+        # together, so the floor binds on some roles.
+        gen = substream(83)
+        b, m, tau, t = 3, 4, 0.5, 0.6
+        views = np.tile(random_unit_rows(gen, b, 4), (m + 1, 1))
+        f = unit_rows(views + 0.3 * gen.standard_normal(views.shape))
+        batch = ViewBatch(features=f, batch_size=b, m_positives=m)
+        assert losses._layout(b, m, (m + 1) * b, tau)[0][0, b] == 0.0
+        terms = batch_terms(f, batch, LossSpec(kind="debiased", tau_plus=tau, temperature=t))
+        assert terms.floored.any() and not terms.floored.all()
+        sims = f @ f.T / t
+        for r in range(2 * b):
+            partner = (r + b) % (2 * b)
+            negs = [sims[r, j] for j in range(2 * b) if j not in (r, partner)]
+            pos = [sims[r, partner]] + [sims[r, 2 * b + j * b + r % b] for j in range(m - 1)]
+            expected = debiased_loss_point(sims[r, partner], negs, pos, tau_plus=tau, t=t).value
+            assert terms.losses[r] == pytest.approx(expected, abs=1e-12)
+
     def test_permutation_invariance(self):
         gen = substream(79)
         va, vb = random_unit_rows(gen, 4, 5), random_unit_rows(gen, 4, 5)
@@ -325,6 +347,100 @@ class TestStackedKernel:
         batch = ViewBatch(features=views[0], batch_size=3, m_positives=1)
         with pytest.raises(ValueError, match=r"one \(V, d\) embedding array, got 3 dims"):
             batch_terms(views, batch, LossSpec(kind="biased"))
+
+
+def _dense_true_negative(f, batch, t):
+    """The pooled true-negative pass over the full (2B, V) block, written
+    out densely: weight N / N_available on each different-class pool view,
+    1 on the partner, 0 elsewhere."""
+    b, pool_labels = batch.batch_size, batch.neg_pool_labels
+    twob, n_views = 2 * b, f.shape[0]
+    roles = np.arange(twob)
+    partner = (roles + b) % twob
+    sims = f[:twob] @ f.T / t
+    differ = batch.labels[roles % b][:, None] != pool_labels[None, :]
+    weights = np.zeros((twob, n_views))
+    weights[:, n_views - pool_labels.size:] = differ * (twob - 2) / differ.sum(axis=1)[:, None]
+    weights[roles, partner] = 1.0
+    used = weights != 0.0
+    shift = np.where(used, sims, -np.inf).max(axis=1)
+    weighted = weights * np.where(used, np.exp(sims - shift[:, None]), 0.0)
+    denom = weighted.sum(axis=1)
+    losses = np.log(denom) + shift - sims[roles, partner]
+    grad = weighted / denom[:, None]
+    grad[roles, partner] -= 1.0
+    return losses, grad / (twob * t), used
+
+
+class TestPoolLayout:
+    @pytest.mark.parametrize("t", [0.1, 0.5, 1.5])
+    @pytest.mark.parametrize("b,m,pool", [(2, 1, 3), (3, 2, 5), (4, 3, 9), (8, 1, 14)])
+    def test_matches_the_dense_reference(self, b, m, pool, t):
+        gen = substream(zlib.crc32(repr(("pool-layout", b, m, pool, t)).encode()))
+        f = random_unit_rows(gen, (m + 1) * b + pool, 5)
+        labels = gen.integers(0, 3, size=b)
+        pool_labels = np.concatenate([np.arange(3), gen.integers(0, 3, size=pool - 3)])
+        batch = ViewBatch(features=f, batch_size=b, m_positives=m, labels=labels,
+                          neg_pool_labels=pool_labels)
+        terms = batch_terms(f, batch, LossSpec(kind="unbiased", temperature=t))
+        losses_ref, grad_ref, used = _dense_true_negative(f, batch, t)
+        np.testing.assert_allclose(terms.losses, losses_ref, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(terms.grad, grad_ref, rtol=1e-14, atol=0.0)
+        assert not terms.floored.any()
+        # Exactly 0 off the partner and the different-class pool views.
+        assert np.all(terms.grad[~used] == 0.0)
+        assert np.all(terms.grad[used] != 0.0)
+
+
+def _dense_layout(b, m, tau_plus):
+    """The biased/debiased weights written out entry by entry."""
+    twob, n_neg = 2 * b, 2 * b - 2
+    v_coef = n_neg * tau_plus / ((1.0 - tau_plus) * m)
+    weights = np.zeros((twob, (m + 1) * b))
+    for r in range(twob):
+        for j in range(twob):
+            if j != r:
+                weights[r, j] = 1.0 / (1.0 - tau_plus)
+        weights[r, (r + b) % twob] = 1.0 - v_coef
+        for g in range(m - 1):
+            weights[r, twob + g * b + r % b] = -v_coef
+    return weights
+
+
+class TestCachedLayout:
+    SHAPES = [(3, 1, 0.1), (3, 1, 0.2), (4, 1, 0.1), (3, 2, 0.1), (3, 3, 0.0)]
+
+    def test_arrays_are_read_only(self):
+        for array in losses._layout(3, 2, 9, 0.1):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    def test_each_shape_and_tau_gets_its_own_weights(self):
+        # Interleaved calls, so a key that dropped tau+, B or M would hand a
+        # later shape an earlier one's weights.
+        for b, m, tau in self.SHAPES + self.SHAPES[::-1]:
+            weights, mask = losses._layout(b, m, (m + 1) * b, tau)
+            expected = _dense_layout(b, m, tau)
+            assert weights.tobytes() == expected.tobytes()
+            read = expected != 0.0
+            read[np.arange(2 * b), (np.arange(2 * b) + b) % (2 * b)] = True
+            np.testing.assert_array_equal(mask, np.where(read, 0.0, -np.inf))
+        for (b1, m1, t1), (b2, m2, t2) in itertools.combinations(self.SHAPES, 2):
+            w1 = losses._layout(b1, m1, (m1 + 1) * b1, t1)[0]
+            w2 = losses._layout(b2, m2, (m2 + 1) * b2, t2)[0]
+            assert w1.shape != w2.shape or not np.array_equal(w1, w2)
+
+    def test_specs_differing_in_tau_give_their_own_losses(self):
+        gen = substream(91)
+        f = random_unit_rows(gen, 8, 4)
+        batch = ViewBatch(features=f, batch_size=4, m_positives=1)
+        taus = (0.0, 0.1, 0.2, 0.1, 0.0)
+        got = [batch_terms(f, batch, LossSpec(kind="debiased", tau_plus=tau,
+                                              temperature=0.5)).losses.tobytes()
+               for tau in taus]
+        for (tau1, loss1), (tau2, loss2) in itertools.combinations(zip(taus, got), 2):
+            assert (loss1 == loss2) == (tau1 == tau2), (tau1, tau2)
 
 
 class TestLossSpec:

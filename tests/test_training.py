@@ -18,7 +18,8 @@ from contrastlab.training import (
     save_checkpoint,
     train,
 )
-from contrastlab.worldmodel import preset_mixture, preset_sphere
+from contrastlab.geometry import unit_rows
+from contrastlab.worldmodel import preset_mixture, preset_sphere, sample_views
 
 
 def small_config(**overrides):
@@ -81,6 +82,60 @@ class TestMakeBatches:
         nearest = np.argmax(dots, axis=1)
         assert dots[np.arange(16), nearest].min() > 0.9
         np.testing.assert_array_equal(dataset.labels[nearest], batch.labels)
+
+
+def _reference_view(dataset, idx, rng):
+    if dataset.base_points is None:
+        return sample_views(dataset.world, dataset.labels[idx], rng)
+    base = dataset.base_points[idx]
+    return unit_rows(base + dataset.view_noise * rng.standard_normal(base.shape))
+
+
+def _reference_batches(dataset, batch_size, m_positives, rng, negative_pool=0):
+    """An epoch drawn one batch and one view at a time, with each pool built
+    by ``build_dataset``: the stream that ``make_batches`` must reproduce
+    byte for byte, as (features, labels, pool labels) per batch."""
+    perm = rng.permutation(dataset.size)
+    batches = []
+    for start in range(0, dataset.size - batch_size + 1, batch_size):
+        idx = perm[start:start + batch_size]
+        views = [_reference_view(dataset, idx, rng) for _ in range(m_positives + 1)]
+        pool_labels = None
+        if negative_pool:
+            mode = "class" if dataset.base_points is None else "instance"
+            pool = build_dataset(dataset.world, negative_pool, rng, mode, dataset.view_noise)
+            views.append(_reference_view(pool, np.arange(negative_pool), rng))
+            pool_labels = pool.labels
+        batches.append((np.concatenate(views), dataset.labels[idx], pool_labels))
+    return batches
+
+
+class TestBatchStream:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("pool", [0, 5])
+    @pytest.mark.parametrize("world_name,mode", [("sphere-k10", "class"),
+                                                 ("sphere-k10", "instance"),
+                                                 ("paper-uniform", "class")])
+    def test_epoch_equals_the_per_batch_loop(self, world_name, mode, pool, m):
+        # 22 identities in batches of 4: five batches and two left over.
+        world = (preset_mixture(world_name) if world_name == "paper-uniform"
+                 else preset_sphere(world_name))
+        dataset = build_dataset(world, 22, substream(7, 0), anchor_mode=mode,
+                                view_noise=0.2 if mode == "instance" else 0.0)
+        got_rng, want_rng = substream(7, 2, 3), substream(7, 2, 3)
+        got = make_batches(dataset, 4, m, got_rng, negative_pool=pool)
+        want = _reference_batches(dataset, 4, m, want_rng, negative_pool=pool)
+        assert len(got) == len(want) == 5
+        for batch, (features, labels, pool_labels) in zip(got, want):
+            assert batch.features.tobytes() == features.tobytes()
+            assert batch.features.shape == features.shape
+            assert batch.labels.tobytes() == labels.tobytes()
+            if pool:
+                assert batch.neg_pool_labels.tobytes() == pool_labels.tobytes()
+            else:
+                assert batch.neg_pool_labels is None
+        # Both read the same length of the stream.
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestTrain:
