@@ -20,7 +20,7 @@ loss is the one a lone forward pass computes, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class GradientReport:
 
     max_rel_err: float
     step: float
-    excluded: tuple[int, ...] = field(default_factory=tuple)
+    excluded: tuple[int, ...]
 
 
 def batch_loss_terms(weights: np.ndarray, batch: ViewBatch, spec: LossSpec) -> losses.BatchTerms:
@@ -71,7 +71,7 @@ def loss_and_grad(weights: np.ndarray, batch: ViewBatch,
 
 
 def finite_diff_check(weights: np.ndarray, batch: ViewBatch, spec: LossSpec,
-                      step: float = 1e-6) -> GradientReport:
+                      step: float) -> GradientReport:
     """Central differences per weight against the analytic gradient.
 
     Coordinates where the clamp pattern differs between the +step and -step

@@ -73,10 +73,9 @@ class RunReport:
     command: str
     config: dict
     out_dir: Path
-    timings: bool = False
+    timings: bool
     artifacts: list[str] = field(default_factory=list)
     certificates: list[dict] = field(default_factory=list)
-    failures: int = 0
     started: float = field(default_factory=time.time)
 
     @property
@@ -98,12 +97,8 @@ class RunReport:
         self.artifacts.append(name)
         return path
 
-    def add_certificate(self, record: dict) -> None:
-        self.certificates.append(record)
-        if not record["passed"]:
-            self.failures += 1
-
     def finish(self) -> int:
+        failures = sum(1 for record in self.certificates if not record["passed"])
         payload = {
             "format_version": SCHEMA_VERSION,
             "command": self.command,
@@ -112,8 +107,8 @@ class RunReport:
             "seed": self.config.get("seed"),
             "artifacts": sorted(self.artifacts),
             "certificates_total": len(self.certificates),
-            "certificates_failed": self.failures,
-            "passed": self.failures == 0,
+            "certificates_failed": failures,
+            "passed": failures == 0,
         }
         if self.timings:
             payload["elapsed_seconds"] = time.time() - self.started
@@ -122,7 +117,7 @@ class RunReport:
                         encoding="utf-8")
         for name in self.artifacts:
             assert (self.out_dir / name).exists()
-        return 1 if self.failures else 0
+        return 1 if failures else 0
 
 
 def _child_seed(seed: int, *path: int) -> int:
@@ -219,7 +214,7 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
                 cert = lemma1_certificate(emb, mix, n_neg, cfg["trials"],
                                           _child_seed(seed, 21, inst, j))
                 cert.meta["instance"] = inst
-                report.add_certificate(cert.to_record())
+                report.certificates.append(cert.to_record())
 
     elif check == "thm3":
         for inst in range(cfg["instances"]):
@@ -235,7 +230,7 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
                         cert = theorem3_certificate(emb, mix, n_neg, m_pos, tau,
                                                     cfg["trials"], inst_seed, draws=draws)
                         cert.meta["instance"] = inst
-                        report.add_certificate(cert.to_record())
+                        report.certificates.append(cert.to_record())
 
     elif check == "rate":
         if cfg["slope_min"] > cfg["slope_max"]:
@@ -252,7 +247,7 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
         record["passed"] = bool(fit.status == "ok"
                                 and cfg["slope_min"] <= fit.slope <= cfg["slope_max"]
                                 and fit.r2 >= cfg["r2_min"])
-        report.add_certificate(record)
+        report.certificates.append(record)
         report.json("ratefit.json", record)
         print(f"rate: slope={fit.slope:.4f} r2={fit.r2:.4f} status={fit.status}")
 
@@ -271,7 +266,7 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
                 for n_neg in n_values:
                     cert = lemma4_chain_check(terms, n_neg)
                     cert.meta.update({"mixture": mi, "embedding": ei})
-                    report.add_certificate(cert.to_record())
+                    report.certificates.append(cert.to_record())
 
     elif check == "oracle":
         for inst in range(cfg["instances"]):
@@ -284,7 +279,7 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
             cert = oracle_certificate(emb, mix, n_neg, tolerance=cfg["tolerance"],
                                       budget=cfg["budget"])
             cert.meta["instance"] = inst
-            report.add_certificate(cert.to_record())
+            report.certificates.append(cert.to_record())
 
     if not report.certificates:
         raise ConfigError(f"verify {check} checked nothing; its sizes yield no certificate")
@@ -318,9 +313,9 @@ def cmd_gradcheck(cfg: dict, report: RunReport) -> int:
         worst = max(worst, rep.max_rel_err)
     report.csv("gradcheck.csv", GRADCHECK_HEADER, rows)
     failed = worst > cfg["tolerance"]
-    report.add_certificate({"check": "gradcheck", "lhs": worst,
-                            "rhs": cfg["tolerance"], "passed": not failed,
-                            "meta": {"cases": cfg["cases"], "step": cfg["step"]}})
+    report.certificates.append({"check": "gradcheck", "lhs": worst,
+                                "rhs": cfg["tolerance"], "passed": not failed,
+                                "meta": {"cases": cfg["cases"], "step": cfg["step"]}})
     print(f"gradcheck: worst max_rel_err={worst:.3e} over {cfg['cases']} cases")
     return report.finish()
 

@@ -21,6 +21,7 @@ import hashlib
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .losses import ORACLE_MAX_N
 from .training import TrainConfig
 from .verification import MIN_TRIALS, SweepSpec
 
@@ -119,7 +120,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "instances": Field("int", 50, "random (embedding, mixture, N) instances"),
         # An instance draws K in 2..5 and then S in max(K, 4)..s_max.
         "s_max": Field("int", 10, "largest number of points", (5, None)),
-        "n_max": Field("int", 6, "largest negative sample size N", (1, None)),
+        "n_max": Field("int", 6, "largest negative sample size N", (1, ORACLE_MAX_N + 1)),
         "budget": Field("float", 1e9, "enumeration budget: rows evaluated, summed over anchors",
                         (1, None)),
         "tolerance": Field("float", 1e-9, "relative error threshold", (0, None)),

@@ -69,7 +69,6 @@ from .worldmodel import DiscreteClassMixture, marginal, negative_dist, positive_
 # The two-view batch losses a training step can differentiate.
 LOSS_KINDS = ("biased", "debiased", "unbiased")
 
-DEFAULT_ENUM_BUDGET = 1e7
 ORACLE_MAX_N = 8
 
 # Internal cap on materialized multiset rows, independent of the user budget.
@@ -108,9 +107,9 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def _check_params(tau_plus: float | None = None, t: float | None = None) -> None:
-    """Validate the family's shared hyperparameters; ``None`` skips a check."""
-    if tau_plus is not None and not (0.0 <= tau_plus < 1.0):
+def _check_params(tau_plus: float, t: float | None = None) -> None:
+    """Validate the family's shared hyperparameters; ``t = None`` skips its check."""
+    if not (0.0 <= tau_plus < 1.0):
         raise ValueError("tau_plus must lie in [0, 1)")
     if t is not None and not t > 0.0:  # NaN fails too
         raise ValueError("temperature must be positive")
@@ -517,7 +516,7 @@ def _enumerated_losses(embeddings: np.ndarray, mix: DiscreteClassMixture,
 
 
 def unbiased_loss_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
-                        n_neg: int, budget: float = DEFAULT_ENUM_BUDGET) -> LossValue:
+                        n_neg: int, budget: float) -> LossValue:
     """Exact expectation of the true-negative loss by full enumeration.
 
     Expectation over anchor ~ marginal, positive ~ anchor class, and N
@@ -600,7 +599,7 @@ def asymptotic_debiased_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
 
 
 def binomial_oracle(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,
-                    budget: float = DEFAULT_ENUM_BUDGET) -> OracleResult:
+                    budget: float) -> OracleResult:
     """Inclusion-exclusion rewriting of the exact unbiased loss.
 
     value = (1/tau-)^N sum_k C(N,k) (-tau+)^k E[loss with k negatives from

@@ -257,13 +257,13 @@ def train(config: TrainConfig, world) -> tuple[np.ndarray, list[EpochRecord]]:
     return weights, log
 
 
-def save_checkpoint(path, weights: np.ndarray, config_hash: str, meta: dict | None = None) -> None:
+def save_checkpoint(path, weights: np.ndarray, config_hash: str, meta: dict) -> None:
     """Versioned JSON dump of the encoder weight matrix plus the config hash."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
         "weights": weights.tolist(),
-        "meta": meta or {},
+        "meta": meta,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)

@@ -18,14 +18,13 @@ identical (seed, config) reproduce every field to the last bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateClass, InsufficientGrid
 from .losses import (
-    DEFAULT_ENUM_BUDGET,
     _SIDES,
     _check_params,
     _contrastive_losses,
@@ -56,7 +55,7 @@ class BoundCertificate:
     mc_stderr: float
     trials: int
     passed: bool
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     def to_record(self) -> dict:
         return {
@@ -100,7 +99,7 @@ class RateFit:
     intercept: float
     r2: float
     status: str
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     def to_record(self) -> dict:
         return {
@@ -197,7 +196,7 @@ class MonteCarloDraws:
 
 
 def _draw_monte_carlo(embeddings: np.ndarray, mix: DiscreteClassMixture, trials: int,
-                      stream: tuple[int, ...], *, marginal=(), negative=(),
+                      stream: tuple[int, ...], *, marginal, negative=(),
                       positive=()) -> MonteCarloDraws:
     """Draw a set from ``substream(*stream)`` holding the given sizes of each side.
 
@@ -411,8 +410,7 @@ def theorem5_constants(n_neg: int, m_pos: int, tau_plus: float) -> tuple[float, 
 
 
 def oracle_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,
-                       tolerance: float = 1e-9,
-                       budget: float = DEFAULT_ENUM_BUDGET) -> BoundCertificate:
+                       tolerance: float = 1e-9, *, budget: float) -> BoundCertificate:
     """Certify the inclusion-exclusion oracle against direct enumeration.
 
     lhs = relative error between the alternating-series value and the

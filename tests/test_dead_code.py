@@ -6,7 +6,8 @@ function, class or constant needs one too, or else a reader outside the
 package that is not a unit test: the acceptance tests, the shared test
 helpers or the benchmark.  A constant is a module-level name in UPPER_CASE,
 with or without a leading underscore.  An optional parameter needs a call,
-anywhere in the package, the tests or the benchmark, that sets it.
+anywhere in the package, the tests or the benchmark, that sets it, and one
+that leaves it at its default.
 """
 
 import ast
@@ -35,8 +36,7 @@ def _scan_package():
     A bare name counts within its own module, ``from .module import name``
     counts for that module when the importing module also uses ``name``
     outside its imports, and an attribute access ``x.name`` counts for any
-    module.  A definition's own body does not reach it, and ``__init__.py``,
-    which only re-exports, reaches nothing.
+    module.  A definition's own body does not reach it.
     """
     defined, referenced, imported = [], set(), []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -54,8 +54,6 @@ def _scan_package():
                 if len(names) == 1:
                     own = names[0]
                     defined.append((module, own, stmt.lineno, "constant"))
-            if module == "__init__":
-                continue
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and node.id != own:
                     referenced.add((module, node.id))
@@ -172,6 +170,18 @@ def test_every_optional_parameter_is_set():
     assert not unset, f"optional parameters that no call sets: {unset}"
 
 
+def test_every_default_is_relied_on():
+    # A default that every call overrides is a second copy of a value its
+    # callers own; the parameter should be required.
+    optional = _optional_parameters()
+    assert optional, "scan found no optional parameters; is the package path right?"
+    calls = _calls_by_name()
+    overridden = [f"{module}.py:{line} {function}({parameter})"
+                  for module, function, parameter, line, index in optional
+                  if all(_sets(call, parameter, index) for call in calls.get(function, []))]
+    assert not overridden, f"defaults that every call overrides: {overridden}"
+
+
 def test_every_public_definition_is_reached():
     defined, referenced = _scan_package()
     public = [entry for entry in defined
@@ -182,13 +192,17 @@ def test_every_public_definition_is_reached():
                            f"acceptance test or benchmark file reaches: {unreached}")
 
 
+def test_package_root_holds_only_its_docstring():
+    # Callers import the submodule that owns a name, so the root re-exports
+    # nothing, and pyproject.toml owns the version.
+    body = _parse(PACKAGE / "__init__.py").body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr), "__init__.py holds code"
+
+
 def test_every_import_is_used():
-    # A name a module imports and never uses is a dead dependency.  The
-    # package's __init__ imports only to re-export, so it is not scanned.
+    # A name a module imports and never uses is a dead dependency.
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem == "__init__":
-            continue
         tree = _parse(path)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):

@@ -1,6 +1,6 @@
 """Golden artifacts: byte-identity across changes is a check, not a claim.
 
-Seven small CLI runs write their artifacts and stdout; the sha256 digest of
+Nine small CLI runs write their artifacts and stdout; the sha256 digest of
 each file, of stdout and the exit code must equal the committed manifest,
 ``golden_artifacts.json``.  Artifacts do not depend on the BLAS thread
 count, so nothing here pins threads.  The manifest records the numpy
@@ -39,6 +39,10 @@ RUNS = {
     "verify-lemma1": ["verify", "lemma1", "--set", "instances=2"],
     "verify-rate": ["verify", "rate"],
     "gradcheck": ["gradcheck"],
+    # save_mixture's bytes: a random mixture and a preset.
+    "gen-data-random": ["gen-data", "--seed", "6", "--set", "s_points=6",
+                        "--set", "k_classes=3"],
+    "gen-data-preset": ["gen-data", "--set", "preset=paper-uniform"],
     # Every loss kind, instance mode with the true-negative pool, tail averaging.
     "train": ["train", "--config", str(DIRECTION_CONFIG), "--set", "seeds=1",
               "--set", "epochs=4", "--set", "tail_average=2",
@@ -57,7 +61,9 @@ def run_digests(argv: list[str], out: Path) -> dict:
         code = main(argv + ["--out", str(out)])
     files = {str(p.relative_to(out)): _sha256(p.read_bytes())
              for p in sorted(out.rglob("*")) if p.is_file()}
-    return {"exit": code, "stdout": _sha256(buf.getvalue().encode()), "files": files}
+    # gen-data prints the path it wrote; the run's directory is not its output.
+    stdout = buf.getvalue().replace(str(out), "<out>")
+    return {"exit": code, "stdout": _sha256(stdout.encode()), "files": files}
 
 
 @pytest.fixture(scope="module")

@@ -21,7 +21,6 @@ from contrastlab.errors import (
     PriorMismatch,
 )
 from contrastlab.losses import (
-    DEFAULT_ENUM_BUDGET,
     LossSpec,
     asymptotic_debiased_exact,
     batch_terms,
@@ -481,17 +480,17 @@ class TestUnbiasedLossExact:
         mix = preset_mixture("paper-uniform")
         emb = np.tile([1.0, 0.0], (mix.n_points, 1))
         for n in (1, 3):
-            val = unbiased_loss_exact(emb, mix, n).value
+            val = unbiased_loss_exact(emb, mix, n, budget=1e7).value
             assert val == pytest.approx(math.log(1 + n), abs=1e-12)
 
     def test_two_point_single_term(self):
         mix = preset_mixture("two-point")
-        val = unbiased_loss_exact(np.eye(2), mix, 1).value
+        val = unbiased_loss_exact(np.eye(2), mix, 1, budget=1e7).value
         assert val == pytest.approx(0.3132616875182228, abs=1e-12)
 
     def test_matches_monte_carlo(self):
         emb, mix = random_instance(123, s_points=6, k_classes=3, embed_dim=5)
-        exact = unbiased_loss_exact(emb, mix, 3).value
+        exact = unbiased_loss_exact(emb, mix, 3, budget=1e7).value
         mc, se = _mc_unbiased(emb, mix, 3, trials=1_000_000, seed=9)
         assert abs(exact - mc) <= 3 * se
 
@@ -501,18 +500,28 @@ class TestUnbiasedLossExact:
         with pytest.raises(BudgetExceeded):
             unbiased_loss_exact(emb, mix, 8, budget=1e4)
 
+    def test_internal_multiset_cap(self):
+        # 24 complement points at N = 8 make one table of C(31, 8) multisets,
+        # over the internal cap however large the budget.
+        mix = random_mixture(substream(0), 40, 2)
+        emb = random_unit_rows(substream(1), 40, 3)
+        assert math.comb(31, 8) == 7_888_725 > losses._MAX_MULTISETS
+        with pytest.raises(BudgetExceeded,
+                           match="^7888725 multisets exceed the internal enumeration cap$"):
+            unbiased_loss_exact(emb, mix, 8, budget=1e13)
+
     def test_degenerate_class(self):
         from conftest import single_class_mixture
 
         with pytest.raises(DegenerateClass):
-            unbiased_loss_exact(np.eye(2), single_class_mixture(), 1)
+            unbiased_loss_exact(np.eye(2), single_class_mixture(), 1, budget=1e7)
 
 
 class TestBinomialOracle:
     def test_two_point_n1_matches(self):
         mix = preset_mixture("two-point")
-        res = binomial_oracle(np.eye(2), mix, 1)
-        exact = unbiased_loss_exact(np.eye(2), mix, 1).value
+        res = binomial_oracle(np.eye(2), mix, 1, budget=1e7)
+        exact = unbiased_loss_exact(np.eye(2), mix, 1, budget=1e7).value
         assert res.loss.value == pytest.approx(exact, rel=1e-12)
         assert len(res.terms) == 2
 
@@ -533,9 +542,9 @@ class TestBinomialOracle:
     def test_range_errors(self):
         emb, mix = random_instance(4)
         with pytest.raises(OracleRangeExceeded):
-            binomial_oracle(emb, mix, 0)
+            binomial_oracle(emb, mix, 0, budget=1e7)
         with pytest.raises(OracleRangeExceeded):
-            binomial_oracle(emb, mix, 9)
+            binomial_oracle(emb, mix, 9, budget=1e7)
 
     def test_non_uniform_prior_refused_before_any_table(self, monkeypatch):
         # One scalar tau+ splits the marginal into each anchor's positive and
@@ -545,7 +554,7 @@ class TestBinomialOracle:
         monkeypatch.setattr(losses, "_multiset_table",
                             lambda *args: pytest.fail("a table was built"))
         with pytest.raises(PriorMismatch, match="uniform class prior"):
-            binomial_oracle(emb, mix, 3)
+            binomial_oracle(emb, mix, 3, budget=1e7)
 
     def test_condition_number_grows_with_n(self):
         emb, mix = random_instance(8, s_points=6, k_classes=3, embed_dim=4)
@@ -681,12 +690,12 @@ class TestExactLayerBruteForce:
     def test_unbiased_and_oracle_match_tuple_sums(self, n_neg):
         for emb, mix in self.instances():
             direct = _tuple_sum(emb, mix, lambda a: [negative_dist(mix, a)] * n_neg)
-            assert unbiased_loss_exact(emb, mix, n_neg).value == pytest.approx(direct, rel=1e-12)
+            exact = unbiased_loss_exact(emb, mix, n_neg, budget=1e7).value
+            assert exact == pytest.approx(direct, rel=1e-12)
             biased = _tuple_sum(emb, mix, lambda a: [marginal(mix)] * n_neg)
-            (got,) = losses._enumerated_losses(emb, mix, [[("marginal", n_neg)]],
-                                               DEFAULT_ENUM_BUDGET)
+            (got,) = losses._enumerated_losses(emb, mix, [[("marginal", n_neg)]], 1e7)
             assert got == pytest.approx(biased, rel=1e-12)
-            res = binomial_oracle(emb, mix, n_neg)
+            res = binomial_oracle(emb, mix, n_neg, budget=1e7)
             assert res.loss.value == pytest.approx(direct, rel=1e-12)
             # Each series term: k draws from the positive class, N - k from the marginal.
             for k, term in enumerate(res.terms):
@@ -708,13 +717,13 @@ class TestExactLayerBruteForce:
         for emb, mix in [_zero_mass_mixture(), random_instance(31, s_points=7, k_classes=3)]:
             marg = marginal(mix)
             built.clear()
-            binomial_oracle(emb, mix, n_neg)
+            binomial_oracle(emb, mix, n_neg, budget=1e7)
             sizes = sorted(n for w, n in built if np.array_equal(w, marg))
             assert sizes == list(range(n_neg + 1))
             per_class = sorted(n for w, n in built if not np.array_equal(w, marg))
             assert per_class == sorted(list(range(n_neg + 1)) * mix.n_classes)
             built.clear()
-            unbiased_loss_exact(emb, mix, n_neg)
+            unbiased_loss_exact(emb, mix, n_neg, budget=1e7)
             assert [n for _, n in built] == [n_neg] * mix.n_classes
 
     @staticmethod
@@ -806,12 +815,12 @@ class TestRotationInvarianceAcrossFamily:
         rot = random_orthogonal(substream(17), 5)
         rotated = emb @ rot.T
         pairs = [
-            (unbiased_loss_exact(emb, mix, 2).value,
-             unbiased_loss_exact(rotated, mix, 2).value),
+            (unbiased_loss_exact(emb, mix, 2, budget=1e7).value,
+             unbiased_loss_exact(rotated, mix, 2, budget=1e7).value),
             (asymptotic_debiased_exact(emb, mix, q=3.0).value,
              asymptotic_debiased_exact(rotated, mix, q=3.0).value),
-            (binomial_oracle(emb, mix, 2).loss.value,
-             binomial_oracle(rotated, mix, 2).loss.value),
+            (binomial_oracle(emb, mix, 2, budget=1e7).loss.value,
+             binomial_oracle(rotated, mix, 2, budget=1e7).loss.value),
         ]
         for a, b in pairs:
             assert a == pytest.approx(b, abs=1e-12)

@@ -7,7 +7,6 @@ import pytest
 
 from contrastlab.errors import InsufficientGrid, NegativeDenominator
 from contrastlab.losses import (
-    DEFAULT_ENUM_BUDGET,
     _contrastive_losses,
     _enumerated_losses,
     asymptotic_debiased_exact,
@@ -158,9 +157,8 @@ class TestLemma1AgainstExact:
         cert = lemma1_certificate(emb, mix, n_neg, trials, seed)
         draws = _draw_monte_carlo(emb, mix, trials, (seed, 1),
                                   marginal=(n_neg,), negative=(n_neg,))
-        sides = {"marginal": _enumerated_losses(emb, mix, [[("marginal", n_neg)]],
-                                                DEFAULT_ENUM_BUDGET)[0],
-                 "negative": unbiased_loss_exact(emb, mix, n_neg).value}
+        sides = {"marginal": _enumerated_losses(emb, mix, [[("marginal", n_neg)]], 1e7)[0],
+                 "negative": unbiased_loss_exact(emb, mix, n_neg, budget=1e7).value}
         means = {}
         for side, exact in sides.items():
             tail = getattr(draws, side)[n_neg] * n_neg
