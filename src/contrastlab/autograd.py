@@ -39,7 +39,6 @@ class GradientReport:
     """
 
     max_rel_err: float
-    step: float
     excluded: tuple[int, ...]
 
 
@@ -97,5 +96,5 @@ def finite_diff_check(weights: np.ndarray, batch: ViewBatch, spec: LossSpec,
         max_rel_err = float(np.abs(analytic[keep] - numeric[keep]).max()) / denom
     else:
         max_rel_err = 0.0
-    return GradientReport(max_rel_err=max_rel_err, step=step,
+    return GradientReport(max_rel_err=max_rel_err,
                           excluded=tuple(np.flatnonzero(straddles).tolist()))

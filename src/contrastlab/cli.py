@@ -112,9 +112,7 @@ class RunReport:
         }
         if self.timings:
             payload["elapsed_seconds"] = time.time() - self.started
-        path = self.out_dir / "report.json"
-        path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                        encoding="utf-8")
+        self.json("report.json", payload)
         for name in self.artifacts:
             assert (self.out_dir / name).exists()
         return 1 if failures else 0
@@ -309,7 +307,7 @@ def cmd_gradcheck(cfg: dict, report: RunReport) -> int:
                         temperature=float(rng.uniform(0.2, 1.5)))
         rep = finite_diff_check(weights, batch, spec, step=cfg["step"])
         # Each row names the tau+ its kind computed with.
-        rows.append((case, kind, spec.tau_plus, rep.step, rep.max_rel_err, len(rep.excluded)))
+        rows.append((case, kind, spec.tau_plus, cfg["step"], rep.max_rel_err, len(rep.excluded)))
         worst = max(worst, rep.max_rel_err)
     report.csv("gradcheck.csv", GRADCHECK_HEADER, rows)
     failed = worst > cfg["tolerance"]

@@ -71,7 +71,8 @@ LOSS_KINDS = ("biased", "debiased", "unbiased")
 
 ORACLE_MAX_N = 8
 
-# Internal cap on materialized multiset rows, independent of the user budget.
+# Internal cap on materialized multiset rows and loss-grid cells, independent
+# of the user budget.
 _MAX_MULTISETS = 2_000_000
 
 
@@ -430,11 +431,10 @@ def _multiset_table(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     multiset of the support, and probs its multinomial probability, which
     regroups (without changing) the full tuple sum.  The table does not
     depend on the values drawn, so one table serves every anchor:
-    ``values[rows].sum(axis=1)`` is the matching column of sums.
+    ``values[rows].sum(axis=1)`` is the matching column of sums.  At n = 0
+    the one row is the empty multiset, of probability 1.
     """
     support = np.flatnonzero(weights > 0.0)
-    if n == 0:
-        return np.zeros((1, 0), dtype=np.intp), np.array([1.0])
     n_rows = math.comb(support.size + n - 1, n)
     if n_rows > _MAX_MULTISETS:
         raise BudgetExceeded(f"{n_rows} multisets exceed the internal enumeration cap")
@@ -479,7 +479,9 @@ def _enumerated_losses(embeddings: np.ndarray, mix: DiscreteClassMixture,
     Each side's distribution is built once per anchor, each multiset table
     once per (distribution, n) and each entry's joint probabilities once per
     class, so an anchor only sums its own e^s over the rows.  The loss grid
-    is evaluated on the anchor's positive support only, one row per positive.
+    is evaluated on the anchor's positive support only, one row per positive,
+    in chunks of at most ``_MAX_MULTISETS`` cells; the tails and joint
+    probabilities, one float per row, stay whole.
     """
     marg = marginal(mix)
     live = np.flatnonzero(marg > 0.0)
@@ -508,10 +510,14 @@ def _enumerated_losses(embeddings: np.ndarray, mix: DiscreteClassMixture,
                     lambda p, q: np.multiply.outer(p, q).ravel(), [probs for _, probs in parts])
             tails = functools.reduce(lambda x, y: np.add.outer(x, y).ravel(),
                                      [expvec[table].sum(axis=1) for table, _ in parts])
-            grid = _contrastive_losses(sims[a, cols, None], expvec[cols, None], tails, shift[a])
-            out[i] += marg[a] * float(grid @ joint[i, c] @ pos[cols])
-            # Freed before the next entry's are built, which then reuse the memory.
-            del tails, grid
+            step = _MAX_MULTISETS // cols.size
+            pos_losses = sum(_contrastive_losses(sims[a, cols, None], expvec[cols, None],
+                                                 tails[lo:lo + step], shift[a])
+                             @ joint[i, c][lo:lo + step]
+                             for lo in range(0, tails.size, step))
+            out[i] += marg[a] * float(pos_losses @ pos[cols])
+            # Freed before the next entry's is built, which then reuses the memory.
+            del tails
     return out
 
 
@@ -526,8 +532,6 @@ def unbiased_loss_exact(embeddings: np.ndarray, mix: DiscreteClassMixture,
     """
     if n_neg < 1:
         raise EmptyNegatives("unbiased loss needs N >= 1")
-    if mix.n_classes < 2:
-        raise DegenerateClass("unbiased loss needs K >= 2")
     return LossValue(float(_enumerated_losses(embeddings, mix, [[("negative", n_neg)]],
                                               budget)[0]))
 

@@ -6,8 +6,9 @@ is the schema of one run: the ``train`` command's per-run config keys are
 its fields, with its defaults.  The optimizer is the adaptive-moment
 method, at learning rate 0.001 by default.  The whole trajectory is
 deterministic given the seed: data, batches and init all come from named
-substreams.  The true-negative loss's pool of fresh negatives is drawn
-as :func:`build_dataset` draws the dataset, with one view per identity.
+substreams.  The true-negative loss's pool of fresh negatives is a
+dataset of its own, drawn by :func:`build_dataset`, with one view of each
+identity.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .encoder import ViewBatch, init_params
 from .errors import BatchTooSmall, ConfigError, DivergenceDetected
 from .geometry import unit_rows
 from .rng import substream
-from .worldmodel import SphereMixture, _sphere_views, sample_classes, sample_views
+from .worldmodel import SphereMixture, sample_classes, sample_views
 
 CHECKPOINT_VERSION = 2
 
@@ -62,6 +63,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
+        if self.dataset_size < self.batch_size:
+            raise ConfigError("dataset_size must be >= batch_size")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if not self.learning_rate >= 0.0:  # NaN fails too
@@ -143,20 +146,6 @@ def _draw_views(dataset: TrainDataset, idx: np.ndarray,
     return views.reshape(labels.shape + views.shape[-1:])
 
 
-def _draw_pool(dataset: TrainDataset, size: int,
-               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The true-negative pool: labels of ``size`` fresh identities, drawn as
-    :func:`build_dataset` draws the training set's, and one view of each.
-    In instance mode the pool's base noise and view noise are one
-    ``(2, size, F)`` normal block."""
-    labels = sample_classes(dataset.world, size, rng)
-    if dataset.base_points is None:
-        return labels, sample_views(dataset.world, labels, rng)
-    noise = rng.standard_normal((2, size, dataset.world.feature_dim))
-    base = _sphere_views(dataset.world, labels, noise[0])
-    return labels, unit_rows(base + dataset.view_noise * noise[1])
-
-
 def make_batches(dataset: TrainDataset, batch_size: int, m_positives: int,
                  rng: np.random.Generator, negative_pool: int = 0) -> list[ViewBatch]:
     """One epoch of view-pair batches under a seeded permutation.
@@ -182,8 +171,12 @@ def make_batches(dataset: TrainDataset, batch_size: int, m_positives: int,
     anchors = perm[:n_batches * batch_size].reshape(n_batches, batch_size)
     idx = np.broadcast_to(anchors[:, None, :], (n_batches, m_positives + 1, batch_size))
     if negative_pool:
-        draws = [(_draw_views(dataset, idx[i], rng), *_draw_pool(dataset, negative_pool, rng))
-                 for i in range(n_batches)]
+        mode = "class" if dataset.base_points is None else "instance"
+        draws = []
+        for batch_idx in idx:
+            views = _draw_views(dataset, batch_idx, rng)
+            pool = build_dataset(dataset.world, negative_pool, rng, mode, dataset.view_noise)
+            draws.append((views, pool.labels, _draw_views(pool, np.arange(negative_pool), rng)))
     else:
         draws = [(views, None, None) for views in _draw_views(dataset, idx, rng)]
     batches = []

@@ -279,18 +279,14 @@ def sample_views(world, labels: np.ndarray, rng: np.random.Generator) -> np.ndar
     """
     labels = np.asarray(labels)
     if isinstance(world, SphereMixture):
-        return _sphere_views(world, labels, rng.standard_normal((labels.shape[0], world.feature_dim)))
+        noise = rng.standard_normal((labels.shape[0], world.feature_dim))
+        return unit_rows(world.class_means[labels] + world.noise_scale * noise)
     out = np.empty((labels.shape[0], world.feature_dim))
     for c in np.unique(labels):
         mask = labels == c
         idx = rng.choice(world.n_points, size=int(mask.sum()), p=world.class_conditionals[c])
         out[mask] = world.points[idx]
     return out
-
-
-def _sphere_views(world: SphereMixture, labels: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """A sphere world's views of ``labels`` under the given standard normal noise."""
-    return unit_rows(world.class_means[labels] + world.noise_scale * noise)
 
 
 def save_mixture(mix: DiscreteClassMixture, path) -> None:

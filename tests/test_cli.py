@@ -435,6 +435,17 @@ class TestTrainCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: learning_rate")
 
+    def test_dataset_below_batch_is_refused_before_drawing(self, tmp_path, capsys,
+                                                           monkeypatch):
+        import contrastlab.training as training
+
+        monkeypatch.setattr(training, "build_dataset",
+                            lambda *args, **kwargs: pytest.fail("a dataset was drawn"))
+        code = main(["train", "--out", str(tmp_path), "--set", "dataset_size=3",
+                     "--set", "epochs=1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: dataset_size")
+
     def test_emits_expected_artifacts(self, tmp_path):
         code = main(["train", "--out", str(tmp_path), "--seed", "2"] + FAST_TRAIN)
         assert code == 0

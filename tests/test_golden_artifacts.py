@@ -1,6 +1,6 @@
 """Golden artifacts: byte-identity across changes is a check, not a claim.
 
-Nine small CLI runs write their artifacts and stdout; the sha256 digest of
+Eleven small CLI runs write their artifacts and stdout; the sha256 digest of
 each file, of stdout and the exit code must equal the committed manifest,
 ``golden_artifacts.json``.  Artifacts do not depend on the BLAS thread
 count, so nothing here pins threads.  The manifest records the numpy
@@ -32,6 +32,10 @@ from contrastlab.cli import main
 MANIFEST = Path(__file__).with_name("golden_artifacts.json")
 DIRECTION_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "direction.txt"
 
+_SMALL_TRAIN = ["--set", "epochs=2", "--set", "dataset_size=64", "--set", "batch_size=16",
+                "--set", "loss_kinds=biased,debiased,unbiased",
+                "--set", "eval_train_size=256", "--set", "eval_test_size=256"]
+
 RUNS = {
     "verify-lemma4": ["verify", "lemma4"],
     "verify-thm3": ["verify", "thm3", "--set", "instances=1"],
@@ -47,6 +51,10 @@ RUNS = {
     "train": ["train", "--config", str(DIRECTION_CONFIG), "--set", "seeds=1",
               "--set", "epochs=4", "--set", "tail_average=2",
               "--set", "eval_replicas=1", "--set", "eval_test_size=512"],
+    # The class-mode and discrete draws of the dataset and the true-negative pool.
+    "train-class": ["train", *_SMALL_TRAIN],
+    "train-discrete": ["train", "--set", "world=discrete", "--set", "preset=paper-uniform",
+                       *_SMALL_TRAIN],
 }
 
 

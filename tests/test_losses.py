@@ -510,11 +510,55 @@ class TestUnbiasedLossExact:
                            match="^7888725 multisets exceed the internal enumeration cap$"):
             unbiased_loss_exact(emb, mix, 8, budget=1e13)
 
-    def test_degenerate_class(self):
+    def test_degenerate_class(self, monkeypatch):
         from conftest import single_class_mixture
 
+        # The engine builds each anchor's negative distribution, which raises,
+        # before any table.
+        monkeypatch.setattr(losses, "_multiset_table",
+                            lambda *args: pytest.fail("a table was built"))
         with pytest.raises(DegenerateClass):
             unbiased_loss_exact(np.eye(2), single_class_mixture(), 1, budget=1e7)
+
+    def test_zero_draws_table_is_one_empty_row(self):
+        rows, probs = losses._multiset_table(np.array([0.25, 0.0, 0.75]), 0)
+        assert rows.shape == (1, 0)
+        assert probs.tolist() == [1.0]
+
+    @pytest.mark.parametrize("exact", [
+        lambda emb, mix: unbiased_loss_exact(emb, mix, 4, budget=1e7).value,
+        lambda emb, mix: binomial_oracle(emb, mix, 4, budget=1e7).loss.value,
+    ], ids=["unbiased", "oracle"])
+    def test_grid_is_evaluated_in_chunks_under_the_cap(self, monkeypatch, exact):
+        # Two points per class: a class's positive support has two points, so
+        # with the cap at the largest table every loss grid built from that
+        # table holds twice the cap, unchunked.
+        emb, mix = random_instance(21, s_points=6, k_classes=3)
+        assert np.bincount(mix.labels).tolist() == [2, 2, 2]
+        tables, grids = [], []
+        real_table, real_kernel = losses._multiset_table, losses._contrastive_losses
+
+        def table_spy(weights, n):
+            rows, probs = real_table(weights, n)
+            tables.append(rows.shape[0])
+            return rows, probs
+
+        def kernel_spy(*args):
+            out = real_kernel(*args)
+            grids.append(out.size)
+            return out
+
+        monkeypatch.setattr(losses, "_multiset_table", table_spy)
+        monkeypatch.setattr(losses, "_contrastive_losses", kernel_spy)
+        want = exact(emb, mix)
+        cap, unchunked = max(tables), list(grids)
+        assert max(unchunked) == 2 * cap
+        grids.clear()
+        monkeypatch.setattr(losses, "_MAX_MULTISETS", cap)
+        got = exact(emb, mix)
+        assert abs(got - want) <= 1e-14 * abs(want)
+        assert max(grids) <= cap
+        assert len(grids) > len(unchunked)
 
 
 class TestBinomialOracle:

@@ -215,6 +215,8 @@ class TestTrain:
             small_config(epochs=0)
         with pytest.raises(ConfigError):
             small_config(learning_rate=-1e-3)
+        with pytest.raises(ConfigError, match="^dataset_size must be >= batch_size$"):
+            small_config(dataset_size=7)
 
 
 class TestCheckpoint:
