@@ -41,10 +41,11 @@ from .experiments import direction_probe_accuracy
 from .geometry import unit_rows
 from .losses import LOSS_KINDS, LossSpec
 from .rng import substream
-from .training import TrainConfig, load_checkpoint, save_checkpoint, train
+from .training import TrainConfig, checkpoint_payload, load_checkpoint, train
 from .verification import (
     SweepSpec,
     lemma1_certificate,
+    make_certificate,
     oracle_certificate,
     rate_fit,
     theorem3_certificate,
@@ -53,10 +54,10 @@ from .verification import (
 from .worldmodel import (
     DiscreteClassMixture,
     load_mixture,
+    mixture_text,
     preset_mixture,
     preset_sphere,
     random_mixture,
-    save_mixture,
 )
 
 VERIFY_CHECKS = ("lemma1", "thm3", "rate", "lemma4", "oracle")
@@ -68,7 +69,8 @@ GRADCHECK_HEADER = ("case", "loss_kind", "tau_plus", "step", "max_rel_err", "exc
 
 @dataclass
 class RunReport:
-    """Everything one command run produced."""
+    """Everything one command run produced.  :meth:`write` is the package's
+    only file writer, and lists each artifact in ``report.json`` as it writes it."""
 
     command: str
     config: dict
@@ -82,20 +84,20 @@ class RunReport:
     def hash(self) -> str:
         return config_hash(self.config)
 
-    def csv(self, name: str, header: tuple[str, ...], rows: list[tuple]) -> Path:
+    def write(self, name: str, text: str) -> Path:
+        """Write one artifact into ``out_dir`` and list it."""
         path = self.out_dir / name
-        lines = [",".join(header)]
-        lines += [",".join(render_value(v) for v in row) for row in rows]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         self.artifacts.append(name)
         return path
 
+    def csv(self, name: str, header: tuple[str, ...], rows: list[tuple]) -> Path:
+        lines = [",".join(header)]
+        lines += [",".join(render_value(v) for v in row) for row in rows]
+        return self.write(name, "\n".join(lines) + "\n")
+
     def json(self, name: str, payload) -> Path:
-        path = self.out_dir / name
-        path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                        encoding="utf-8")
-        self.artifacts.append(name)
-        return path
+        return self.write(name, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
     def finish(self) -> int:
         failures = sum(1 for record in self.certificates if not record["passed"])
@@ -113,8 +115,6 @@ class RunReport:
         if self.timings:
             payload["elapsed_seconds"] = time.time() - self.started
         self.json("report.json", payload)
-        for name in self.artifacts:
-            assert (self.out_dir / name).exists()
         return 1 if failures else 0
 
 
@@ -164,10 +164,8 @@ def cmd_train(cfg: dict, report: RunReport) -> int:
         kind, tau, run_seed = run.loss_kind, run.tau_plus, run.seed
         rows = [(rec.epoch, rec.loss, rec.wall_ms if report.timings else 0) for rec in log]
         report.csv(f"train_log_{tag}.csv", TRAIN_LOG_HEADER, rows)
-        ckpt = report.out_dir / f"checkpoint_{tag}.json"
-        save_checkpoint(ckpt, weights, report.hash,
-                        meta={"loss_kind": kind, "tau_plus": tau, "seed": run_seed})
-        report.artifacts.append(ckpt.name)
+        report.json(f"checkpoint_{tag}.json", checkpoint_payload(
+            weights, report.hash, {"loss_kind": kind, "tau_plus": tau, "seed": run_seed}))
         accuracy = _eval_accuracy(weights, run_seed, world, cfg)
         probe_rows.append((run_seed, kind, float(tau), accuracy))
         print(f"train {tag}: final_loss={log[-1].loss:.6f} accuracy={accuracy:.4f}")
@@ -192,9 +190,8 @@ def cmd_probe(cfg: dict, report: RunReport) -> int:
     return report.finish()
 
 
-def _random_instance(seed: int, *, s_points: int, k_classes: int, embed_dim: int,
-                     path: tuple[int, ...]) -> tuple[np.ndarray, DiscreteClassMixture]:
-    rng = substream(seed, *path)
+def _random_instance(rng: np.random.Generator, s_points: int, k_classes: int,
+                     embed_dim: int) -> tuple[np.ndarray, DiscreteClassMixture]:
     mix = random_mixture(rng, s_points, k_classes)
     emb = unit_rows(rng.standard_normal((s_points, embed_dim)))
     return emb, mix
@@ -205,9 +202,8 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
 
     if check == "lemma1":
         for inst in range(cfg["instances"]):
-            emb, mix = _random_instance(seed, s_points=cfg["s_points"],
-                                        k_classes=cfg["k_classes"],
-                                        embed_dim=cfg["embed_dim"], path=(20, inst))
+            emb, mix = _random_instance(substream(seed, 20, inst), cfg["s_points"],
+                                        cfg["k_classes"], cfg["embed_dim"])
             for j, n_neg in enumerate(cfg["n_list"]):
                 cert = lemma1_certificate(emb, mix, n_neg, cfg["trials"],
                                           _child_seed(seed, 21, inst, j))
@@ -216,9 +212,8 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
 
     elif check == "thm3":
         for inst in range(cfg["instances"]):
-            emb, mix = _random_instance(seed, s_points=cfg["s_points"],
-                                        k_classes=cfg["k_classes"],
-                                        embed_dim=cfg["embed_dim"], path=(30, inst))
+            emb, mix = _random_instance(substream(seed, 30, inst), cfg["s_points"],
+                                        cfg["k_classes"], cfg["embed_dim"])
             inst_seed = _child_seed(seed, 31, inst)
             draws = theorem3_draws(emb, mix, cfg["n_grid"], cfg["m_grid"], cfg["trials"],
                                    inst_seed)
@@ -234,9 +229,8 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
         if cfg["slope_min"] > cfg["slope_max"]:
             raise ConfigError(f"slope_min {cfg['slope_min']!r} > slope_max "
                               f"{cfg['slope_max']!r}: no fitted slope could pass")
-        emb, mix = _random_instance(seed, s_points=cfg["s_points"],
-                                    k_classes=cfg["k_classes"],
-                                    embed_dim=cfg["embed_dim"], path=(40,))
+        emb, mix = _random_instance(substream(seed, 40), cfg["s_points"],
+                                    cfg["k_classes"], cfg["embed_dim"])
         tau = None if cfg["tau_plus"] < 0 else cfg["tau_plus"]
         sweep = SweepSpec(variable=cfg["sweep_variable"], grid=cfg["sweep_grid"],
                           other=cfg["other_size"], tau_plus=tau)
@@ -272,8 +266,7 @@ def cmd_verify(check: str, cfg: dict, report: RunReport) -> int:
             k = int(rng.integers(2, 6))
             s_points = int(rng.integers(max(k, 4), cfg["s_max"] + 1))
             n_neg = int(rng.integers(1, cfg["n_max"] + 1))
-            mix = random_mixture(rng, s_points, k)
-            emb = unit_rows(rng.standard_normal((s_points, cfg["embed_dim"])))
+            emb, mix = _random_instance(rng, s_points, k, cfg["embed_dim"])
             cert = oracle_certificate(emb, mix, n_neg, tolerance=cfg["tolerance"],
                                       budget=cfg["budget"])
             cert.meta["instance"] = inst
@@ -310,23 +303,24 @@ def cmd_gradcheck(cfg: dict, report: RunReport) -> int:
         rows.append((case, kind, spec.tau_plus, cfg["step"], rep.max_rel_err, len(rep.excluded)))
         worst = max(worst, rep.max_rel_err)
     report.csv("gradcheck.csv", GRADCHECK_HEADER, rows)
-    failed = worst > cfg["tolerance"]
-    report.certificates.append({"check": "gradcheck", "lhs": worst,
-                                "rhs": cfg["tolerance"], "passed": not failed,
-                                "meta": {"cases": cfg["cases"], "step": cfg["step"]}})
+    report.certificates.append(make_certificate(
+        "gradcheck", worst, cfg["tolerance"], 0.0, 0,
+        {"cases": cfg["cases"], "step": cfg["step"]}).to_record())
     print(f"gradcheck: worst max_rel_err={worst:.3e} over {cfg['cases']} cases")
     return report.finish()
 
 
 def cmd_gen_data(cfg: dict, report: RunReport) -> int:
+    name = cfg["filename"]
+    if name in ("", "..", "report.json") or Path(name).name != name:
+        raise ConfigError(f"filename {name!r} must name one file in the out directory, "
+                          "other than report.json")
     if cfg["preset"]:
         mix = preset_mixture(cfg["preset"])
     else:
         mix = random_mixture(substream(cfg["seed"], 80), cfg["s_points"],
                              cfg["k_classes"], cfg["feature_dim"])
-    path = report.out_dir / cfg["filename"]
-    save_mixture(mix, path)
-    report.artifacts.append(cfg["filename"])
+    path = report.write(name, mixture_text(mix))
     print(f"gen-data: wrote {path}")
     return report.finish()
 

@@ -50,7 +50,7 @@ _WORLD = {
 }
 
 _EVAL = {
-    "eval_train_size": Field("int", 2048, "probe fitting samples", (1, None)),
+    "eval_train_size": Field("int", 2048, "probe fitting samples", (2, None)),
     "eval_test_size": Field("int", 2048, "probe accuracy samples", (1, None)),
     "eval_replicas": Field("int", 1, "average accuracy over fresh eval sets", (1, None)),
 }

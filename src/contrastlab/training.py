@@ -228,7 +228,6 @@ def train(config: TrainConfig, world) -> tuple[np.ndarray, list[EpochRecord]]:
     pool = 2 * (config.batch_size - 1) if config.loss_kind == "unbiased" else 0
     log: list[EpochRecord] = []
     tail_sum = np.zeros_like(weights)
-    tail_count = 0
     for epoch in range(config.epochs):
         tic = time.perf_counter()
         batch_rng = substream(config.seed, 2, epoch)
@@ -242,25 +241,22 @@ def train(config: TrainConfig, world) -> tuple[np.ndarray, list[EpochRecord]]:
             epoch_losses.append(loss)
         if config.epochs - epoch <= config.tail_average:
             tail_sum += weights
-            tail_count += 1
         wall_ms = (time.perf_counter() - tic) * 1000.0
         log.append(EpochRecord(epoch=epoch, loss=float(np.mean(epoch_losses)), wall_ms=wall_ms))
-    if tail_count:
-        weights = tail_sum / tail_count
+    if config.tail_average:
+        weights = tail_sum / config.tail_average
     return weights, log
 
 
-def save_checkpoint(path, weights: np.ndarray, config_hash: str, meta: dict) -> None:
-    """Versioned JSON dump of the encoder weight matrix plus the config hash."""
-    payload = {
+def checkpoint_payload(weights: np.ndarray, config_hash: str, meta: dict) -> dict:
+    """Versioned record of the encoder weight matrix plus the config hash, as
+    ``RunReport.json`` writes it and :func:`load_checkpoint` reads it."""
+    return {
         "format_version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
         "weights": weights.tolist(),
         "meta": meta,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def load_checkpoint(path) -> tuple[np.ndarray, dict]:

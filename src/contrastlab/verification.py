@@ -294,7 +294,6 @@ def theorem3_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_ne
     ``draws`` from :func:`theorem3_draws`; draws made for other arguments
     raise ``ValueError``.
     """
-    _check_params(tau_plus)
     if draws.embeddings is not embeddings or draws.mix is not mix:
         raise ValueError("draws were made for other embeddings or another mixture")
     if draws.stream != (seed, 2) or draws.trials != trials:

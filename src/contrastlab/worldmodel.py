@@ -289,8 +289,9 @@ def sample_views(world, labels: np.ndarray, rng: np.random.Generator) -> np.ndar
     return out
 
 
-def save_mixture(mix: DiscreteClassMixture, path) -> None:
-    """Write the flat ``key = value`` mixture definition file."""
+def mixture_text(mix: DiscreteClassMixture) -> str:
+    """Text of the flat ``key = value`` mixture definition file, as ``gen-data``
+    writes it through ``RunReport.write`` and :func:`load_mixture` reads it."""
     def row(vec) -> str:
         return " ".join(repr(float(x)) for x in vec)
 
@@ -305,12 +306,11 @@ def save_mixture(mix: DiscreteClassMixture, path) -> None:
         "points = " + rows(mix.points),
         "conditionals = " + rows(mix.class_conditionals),
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def load_mixture(path) -> DiscreteClassMixture:
-    """Parse a mixture definition file written by :func:`save_mixture`."""
+    """Parse a mixture definition file, as :func:`mixture_text` formats it."""
     # Imported here: config imports training, which imports this module.
     from .config import load_config_file
 

@@ -20,6 +20,7 @@ from contrastlab.config import (
     resolve,
 )
 from contrastlab.errors import ConfigError
+from contrastlab.rng import substream
 from contrastlab.training import TrainConfig, train
 from contrastlab.verification import make_certificate, theorem3_certificate, theorem3_draws
 from contrastlab.worldmodel import load_mixture
@@ -59,6 +60,8 @@ INVALID_VALUES = {
     "eval-replicas": ["train"] + FAST_TRAIN + ["--set", "eval_replicas=0"],
     "eval-test-size": ["train"] + FAST_TRAIN + ["--set", "eval_test_size=0"],
     "eval-train-size": ["train"] + FAST_TRAIN + ["--set", "eval_train_size=0"],
+    # One fit sample can never hold the two classes a probe needs.
+    "eval-train-size-1": ["train"] + FAST_TRAIN + ["--set", "eval_train_size=1"],
     # A run that yields no certificate checks nothing, so it cannot pass.
     "lemma1-empty": ["verify", "lemma1", "--set", "instances=0"],
     "thm3-empty": ["verify", "thm3", "--set", "instances=0"],
@@ -82,6 +85,11 @@ INVALID_VALUES = {
     # A mixture no train run could use: one class, or points of no dimension.
     "gen-data-one-class": ["gen-data", "--set", "k_classes=1"],
     "gen-data-no-features": ["gen-data", "--set", "feature_dim=0"],
+    # The mixture is one plain file of the out directory, beside report.json.
+    "gen-data-filename-report": ["gen-data", "--set", "filename=report.json"],
+    "gen-data-filename-parent": ["gen-data", "--set", "filename=../mixture.txt"],
+    "gen-data-filename-empty": ["gen-data", "--set", "filename="],
+    "gen-data-filename-subdir": ["gen-data", "--set", "filename=sub/mixture.txt"],
     # NaN fails every bound, so none of these runs with a threshold it ignores.
     "gradcheck-nan-tolerance": ["gradcheck", "--set", "tolerance=nan"],
     "oracle-nan-budget": ["verify", "oracle", "--set", "budget=nan"],
@@ -153,13 +161,17 @@ CSV_HEADERS = {"train_log": cli.TRAIN_LOG_HEADER, "probe": cli.PROBE_HEADER,
 
 
 def _outside(field):
-    """A value just outside each closed side of a key's bounds, and the empty
-    list where the key needs an item, each rendered as --set writes it."""
+    """A value just outside each closed side of a key's bounds, zero below an
+    integer bound above one, and the empty list where the key needs an item,
+    each rendered as --set writes it."""
     low, high = field.bounds
     is_int = field.kind.startswith("int")
     values = []
     if low is not None:
         values.append(low - 1 if is_int else math.nextafter(low, -math.inf))
+        if is_int and low > 1:
+            # Zero, the empty count, stays refused where the bound sits higher.
+            values.append(0)
     if high is not None:
         values.append(high)
     rendered = [render_value(value) for value in values]
@@ -599,8 +611,7 @@ class TestVerifyCommand:
         records = json.loads((tmp_path / "certificates.json").read_text())
         assert len(records) == 16
         for inst in range(2):
-            emb, mix = _random_instance(8, s_points=8, k_classes=5, embed_dim=8,
-                                        path=(30, inst))
+            emb, mix = _random_instance(substream(8, 30, inst), 8, 5, 8)
             inst_seed = _child_seed(8, 31, inst)
             draws = theorem3_draws(emb, mix, (4, 16), (4, 16), 1000, inst_seed)
             mine = [rec for rec in records if rec["meta"]["instance"] == inst]

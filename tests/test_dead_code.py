@@ -213,3 +213,63 @@ def test_every_import_is_used():
                               if (name := (alias.asname or alias.name).split(".")[0])
                               not in used)
     assert not unused, f"imported names the module never uses: {unused}"
+
+
+_WRITE_MODE = set("wax+")
+
+
+def _file_writes(tree):
+    """(enclosing qualified name, line) of every file write in ``tree``: an
+    ``open`` whose mode writes, appends or creates, ``write_text``,
+    ``write_bytes``, ``json.dump`` or a ``np.save*``.  An ``open`` whose mode
+    is not a literal counts as a write."""
+    writes = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            owner = getattr(getattr(func, "value", None), "id", None)
+            if name == "open":
+                # open(path, mode) or path.open(mode)
+                index = 1 if isinstance(func, ast.Name) else 0
+                modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+                mode = modes[0] if modes else (node.args[index] if len(node.args) > index
+                                               else ast.Constant("r"))
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and not _WRITE_MODE & set(mode.value)):
+                    writes.append((scope, node.lineno))
+            elif (name in ("write_text", "write_bytes")
+                  or (owner == "json" and name == "dump")
+                  or (owner in ("np", "numpy") and name and name.startswith("save"))):
+                writes.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return writes
+
+
+def test_run_report_write_is_the_only_file_writer():
+    # Every artifact goes through one writer, which lists it in report.json.
+    writes = [(f"{path.stem}.{scope}", line) for path in sorted(PACKAGE.glob("*.py"))
+              for scope, line in _file_writes(_parse(path))]
+    allowed = [entry for entry in writes if entry[0] == "cli.RunReport.write"]
+    assert allowed, "scan found no write in RunReport.write; is the package path right?"
+    others = [f"{scope}:{line}" for scope, line in writes if scope != "cli.RunReport.write"]
+    assert not others, f"file writes outside RunReport.write: {others}"
+
+
+def test_file_write_scan_sees_each_kind_of_write():
+    # The scan flags each form of write it names and passes reads.
+    source = '''
+def f(path, fh, data, mode):
+    open(path, "w"); open(path, mode="a"); open(path, "r+"); open(path, mode)
+    path.open("x"); path.write_text("t"); path.write_bytes(b"t")
+    json.dump(data, fh); np.save(path, data); np.savez(path, a=data)
+    open(path); open(path, "r", encoding="utf-8"); path.open(); json.load(fh)
+'''
+    lines = [line for _, line in _file_writes(ast.parse(source))]
+    assert lines == [3] * 4 + [4] * 3 + [5] * 3

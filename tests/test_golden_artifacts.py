@@ -43,7 +43,7 @@ RUNS = {
     "verify-lemma1": ["verify", "lemma1", "--set", "instances=2"],
     "verify-rate": ["verify", "rate"],
     "gradcheck": ["gradcheck"],
-    # save_mixture's bytes: a random mixture and a preset.
+    # mixture_text's bytes, as RunReport.write writes them: a random mixture and a preset.
     "gen-data-random": ["gen-data", "--seed", "6", "--set", "s_points=6",
                         "--set", "k_classes=3"],
     "gen-data-preset": ["gen-data", "--set", "preset=paper-uniform"],

@@ -20,6 +20,7 @@ from contrastlab.worldmodel import (
     SphereMixture,
     load_mixture,
     marginal,
+    mixture_text,
     negative_dist,
     positive_dist,
     preset_mixture,
@@ -27,7 +28,6 @@ from contrastlab.worldmodel import (
     random_mixture,
     sample_classes,
     sample_views,
-    save_mixture,
 )
 
 
@@ -247,7 +247,7 @@ class TestMixtureFile:
     def test_roundtrip(self, tmp_path):
         mix = random_mixture(substream(31), 7, 3)
         path = tmp_path / "mixture.txt"
-        save_mixture(mix, path)
+        path.write_text(mixture_text(mix))
         loaded = load_mixture(path)
         np.testing.assert_array_equal(loaded.points, mix.points)
         np.testing.assert_array_equal(loaded.labels, mix.labels)
@@ -264,8 +264,6 @@ class TestMixtureFile:
     def test_version_mismatch_rejected(self, tmp_path):
         mix = preset_mixture("two-point")
         path = tmp_path / "mixture.txt"
-        save_mixture(mix, path)
-        text = path.read_text().replace("format_version = 1", "format_version = 99")
-        path.write_text(text)
+        path.write_text(mixture_text(mix).replace("format_version = 1", "format_version = 99"))
         with pytest.raises(ConfigError):
             load_mixture(path)
