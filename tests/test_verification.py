@@ -36,18 +36,20 @@ from conftest import random_instance, random_unit_rows, skewed_instance
 
 
 def _count_side_means(monkeypatch):
-    """Record the size of every per-trial mean the draw engine samples."""
+    """Record the (side, n) key of every per-trial mean the draw engine
+    samples, in the order drawn."""
     import contrastlab.verification as verification
 
-    sizes = []
-    real = verification._grouped_mean_exp
+    keys = []
+    real = verification._draw_monte_carlo
 
     def counting(*args, **kwargs):
-        sizes.append(args[2])
-        return real(*args, **kwargs)
+        draws = real(*args, **kwargs)
+        keys.extend(draws.means)
+        return draws
 
-    monkeypatch.setattr(verification, "_grouped_mean_exp", counting)
-    return sizes
+    monkeypatch.setattr(verification, "_draw_monte_carlo", counting)
+    return keys
 
 
 def _asymptotic_negative_sum(emb, mix, n_neg):
@@ -141,7 +143,7 @@ class TestLemma1Certificate:
         sizes = _count_side_means(monkeypatch)
         emb, mix = random_instance(31)
         lemma1_certificate(emb, mix, 4, trials=2000, seed=5)
-        assert sizes == [4, 4]
+        assert sizes == [("marginal", 4), ("negative", 4)]
 
 
 class TestLemma1AgainstExact:
@@ -156,12 +158,12 @@ class TestLemma1AgainstExact:
         seed, trials = int(substream(61_000, inst, n_neg).integers(2 ** 62)), 100_000
         cert = lemma1_certificate(emb, mix, n_neg, trials, seed)
         draws = _draw_monte_carlo(emb, mix, trials, (seed, 1),
-                                  marginal=(n_neg,), negative=(n_neg,))
+                                  [("marginal", n_neg), ("negative", n_neg)])
         sides = {"marginal": _enumerated_losses(emb, mix, [[("marginal", n_neg)]], 1e7)[0],
                  "negative": unbiased_loss_exact(emb, mix, n_neg, budget=1e7).value}
         means = {}
         for side, exact in sides.items():
-            tail = getattr(draws, side)[n_neg] * n_neg
+            tail = draws.means[side, n_neg] * n_neg
             losses = _contrastive_losses(draws.s_pos, draws.h_pos, tail)
             means[side] = float(losses.mean())
             stderr = float(losses.std(ddof=1)) / math.sqrt(trials)
@@ -228,8 +230,10 @@ class TestTheorem3Draws:
         one = theorem3_draws(emb, mix, (4,), (4,), trials=2000, seed=12)
         assert np.array_equal(grid.anchors, one.anchors)
         assert np.array_equal(grid.s_pos, one.s_pos)
-        assert np.array_equal(grid.marginal[4], one.marginal[4])
-        assert not np.array_equal(grid.positive[4], one.positive[4])
+        assert list(grid.means) == [("marginal", 4), ("marginal", 16),
+                                    ("positive", 4), ("positive", 16)]
+        assert np.array_equal(grid.means["marginal", 4], one.means["marginal", 4])
+        assert not np.array_equal(grid.means["positive", 4], one.means["positive", 4])
         for n_neg in (4, 16):
             for m_pos in (4, 16):
                 assert theorem3_certificate(emb, mix, n_neg, m_pos, 0.1, 2000, 12,
@@ -295,11 +299,12 @@ class TestRateFit:
             rate_fit(emb, mix, SweepSpec(grid=(4, 16, 64, 512), other=1024), 2000, 0)
 
     @pytest.mark.parametrize("variable,sizes", [
-        ("N", [4, 16, 64, 256, 1024, 10240]), ("M", [10240, 4, 16, 64, 256, 1024]),
+        ("N", [("marginal", n) for n in (4, 16, 64, 256, 1024)] + [("positive", 10240)]),
+        ("M", [("marginal", 10240)] + [("positive", m) for m in (4, 16, 64, 256, 1024)]),
     ])
     def test_one_draw_set_per_sweep(self, monkeypatch, variable, sizes):
-        # The fixed size once and one mean per grid point, marginal side (N)
-        # first: 6 count-sampling calls, where a draw set per point makes 10.
+        # The fixed size once and one mean per grid point, marginal side
+        # first: 6 means, where a draw set per point makes 10.
         drawn = _count_side_means(monkeypatch)
         emb, mix = random_instance(32, k_classes=4)
         sweep = SweepSpec(variable=variable, grid=(4, 16, 64, 256, 1024), other=10240)
