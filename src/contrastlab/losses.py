@@ -49,7 +49,6 @@ pass over the similarities.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -419,11 +418,38 @@ def debiased_loss_batch(view_a: np.ndarray, view_b: np.ndarray, tau_plus: float,
     return LossValue(float(terms.losses.mean()))
 
 
+def _multisets(s: int, n: int) -> np.ndarray:
+    """The non-decreasing rows of n indices into range(s), in lexicographic order.
+
+    Built one position at a time: a row whose last index is v has the
+    children v, ..., s - 1, so each level keeps only its rows' last indices
+    and the row of the level before that each extends.  The table is then
+    filled from the last column to the first along those parent indices.
+    """
+    values, parents = [np.arange(s)], []
+    for _ in range(1, n):
+        kids = s - values[-1]
+        parent = np.repeat(np.arange(kids.size), kids)
+        # Child j of row i, whose children start at j0 = cumsum(kids)[i] - kids[i],
+        # takes index values[-1][i] + (j - j0).
+        values.append(np.arange(parent.size) - (np.cumsum(kids) - kids - values[-1])[parent])
+        parents.append(parent)
+    rows = np.empty((math.comb(s + n - 1, n), n), dtype=np.intp)
+    idx = np.arange(rows.shape[0])
+    for k in reversed(range(n)):
+        rows[:, k] = values[k][idx]
+        if k:
+            idx = parents[k - 1][idx]
+    return rows
+
+
 def _multiset_table(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The multisets of n i.i.d. draws i ~ weights, with their probabilities.
 
     Returns (rows, probs): each row holds the n point indices of one
-    multiset of the support, and probs its multinomial probability, which
+    multiset of the support, in the lexicographic order of
+    ``itertools.combinations_with_replacement`` but built in numpy
+    (:func:`_multisets`), and probs its multinomial probability, which
     regroups (without changing) the full tuple sum.  The table does not
     depend on the values drawn, so one table serves every anchor:
     ``values[rows].sum(axis=1)`` is the matching column of sums.  At n = 0
@@ -433,10 +459,7 @@ def _multiset_table(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     n_rows = math.comb(support.size + n - 1, n)
     if n_rows > _MAX_MULTISETS:
         raise BudgetExceeded(f"{n_rows} multisets exceed the internal enumeration cap")
-    combos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(support.size), n)),
-        dtype=np.intp, count=n_rows * n,
-    ).reshape(n_rows, n)
+    combos = _multisets(support.size, n)
     counts = np.bincount((np.arange(n_rows)[:, None] * support.size + combos).ravel(),
                          minlength=n_rows * support.size).reshape(n_rows, -1)
     logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))

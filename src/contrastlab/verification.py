@@ -138,12 +138,15 @@ def _sims_and_exp(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sims, np.exp(sims)
 
 
-def _by_anchor(anchors: np.ndarray, draw, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` one anchor at a time, in increasing anchor order, with
-    ``draw(a, k)`` for the k trials whose anchor is a."""
-    for a in np.unique(anchors):
-        mask = anchors == a
-        out[mask] = draw(int(a), int(mask.sum()))
+def _by_anchor(groups: list[tuple[int, np.ndarray]], draw, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` one anchor at a time, in the order of ``groups``, with
+    ``draw(a, k)`` at the k trial indices ``idx`` of each ``(a, idx)``.
+
+    :func:`_draw_monte_carlo` groups the trials once per draw set, in
+    increasing anchor order, and every draw of the set reads that grouping.
+    """
+    for a, idx in groups:
+        out[idx] = draw(a, idx.size)
     return out
 
 
@@ -190,9 +193,10 @@ def _draw_monte_carlo(embeddings: np.ndarray, mix: DiscreteClassMixture, trials:
     sims, expm = _sims_and_exp(embeddings)
     rng = substream(*stream)
     anchors = rng.choice(mix.n_points, size=trials, p=marginal(mix))
-    positives = _by_anchor(anchors, lambda a, k: rng.choice(
+    groups = [(int(a), np.flatnonzero(anchors == a)) for a in np.unique(anchors)]
+    positives = _by_anchor(groups, lambda a, k: rng.choice(
         mix.n_points, size=k, p=positive_dist(mix, a)), np.empty(trials, dtype=np.intp))
-    means = {(side, n): _by_anchor(anchors, lambda a, k: rng.multinomial(
+    means = {(side, n): _by_anchor(groups, lambda a, k: rng.multinomial(
         n, _SIDES[side](mix, a), size=k) @ expm[a] / n, np.empty(trials)) for side, n in sizes}
     return MonteCarloDraws(embeddings=embeddings, mix=mix, stream=stream, trials=trials,
                            anchors=anchors, s_pos=sims[anchors, positives],

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, artifact schemas, and byte-level determinism."""
 
+import copy
 import importlib
 import json
 import math
@@ -681,6 +682,28 @@ class TestVerifyCommand:
         # N = K-1 .. 4K at the default K = 2, 3, 5: 8 + 11 + 17 per embedding.
         assert len(certs) == 3 * 36
         assert calls == {"linear_probe": 3, "mean_classifier_loss": 9}
+
+    def test_certificates_file_holds_one_record_per_line(self, tmp_path, monkeypatch):
+        written = []
+        real = cli.RunReport.records
+
+        def keep(report, name, records):
+            written.extend(copy.deepcopy(records))
+            return real(report, name, records)
+
+        monkeypatch.setattr(cli.RunReport, "records", keep)
+        assert main(["verify", "lemma4", "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "certificates.json").read_text()
+        lines = text.splitlines()
+        assert len(lines) == len(written) + 2 and (lines[0], lines[-1]) == ("[", "]")
+        assert [json.loads(line.removesuffix(",")) for line in lines[1:-1]] == written
+        assert json.loads(text) == written
+        # At K = 5 the sampled sub-tasks are keyed by class tuples like "0,1,3".
+        subtasks = [r["meta"]["subtask_mean_classifier_losses"] for r in written
+                    if r["meta"]["k_classes"] == 5]
+        assert subtasks and all(key.count(",") == 2 for s in subtasks for key in s)
+        report = (tmp_path / "report.json").read_text()
+        assert report == json.dumps(json.loads(report), sort_keys=True, indent=1) + "\n"
 
     def test_rate_emits_fit_record(self, tmp_path):
         code = main(["verify", "rate", "--out", str(tmp_path), "--seed", "3",

@@ -3,6 +3,7 @@ Monte Carlo cross-checks, and structural properties."""
 
 import itertools
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -569,6 +570,60 @@ class TestUnbiasedLossExact:
         assert abs(got - want) <= 1e-14 * abs(want)
         assert max(grids) <= cap
         assert len(grids) > len(unchunked)
+
+
+def _itertools_table(weights, n):
+    """The multiset table as ``itertools`` builds it, row by row in Python:
+    the reference the numpy construction must reproduce bit for bit."""
+    support = np.flatnonzero(weights > 0.0)
+    n_rows = math.comb(support.size + n - 1, n)
+    combos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations_with_replacement(range(support.size), n)),
+        dtype=np.intp, count=n_rows * n,
+    ).reshape(n_rows, n)
+    counts = np.bincount((np.arange(n_rows)[:, None] * support.size + combos).ravel(),
+                         minlength=n_rows * support.size).reshape(n_rows, -1)
+    logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+    log_coef = logfact[n] - logfact[counts].sum(axis=1)
+    log_prob = counts @ np.log(weights[support])
+    return support[combos], np.exp(log_coef + log_prob)
+
+
+class TestMultisetTable:
+    # At support 12, n = 8 is left to the peak-memory test, which builds it.
+    @pytest.mark.parametrize("support,n", [(s, n) for s in (1, 2, 5, 12)
+                                           for n in (0, 1, 2, 5, 8) if s < 12 or n <= 5])
+    def test_matches_the_itertools_construction(self, support, n):
+        # One more point than the support, of zero weight and inside the
+        # index range, so the rows must skip it.
+        weights = substream(support, n).random(support + 1)
+        weights[support // 2] = 0.0
+        weights /= weights.sum()
+        rows, probs = losses._multiset_table(weights, n)
+        want_rows, want_probs = _itertools_table(weights, n)
+        assert rows.dtype == want_rows.dtype and rows.shape == want_rows.shape
+        assert np.array_equal(rows, want_rows)
+        assert probs.tobytes() == want_probs.tobytes()
+
+    def test_peak_memory_is_no_higher_than_itertools(self):
+        weights = np.full(12, 1 / 12)
+        tables, peaks = [], []
+        for build in (_itertools_table, losses._multiset_table):
+            build(weights, 8)  # numpy's first-call allocations are not the table's
+            tracemalloc.start()
+            try:
+                tables.append(build(weights, 8))
+                # The peak above what is still held at the end: numpy keeps
+                # freed small buffers in a cache that tracemalloc counts as
+                # held, a few hundred bytes that are not the build's.
+                current, peak = tracemalloc.get_traced_memory()
+                peaks.append(peak - current)
+            finally:
+                tracemalloc.stop()
+        (want_rows, want_probs), (rows, probs) = tables
+        assert rows.shape == (math.comb(19, 8), 8) and np.array_equal(rows, want_rows)
+        assert probs.tobytes() == want_probs.tobytes()
+        assert peaks[1] <= peaks[0]
 
 
 class TestBinomialOracle:

@@ -7,6 +7,7 @@ import pytest
 
 from contrastlab.errors import InsufficientGrid, NegativeDenominator
 from contrastlab.losses import (
+    _SIDES,
     _contrastive_losses,
     _enumerated_losses,
     asymptotic_debiased_exact,
@@ -25,6 +26,7 @@ from contrastlab.verification import (
     theorem5_constants,
 )
 from contrastlab.worldmodel import (
+    DiscreteClassMixture,
     marginal,
     negative_dist,
     positive_dist,
@@ -263,6 +265,50 @@ class TestTheorem3Draws:
         emb, mix = random_instance(30)
         with pytest.raises(ValueError):
             theorem3_draws(emb, mix, (4,), (4,), trials=10, seed=0)
+
+
+def _masked_draws(emb, mix, trials, stream, sizes):
+    """(s_pos, means) drawn as one boolean mask per anchor and per draw
+    selects the anchor's trials: the reference for the grouped draws."""
+    sims = emb @ emb.T
+    expm = np.exp(sims)
+    rng = substream(*stream)
+    anchors = rng.choice(mix.n_points, size=trials, p=marginal(mix))
+
+    def by_anchor(draw, out):
+        for a in np.unique(anchors):
+            mask = anchors == a
+            out[mask] = draw(int(a), int(mask.sum()))
+        return out
+
+    positives = by_anchor(lambda a, k: rng.choice(mix.n_points, size=k, p=positive_dist(mix, a)),
+                          np.empty(trials, dtype=np.intp))
+    means = {(side, n): by_anchor(lambda a, k: rng.multinomial(
+        n, _SIDES[side](mix, a), size=k) @ expm[a] / n, np.empty(trials)) for side, n in sizes}
+    return sims[anchors, positives], means
+
+
+class TestMonteCarloDraws:
+    def test_grouped_draws_equal_the_masked_reference(self):
+        # Point 2 carries no mass, so it is never an anchor and the groups skip it.
+        mix = DiscreteClassMixture(
+            points=np.eye(6),
+            labels=np.array([0, 0, 1, 1, 2, 2]),
+            class_conditionals=np.array([[0.6, 0.4, 0.0, 0.0, 0.0, 0.0],
+                                         [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+                                         [0.0, 0.0, 0.0, 0.0, 0.5, 0.5]]),
+            prior=np.full(3, 1 / 3),
+            tau_plus=1 / 3,
+        )
+        emb = random_unit_rows(substream(40), 6, 8)
+        sizes = [("marginal", 4), ("negative", 3), ("positive", 5), ("marginal", 16)]
+        draws = _draw_monte_carlo(emb, mix, 2000, (9, 2), sizes)
+        s_pos, means = _masked_draws(emb, mix, 2000, (9, 2), sizes)
+        assert np.unique(draws.anchors).tolist() == [0, 1, 3, 4, 5]
+        assert draws.s_pos.tobytes() == s_pos.tobytes()
+        assert list(draws.means) == sizes
+        for key in sizes:
+            assert draws.means[key].tobytes() == means[key].tobytes(), key
 
 
 class TestRateFit:
