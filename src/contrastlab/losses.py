@@ -74,6 +74,10 @@ ORACLE_MAX_N = 8
 # of the user budget.
 _MAX_MULTISETS = 2_000_000
 
+# Rows per block when a table's point counts, or an anchor's sums over a
+# table's rows, are formed; the per-row results do not depend on it.
+_ROW_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class LossValue:
@@ -452,20 +456,40 @@ def _multiset_table(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     (:func:`_multisets`), and probs its multinomial probability, which
     regroups (without changing) the full tuple sum.  The table does not
     depend on the values drawn, so one table serves every anchor:
-    ``values[rows].sum(axis=1)`` is the matching column of sums.  At n = 0
-    the one row is the empty multiset, of probability 1.
+    :func:`_row_sums` gives the matching column of sums.  At n = 0 the one
+    row is the empty multiset, of probability 1.
+
+    The point counts are filled ``_ROW_BLOCK`` rows at a time into one float
+    matrix, and the rows are mapped to point indices in place.  The product
+    ``counts @ log w`` stays whole: BLAS splits a product's rows between its
+    threads, so a blocked product could round a row differently.
     """
     support = np.flatnonzero(weights > 0.0)
     n_rows = math.comb(support.size + n - 1, n)
     if n_rows > _MAX_MULTISETS:
         raise BudgetExceeded(f"{n_rows} multisets exceed the internal enumeration cap")
-    combos = _multisets(support.size, n)
-    counts = np.bincount((np.arange(n_rows)[:, None] * support.size + combos).ravel(),
-                         minlength=n_rows * support.size).reshape(n_rows, -1)
+    rows = _multisets(support.size, n)
     logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
-    log_coef = logfact[n] - logfact[counts].sum(axis=1)
+    counts = np.empty((n_rows, support.size))
+    log_coef = np.empty(n_rows)
+    for lo in range(0, n_rows, _ROW_BLOCK):
+        block = rows[lo:lo + _ROW_BLOCK]
+        size = block.shape[0]
+        block_counts = np.bincount((np.arange(size)[:, None] * support.size + block).ravel(),
+                                   minlength=size * support.size).reshape(size, -1)
+        counts[lo:lo + size] = block_counts
+        log_coef[lo:lo + size] = logfact[n] - logfact[block_counts].sum(axis=1)
+        block[...] = support[block]
     log_prob = counts @ np.log(weights[support])
-    return support[combos], np.exp(log_coef + log_prob)
+    return rows, np.exp(log_coef + log_prob)
+
+
+def _row_sums(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``values[rows].sum(axis=1)``, taken ``_ROW_BLOCK`` rows at a time."""
+    sums = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], _ROW_BLOCK):
+        sums[lo:lo + _ROW_BLOCK] = values[rows[lo:lo + _ROW_BLOCK]].sum(axis=1)
+    return sums
 
 
 def _shifted_exps(embeddings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -494,12 +518,17 @@ def _enumerated_losses(embeddings: np.ndarray, mix: DiscreteClassMixture,
     side of ``_SIDES``.  The rows evaluated, summed over entries and anchors
     of positive mass, are counted from the sides' supports; more than
     ``budget`` raises :class:`BudgetExceeded` before any table is built.
-    Each side's distribution is built once per anchor, each multiset table
-    once per (distribution, n) and each entry's joint probabilities once per
-    class, so an anchor only sums its own e^s over the rows.  The loss grid
-    is evaluated on the anchor's positive support only, one row per positive,
-    in chunks of at most ``_MAX_MULTISETS`` cells; the tails and joint
-    probabilities, one float per row, stay whole.
+    Each side's distribution is built once per anchor and each multiset
+    table once per (distribution, n), so an anchor only sums its own e^s
+    over the rows.  Entries are the outer loop and anchors the inner, in
+    the order of their indices, so an entry's value adds its anchors' terms
+    in that order.  Only the current entry's joint probabilities are held,
+    one array per class, and a table is dropped after the last entry that
+    reads it: memory is bounded by one entry's tables and its per-row
+    vectors (tails and joint probabilities), plus ``_ROW_BLOCK`` rows of
+    scratch.  The loss grid is evaluated on the anchor's positive support
+    only, one row per positive, in chunks of at most ``_MAX_MULTISETS``
+    cells.
     """
     marg = marginal(mix)
     live = np.flatnonzero(marg > 0.0)
@@ -510,32 +539,36 @@ def _enumerated_losses(embeddings: np.ndarray, mix: DiscreteClassMixture,
                for dist in dists for entry in draws)
     if rows > budget:
         raise BudgetExceeded(f"{rows} enumerated rows exceed budget {budget:g}")
+    keys = [[[(dist[side].tobytes(), n) for side, n in entry] for dist in dists]
+            for entry in draws]
+    last_read = {key: i for i, entry_keys in enumerate(keys)
+                 for anchor_keys in entry_keys for key in anchor_keys}
     sims, shift, expm = _shifted_exps(embeddings)
-    tables, joint = {}, {}
+    tables = {}
     out = np.zeros(len(draws))
-    for a, dist in zip(live, dists):
-        expvec, pos, c = expm[a], dist["positive"], mix.labels[a]
-        cols = np.flatnonzero(pos)
-        for i, entry in enumerate(draws):
-            parts = []
-            for side, n in entry:
-                key = (dist[side].tobytes(), n)
+    for i, (entry, entry_keys) in enumerate(zip(draws, keys)):
+        joint = {}
+        for a, dist, anchor_keys in zip(live, dists, entry_keys):
+            expvec, pos, c = expm[a], dist["positive"], mix.labels[a]
+            cols = np.flatnonzero(pos)
+            for key, (side, n) in zip(anchor_keys, entry):
                 if key not in tables:
                     tables[key] = _multiset_table(dist[side], n)
-                parts.append(tables[key])
-            if (i, c) not in joint:
-                joint[i, c] = functools.reduce(
-                    lambda p, q: np.multiply.outer(p, q).ravel(), [probs for _, probs in parts])
+            if c not in joint:
+                joint[c] = functools.reduce(lambda p, q: np.multiply.outer(p, q).ravel(),
+                                            [tables[key][1] for key in anchor_keys])
             tails = functools.reduce(lambda x, y: np.add.outer(x, y).ravel(),
-                                     [expvec[table].sum(axis=1) for table, _ in parts])
+                                     [_row_sums(expvec, tables[key][0]) for key in anchor_keys])
             step = _MAX_MULTISETS // cols.size
             pos_losses = sum(_contrastive_losses(sims[a, cols, None], expvec[cols, None],
                                                  tails[lo:lo + step], shift[a])
-                             @ joint[i, c][lo:lo + step]
+                             @ joint[c][lo:lo + step]
                              for lo in range(0, tails.size, step))
             out[i] += marg[a] * float(pos_losses @ pos[cols])
-            # Freed before the next entry's is built, which then reuses the memory.
+            # Freed before the next anchor's tails, or the next entry's tables, are built.
             del tails
+        for key in [key for key in tables if last_read[key] == i]:
+            del tables[key]
     return out
 
 

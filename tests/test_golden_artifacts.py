@@ -2,10 +2,11 @@
 
 Eleven small CLI runs write their artifacts and stdout; the sha256 digest of
 each file, of stdout and the exit code must equal the committed manifest,
-``golden_artifacts.json``.  Artifacts do not depend on the BLAS thread
-count, so nothing here pins threads.  The manifest records the numpy
-version it was made under; a mismatch under another numpy is a finding to
-report, not a reason to skip.
+``golden_artifacts.json``.  The probabilities of a large multiset table
+(``losses._multiset_table``) can differ in their last bits between one and
+two BLAS threads, but no digest here moves between them, so nothing here
+pins threads.  The manifest records the numpy version it was made under; a
+mismatch under another numpy is a finding to report, not a reason to skip.
 
 A change that moves a digest on purpose rewrites the manifest with
 

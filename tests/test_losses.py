@@ -4,6 +4,7 @@ Monte Carlo cross-checks, and structural properties."""
 import itertools
 import math
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -624,6 +625,107 @@ class TestMultisetTable:
         assert rows.shape == (math.comb(19, 8), 8) and np.array_equal(rows, want_rows)
         assert probs.tobytes() == want_probs.tobytes()
         assert peaks[1] <= peaks[0]
+
+    # 7 rows to a block: it divides some of these tables' row counts (35,
+    # 210) and not others (1, 6, 715, 1287).
+    @pytest.mark.parametrize("support,n", [(1, 0), (2, 5), (5, 3), (7, 4), (10, 4), (9, 5)])
+    def test_row_blocks_change_no_bit(self, monkeypatch, support, n):
+        weights = substream(support, n, 1).random(support + 1)
+        weights[support // 2] = 0.0
+        weights /= weights.sum()
+        want_rows, want_probs = losses._multiset_table(weights, n)
+        monkeypatch.setattr(losses, "_ROW_BLOCK", 7)
+        rows, probs = losses._multiset_table(weights, n)
+        assert rows.dtype == want_rows.dtype and rows.shape == want_rows.shape
+        assert rows.tobytes() == want_rows.tobytes()
+        assert probs.tobytes() == want_probs.tobytes()
+
+    def test_row_blocks_change_no_exact_value(self, monkeypatch):
+        # Eight points at N = 4: the marginal's tables hold 8, 36, 120 and
+        # 330 rows, and the anchors sum e^s over them 7 rows at a time.
+        emb, mix = random_instance(21, s_points=8, k_classes=3)
+
+        def values():
+            oracle = binomial_oracle(emb, mix, 4, budget=1e7)
+            return np.array([unbiased_loss_exact(emb, mix, 4, budget=1e7).value,
+                             oracle.loss.value, *oracle.terms])
+
+        want = values()
+        monkeypatch.setattr(losses, "_ROW_BLOCK", 7)
+        assert values().tobytes() == want.tobytes()
+
+
+class TestEngineMemory:
+    """The engine holds one entry's tables and per-row vectors at a time."""
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_oracle_peaks_at_its_largest_table_build(self, monkeypatch):
+        # Twelve points in three classes of four at N = 8: the largest table
+        # is the marginal's at n = 8, C(19, 8) = 75,582 rows.
+        gen = substream(12, 3, 8)
+        labels = gen.permutation(np.arange(12) % 3)
+        conditionals = np.zeros((3, 12))
+        for c in range(3):
+            conditionals[c, labels == c] = gen.dirichlet(np.ones(4))
+        mix = DiscreteClassMixture(points=gen.standard_normal((12, 4)), labels=labels,
+                                   class_conditionals=conditionals, prior=np.full(3, 1 / 3),
+                                   tau_plus=1 / 3)
+        emb = random_unit_rows(gen, 12, 8)
+        built = []
+        real = losses._multiset_table
+
+        def spy(weights, n):
+            built.append((weights.copy(), n))
+            return real(weights, n)
+
+        monkeypatch.setattr(losses, "_multiset_table", spy)
+        # Also takes numpy's first-call allocations out of the peaks below.
+        binomial_oracle(emb, mix, 8, budget=1e9)
+        monkeypatch.undo()
+        weights, n = max(built, key=lambda wn: math.comb(np.count_nonzero(wn[0]) + wn[1] - 1,
+                                                           wn[1]))
+        assert n == 8 and np.count_nonzero(weights) == 12
+        table_peak = self.traced_peak(lambda: real(weights, n))
+        oracle_peak = self.traced_peak(lambda: binomial_oracle(emb, mix, 8, budget=1e9))
+        assert oracle_peak <= table_peak + 2_000_000
+
+    def test_table_is_freed_after_the_last_entry_that_reads_it(self, monkeypatch):
+        # The marginal's n = 3 table is read by entry 1 only, its n = 2 table
+        # by entries 0 and 2, and each class's positive n = 1 table by entry 2.
+        emb, mix = random_instance(31, s_points=7, k_classes=3)
+        n_live = np.count_nonzero(marginal(mix))
+        events = []
+        real_table, real_kernel = losses._multiset_table, losses._contrastive_losses
+
+        def table_spy(weights, n):
+            rows, probs = real_table(weights, n)
+            events.append(("built", n))
+            weakref.finalize(rows, events.append, ("freed", n))
+            return rows, probs
+
+        def kernel_spy(*args):
+            events.append("grid")
+            return real_kernel(*args)
+
+        monkeypatch.setattr(losses, "_multiset_table", table_spy)
+        monkeypatch.setattr(losses, "_contrastive_losses", kernel_spy)
+        losses._enumerated_losses(emb, mix, [[("marginal", 2)], [("marginal", 3)],
+                                             [("marginal", 2), ("positive", 1)]], 1e7)
+        # One grid per anchor and entry: the first 2 * n_live are entries 0 and 1.
+        assert events.count("grid") == 3 * n_live
+        assert events.count(("built", 2)) == events.count(("built", 3)) == 1
+        freed = events.index(("freed", 3))
+        assert events[:freed].count("grid") == 2 * n_live
+        assert events[freed + 1] == ("built", 1)
+        assert events[:events.index(("freed", 2))].count("grid") == 3 * n_live
 
 
 class TestBinomialOracle:
