@@ -84,29 +84,44 @@ class RunReport:
     def hash(self) -> str:
         return config_hash(self.config)
 
-    def write(self, name: str, text: str) -> Path:
-        """Write one artifact into ``out_dir`` and list it."""
+    def write(self, name: str, chunks) -> Path:
+        """Write one artifact into ``out_dir`` and list it.
+
+        ``chunks`` is an iterable of text pieces, written in order as they
+        come, so the artifact's text is never held whole here.
+        """
         path = self.out_dir / name
-        path.write_text(text, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
         self.artifacts.append(name)
         return path
 
     def csv(self, name: str, header: tuple[str, ...], rows: list[tuple]) -> Path:
         lines = [",".join(header)]
         lines += [",".join(render_value(v) for v in row) for row in rows]
-        return self.write(name, "\n".join(lines) + "\n")
+        return self.write(name, ["\n".join(lines) + "\n"])
 
     def json(self, name: str, payload) -> Path:
-        return self.write(name, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        return self.write(name, [json.dumps(payload, sort_keys=True, indent=1) + "\n"])
 
     def records(self, name: str, records: list[dict]) -> Path:
         """Write a JSON list of records, one sorted-key record per line.
 
         The same value as :meth:`json` writes, but without an indent, so the
         records go through ``json``'s C encoder instead of its Python one.
+        The file is ``[``, the records joined by ``,`` and a newline, then
+        ``]``, each line on its own; each record is encoded and written as
+        it is reached, so no more than one encoding is held at a time.
         """
         encode = json.JSONEncoder(sort_keys=True).encode
-        return self.write(name, "[\n" + ",\n".join(map(encode, records)) + "\n]\n")
+
+        def chunks():
+            yield "[\n"
+            for i, record in enumerate(records):
+                yield (",\n" if i else "") + encode(record)
+            yield "\n]\n"
+
+        return self.write(name, chunks())
 
     def finish(self) -> int:
         failures = sum(1 for record in self.certificates if not record["passed"])
@@ -329,7 +344,7 @@ def cmd_gen_data(cfg: dict, report: RunReport) -> int:
     else:
         mix = random_mixture(substream(cfg["seed"], 80), cfg["s_points"],
                              cfg["k_classes"], cfg["feature_dim"])
-    path = report.write(name, mixture_text(mix))
+    path = report.write(name, [mixture_text(mix)])
     print(f"gen-data: wrote {path}")
     return report.finish()
 

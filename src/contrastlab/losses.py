@@ -422,23 +422,26 @@ def debiased_loss_batch(view_a: np.ndarray, view_b: np.ndarray, tau_plus: float,
     return LossValue(float(terms.losses.mean()))
 
 
-def _multisets(s: int, n: int) -> np.ndarray:
+def _multisets(s: int, n: int, dtype: np.dtype) -> np.ndarray:
     """The non-decreasing rows of n indices into range(s), in lexicographic order.
 
     Built one position at a time: a row whose last index is v has the
     children v, ..., s - 1, so each level keeps only its rows' last indices
     and the row of the level before that each extends.  The table is then
     filled from the last column to the first along those parent indices.
+    The rows are of ``dtype``, an unsigned integer type that holds s - 1,
+    and so is each level's column of last indices.
     """
-    values, parents = [np.arange(s)], []
+    values, parents = [np.arange(s, dtype=dtype)], []
     for _ in range(1, n):
-        kids = s - values[-1]
+        kids = s - values[-1].astype(np.intp)
         parent = np.repeat(np.arange(kids.size), kids)
         # Child j of row i, whose children start at j0 = cumsum(kids)[i] - kids[i],
         # takes index values[-1][i] + (j - j0).
-        values.append(np.arange(parent.size) - (np.cumsum(kids) - kids - values[-1])[parent])
+        values.append((np.arange(parent.size) - (np.cumsum(kids) - kids - values[-1])[parent])
+                      .astype(dtype))
         parents.append(parent)
-    rows = np.empty((math.comb(s + n - 1, n), n), dtype=np.intp)
+    rows = np.empty((math.comb(s + n - 1, n), n), dtype=dtype)
     idx = np.arange(rows.shape[0])
     for k in reversed(range(n)):
         rows[:, k] = values[k][idx]
@@ -454,41 +457,52 @@ def _multiset_table(weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     multiset of the support, in the lexicographic order of
     ``itertools.combinations_with_replacement`` but built in numpy
     (:func:`_multisets`), and probs its multinomial probability, which
-    regroups (without changing) the full tuple sum.  The table does not
-    depend on the values drawn, so one table serves every anchor:
-    :func:`_row_sums` gives the matching column of sums.  At n = 0 the one
-    row is the empty multiset, of probability 1.
+    regroups (without changing) the full tuple sum.  The rows are of the
+    narrowest unsigned type that holds every point index,
+    ``np.min_scalar_type(weights.size - 1)``.  The table does not depend on
+    the values drawn, so one table serves every anchor: :func:`_row_sums`
+    gives the matching column of sums.  At n = 0 the one row is the empty
+    multiset, of probability 1.
 
-    The point counts are filled ``_ROW_BLOCK`` rows at a time into one float
-    matrix, and the rows are mapped to point indices in place.  The product
-    ``counts @ log w`` stays whole: BLAS splits a product's rows between its
-    threads, so a blocked product could round a row differently.
+    The point counts c are formed ``_ROW_BLOCK`` rows at a time, and each
+    row's log-probability is (log n! - sum_i log c_i!) + sum_i c_i log w_i,
+    each sum a numpy sum along that row, in the order of the support, with
+    no count matrix of the whole table and no BLAS product.  So no row's
+    value depends on the rows beside it, on the block size or on the BLAS
+    thread count.  The rows are mapped to point indices in place.
     """
     support = np.flatnonzero(weights > 0.0)
     n_rows = math.comb(support.size + n - 1, n)
     if n_rows > _MAX_MULTISETS:
         raise BudgetExceeded(f"{n_rows} multisets exceed the internal enumeration cap")
-    rows = _multisets(support.size, n)
+    rows = _multisets(support.size, n, np.min_scalar_type(weights.size - 1))
     logfact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
-    counts = np.empty((n_rows, support.size))
-    log_coef = np.empty(n_rows)
+    log_w = np.log(weights[support])
+    log_prob = np.empty(n_rows)
     for lo in range(0, n_rows, _ROW_BLOCK):
         block = rows[lo:lo + _ROW_BLOCK]
         size = block.shape[0]
-        block_counts = np.bincount((np.arange(size)[:, None] * support.size + block).ravel(),
-                                   minlength=size * support.size).reshape(size, -1)
-        counts[lo:lo + size] = block_counts
-        log_coef[lo:lo + size] = logfact[n] - logfact[block_counts].sum(axis=1)
+        counts = np.bincount((np.arange(size)[:, None] * support.size + block).ravel(),
+                             minlength=size * support.size).reshape(size, -1)
+        log_prob[lo:lo + size] = ((logfact[n] - logfact[counts].sum(axis=1))
+                                  + (counts * log_w).sum(axis=1))
         block[...] = support[block]
-    log_prob = counts @ np.log(weights[support])
-    return rows, np.exp(log_coef + log_prob)
+    return rows, np.exp(log_prob, out=log_prob)
 
 
 def _row_sums(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``values[rows].sum(axis=1)``, taken ``_ROW_BLOCK`` rows at a time."""
+    """``values[rows].sum(axis=1)``, taken ``_ROW_BLOCK`` rows at a time.
+
+    Each block of the (narrow) rows is copied into one reused ``intp``
+    buffer before the gather, which then indexes without a conversion of
+    its own; the sums are those of the gather on the rows themselves.
+    """
     sums = np.empty(rows.shape[0])
+    index = np.empty((min(_ROW_BLOCK, rows.shape[0]), rows.shape[1]), dtype=np.intp)
     for lo in range(0, rows.shape[0], _ROW_BLOCK):
-        sums[lo:lo + _ROW_BLOCK] = values[rows[lo:lo + _ROW_BLOCK]].sum(axis=1)
+        block = index[:rows.shape[0] - lo]
+        block[...] = rows[lo:lo + _ROW_BLOCK]
+        sums[lo:lo + block.shape[0]] = values[block].sum(axis=1)
     return sums
 
 
@@ -524,11 +538,12 @@ def _enumerated_losses(embeddings: np.ndarray, mix: DiscreteClassMixture,
     the order of their indices, so an entry's value adds its anchors' terms
     in that order.  Only the current entry's joint probabilities are held,
     one array per class, and a table is dropped after the last entry that
-    reads it: memory is bounded by one entry's tables and its per-row
-    vectors (tails and joint probabilities), plus ``_ROW_BLOCK`` rows of
-    scratch.  The loss grid is evaluated on the anchor's positive support
-    only, one row per positive, in chunks of at most ``_MAX_MULTISETS``
-    cells.
+    reads it: memory is bounded by one entry's tables (each n narrow
+    integers and one float per row) and its per-row vectors (tails and
+    joint probabilities), plus ``_ROW_BLOCK`` rows of scratch and one loss
+    grid chunk.  The loss grid is evaluated on the anchor's positive
+    support only, one row per positive, in chunks of at most
+    ``_MAX_MULTISETS`` cells.
     """
     marg = marginal(mix)
     live = np.flatnonzero(marg > 0.0)

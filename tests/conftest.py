@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import contrastlab
 from contrastlab.geometry import unit_rows
 from contrastlab.rng import substream
 from contrastlab.worldmodel import random_mixture
@@ -61,3 +67,13 @@ def skewed_instance(seed: int = 0):
         tau_plus=0.38,  # sum of squared priors: a second draw shares the class
     )
     return random_unit_rows(substream(seed), 6, 8), mix
+
+
+def run_python(args: list[str], blas_threads: int) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this checkout's
+    package, with OpenBLAS at ``blas_threads`` threads; it must exit 0."""
+    src = str(Path(contrastlab.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          check=True, text=True)

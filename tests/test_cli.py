@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -704,6 +705,36 @@ class TestVerifyCommand:
         assert subtasks and all(key.count(",") == 2 for s in subtasks for key in s)
         report = (tmp_path / "report.json").read_text()
         assert report == json.dumps(json.loads(report), sort_keys=True, indent=1) + "\n"
+
+    def test_certificates_file_is_written_record_by_record(self, tmp_path, monkeypatch):
+        # lemma4's 3600 records make a 1.3 MB file; written record by
+        # record, the writer holds one encoding and a file buffer, about
+        # 25 kB, where the whole text and its UTF-8 copy would be 2.8 MB.
+        written = []
+        real = cli.RunReport.records
+
+        def keep(report, name, records):
+            written.extend(records)
+            return real(report, name, records)
+
+        monkeypatch.setattr(cli.RunReport, "records", keep)
+        assert main(["verify", "lemma4", "--out", str(tmp_path / "cli")]) == 0
+        monkeypatch.undo()
+        report = cli.RunReport(command="verify.lemma4", config={}, out_dir=tmp_path,
+                               timings=False)
+        tracemalloc.start()
+        try:
+            path = report.records("certificates.json", written)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current <= 64_000
+        text = "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in written) + "\n]\n"
+        assert len(text) > 1_000_000
+        assert path.read_bytes() == text.encode()
+        assert (tmp_path / "cli" / "certificates.json").read_bytes() == text.encode()
+        assert report.records("empty.json", []).read_bytes() == b"[\n\n]\n"
+        assert report.artifacts == ["certificates.json", "empty.json"]
 
     def test_rate_emits_fit_record(self, tmp_path):
         code = main(["verify", "rate", "--out", str(tmp_path), "--seed", "3",

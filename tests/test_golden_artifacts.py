@@ -2,11 +2,12 @@
 
 Eleven small CLI runs write their artifacts and stdout; the sha256 digest of
 each file, of stdout and the exit code must equal the committed manifest,
-``golden_artifacts.json``.  The probabilities of a large multiset table
-(``losses._multiset_table``) can differ in their last bits between one and
-two BLAS threads, but no digest here moves between them, so nothing here
-pins threads.  The manifest records the numpy version it was made under; a
-mismatch under another numpy is a finding to report, not a reason to skip.
+``golden_artifacts.json``.  A multiset table's probabilities
+(``losses._multiset_table``) are numpy row sums, not a BLAS product, so they
+do not depend on the BLAS thread count: ``verify oracle`` is also run in a
+fresh interpreter at two OpenBLAS threads against the same digests.  The
+manifest records the numpy version it was made under; a mismatch under
+another numpy is a finding to report, not a reason to skip.
 
 A change that moves a digest on purpose rewrites the manifest with
 
@@ -29,6 +30,8 @@ import numpy as np
 import pytest
 
 from contrastlab.cli import main
+
+from conftest import run_python
 
 MANIFEST = Path(__file__).with_name("golden_artifacts.json")
 DIRECTION_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "direction.txt"
@@ -63,16 +66,20 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _digests(code: int, stdout: str, out: Path) -> dict:
+    files = {str(p.relative_to(out)): _sha256(p.read_bytes())
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    # gen-data prints the path it wrote; the run's directory is not its output.
+    stdout = stdout.replace(str(out), "<out>")
+    return {"exit": code, "stdout": _sha256(stdout.encode()), "files": files}
+
+
 def run_digests(argv: list[str], out: Path) -> dict:
     """Exit code, stdout digest and per-file digests of one in-process run."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv + ["--out", str(out)])
-    files = {str(p.relative_to(out)): _sha256(p.read_bytes())
-             for p in sorted(out.rglob("*")) if p.is_file()}
-    # gen-data prints the path it wrote; the run's directory is not its output.
-    stdout = buf.getvalue().replace(str(out), "<out>")
-    return {"exit": code, "stdout": _sha256(stdout.encode()), "files": files}
+    return _digests(code, buf.getvalue(), out)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +97,14 @@ def test_run_matches_its_golden_digests(name, manifest, tmp_path):
     assert (got["exit"], got["stdout"]) == (want["exit"], want["stdout"]), \
         f"{name}: exit code or stdout moved ({where})"
     assert not moved, f"{name}: artifacts moved: {moved} ({where})"
+
+
+def test_oracle_matches_its_golden_digests_at_two_blas_threads(manifest, tmp_path):
+    # The oracle's values must not depend on how BLAS splits work between
+    # threads.  run_python checks that the exit code is 0, as recorded.
+    out = tmp_path / "verify-oracle"
+    proc = run_python(["-m", "contrastlab.cli", *RUNS["verify-oracle"], "--out", str(out)], 2)
+    assert _digests(proc.returncode, proc.stdout, out) == manifest["runs"]["verify-oracle"]
 
 
 def test_manifest_covers_every_run(manifest):
